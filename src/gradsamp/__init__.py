@@ -32,7 +32,6 @@ from .coverage import (
     make_coverage_oracle,
     penalty,
     theta_feasible,
-    two_agent_cost,
 )
 from .driver import (
     LineSearchOutcome,
@@ -45,7 +44,7 @@ from .driver import (
     sample_ball,
     step,
 )
-from .minnorm import MinNormResult, min_norm_bruteforce, min_norm_point
+from .minnorm import MinNormResult, min_norm_point
 from .testfns import (
     CantorStressProblem,
     FiniteMaxProblem,

@@ -44,9 +44,10 @@ class ProblemOracle:
       full-measure set D.
     - ``inner_max(x, dist_tol)``: a point within ``dist_tol`` of the argmax
       set, together with the oracle's own certified distance bound.
-    - ``lip_F_theta(x)``: Lipschitz constant of theta -> F(x, theta).
-    - ``lip_gradF_theta(x)``: Lipschitz constant of theta -> grad_x F(x, theta).
     - ``in_D(x)``: membership in D.
+    - ``lip_F_theta(x)``, ``lip_gradF_theta(x)``: Lipschitz constants of
+      theta -> F(x, theta) and theta -> grad_x F(x, theta); required only
+      when ``exact_inner`` is False, as exact oracles ignore tolerances.
 
     All methods must be pure (identical inputs give identical outputs) and
     safe to call concurrently.
@@ -140,6 +141,11 @@ class GsParams:
         return d
 
 
+def _is_count(v) -> bool:
+    # A Python or NumPy integer; bool is an int subclass but not a count.
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def validate_params(p: GsParams, n: int) -> None:
     """Check every parameter constraint for problem dimension n.
 
@@ -154,13 +160,17 @@ def validate_params(p: GsParams, n: int) -> None:
         v = getattr(p, name)
         if not (v > 0.0):
             errs.append(f"{name} not positive: {v}")
-    if p.effective_m(n) < n + 1:
+    if p.m is not None and not _is_count(p.m):
+        errs.append(f"m not an integer: {p.m!r}")
+    elif p.effective_m(n) < n + 1:
         errs.append(f"m < n+1 (m={p.effective_m(n)}, n={n})")
     if p.t_init_factor < p.gamma / 3.0:
         errs.append(
             f"t_init_factor below gamma/3: {p.t_init_factor} < {p.gamma / 3.0}"
         )
-    if p.max_iters < 0:
+    if not _is_count(p.max_iters):
+        errs.append(f"max_iters not an integer: {p.max_iters!r}")
+    elif p.max_iters < 0:
         errs.append(f"max_iters negative: {p.max_iters}")
     if p.eps_min < 0.0 or p.nu_min < 0.0:
         errs.append("eps_min/nu_min must be nonnegative")

@@ -13,16 +13,13 @@ the support.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .core import ProblemOracle
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -228,33 +225,9 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     return masses / w
 
 
-def two_agent_cost(theta1_bounds: Tuple[float, float],
-                   theta2_bounds: Tuple[float, float],
-                   x: np.ndarray) -> float:
-    """Closed-form worst-case cost for two agents on [0,4] with two
-    width-2 bins (bin heights sum to 1/2).
-
-    Valid for x in [0,2] x [2,4]; agrees with the generic LP pipeline."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise ValueError("x must have two coordinates")
-    if not (0.0 <= x[0] <= 2.0 and 2.0 <= x[1] <= 4.0):
-        raise ValueError("x must lie in [0,2] x [2,4]")
-    t1lo, t1hi = theta1_bounds
-    t2lo, t2hi = theta2_bounds
-    prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 2.0, 4.0),
-                           theta_lower=(t1lo, t2lo), theta_upper=(t1hi, t2hi))
-    p1, p2 = coverage_c_vector(prob, x)
-    if p1 <= p2:
-        th1 = max(t1lo, 0.5 - t2hi)
-    else:
-        th1 = min(t1hi, 0.5 - t2lo)
-    return th1 * p1 + (0.5 - th1) * p2
-
-
 class CoverageOracle(ProblemOracle):
-    """Oracle contract for the coverage family: exact greedy inner LP,
-    analytic gradients, and norm-based Lipschitz bounds."""
+    """Oracle contract for the coverage family: exact greedy inner LP and
+    analytic gradients."""
 
     exact_inner = True
 
@@ -277,14 +250,6 @@ class CoverageOracle(ProblemOracle):
     def inner_max(self, x, dist_tol):
         c = coverage_c_vector(self.prob, np.asarray(x, dtype=float))
         return inner_lp_max(self.prob, c), 0.0
-
-    def lip_F_theta(self, x):
-        c = coverage_c_vector(self.prob, np.asarray(x, dtype=float))
-        return max(float(np.linalg.norm(c)), _TINY)
-
-    def lip_gradF_theta(self, x):
-        J = coverage_c_jacobian(self.prob, np.asarray(x, dtype=float))
-        return max(float(np.linalg.norm(J)), _TINY)
 
     def in_D(self, x):
         return in_D_coverage(self.prob, np.asarray(x, dtype=float))

@@ -10,10 +10,9 @@ step-size limits is included for comparison.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -60,8 +59,7 @@ class LineSearchOutcome:
     t: float
     trials: int
     accepted: bool
-    theta_at_x: np.ndarray
-    theta_at_trial: np.ndarray
+    f_x: float  # f(x) at the start point, as the acceptance test used it
 
 
 def sample_ball(center: np.ndarray, radius: float, count: int,
@@ -104,22 +102,43 @@ def random_unit_direction(n: int, rng: Rng) -> np.ndarray:
             return z / nz
 
 
+def _inner_tol(oracle: ProblemOracle, lip, x: np.ndarray, budget: float) -> float:
+    """Inner-oracle distance tolerance budget / lip(x); 0.0 for exact oracles,
+    which ignore it, so their Lipschitz constants are never asked for."""
+    return 0.0 if oracle.exact_inner else budget / max(lip(x), _TINY)
+
+
+def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,
+               slack: float) -> Tuple[float, int]:
+    """Backtracking from t = t_init_factor * eps by factors gamma until
+    value(t) <= f0 - beta * t * g_norm + slack.  Returns (t, trials), with
+    t = 0 once the next trial would undercut the floor gamma * eps / 3."""
+    t = p.t_init_factor * eps
+    t_min = p.gamma * eps / 3.0
+    trials = 0
+    while True:
+        trials += 1
+        if value(t) <= f0 - p.beta * t * g_norm + slack:
+            return t, trials
+        if p.gamma * t < t_min:
+            return 0.0, trials
+        t *= p.gamma
+
+
 def build_bundle(oracle: ProblemOracle, samples: List[np.ndarray],
                  delta_k: float) -> List[np.ndarray]:
     """Approximate gradients of the inner maximum at the sampled points.
 
     For each sample, the inner maximizer is requested within distance
     delta_k / lip_gradF_theta of the argmax, and the gradient of F is
-    evaluated there.  All samples must lie in D (the caller enforces the
-    membership check of the sampling step).
+    evaluated there.  All samples must lie in D: membership is decided
+    once, by the sampling loop in ``step``, and is not tested again here.
     """
     if delta_k <= 0.0:
         raise ValueError("delta_k must be positive")
     grads = []
     for s in samples:
-        if not oracle.in_D(s):
-            raise ValueError("bundle sample outside the smooth set D")
-        tol = delta_k / max(oracle.lip_gradF_theta(s), _TINY)
+        tol = _inner_tol(oracle, oracle.lip_gradF_theta, s, delta_k)
         theta, _ = oracle.inner_max(s, tol)
         grads.append(np.asarray(oracle.grad_x_F(s, theta), dtype=float))
     return grads
@@ -140,31 +159,14 @@ def line_search(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray,
     if abs(float(np.linalg.norm(d)) - 1.0) > 1e-12:
         raise ValueError("search direction must be a unit vector")
     c_k = p.gamma * (1.0 - p.alpha) * p.beta * g_norm * eps_k / 3.0
-    theta_x, _ = oracle.inner_max(x, c_k / (4.0 * max(oracle.lip_F_theta(x), _TINY)))
-    f_x = oracle.eval_F(x, theta_x)
 
-    t = p.t_init_factor * eps_k
-    t_min = p.gamma * eps_k / 3.0
-    trials = 0
-    theta_trial = theta_x
-    while True:
-        trials += 1
-        x_trial = x + t * d
-        theta_trial, _ = oracle.inner_max(
-            x_trial, c_k / (4.0 * max(oracle.lip_F_theta(x_trial), _TINY)))
-        if oracle.eval_F(x_trial, theta_trial) <= f_x - p.beta * t * g_norm + c_k / 2.0:
-            return LineSearchOutcome(t=t, trials=trials, accepted=True,
-                                     theta_at_x=theta_x, theta_at_trial=theta_trial)
-        if p.gamma * t < t_min:
-            return LineSearchOutcome(t=0.0, trials=trials, accepted=False,
-                                     theta_at_x=theta_x, theta_at_trial=theta_trial)
-        t *= p.gamma
+    def value(y: np.ndarray) -> float:
+        return oracle.objective(y, _inner_tol(oracle, oracle.lip_F_theta, y, c_k / 4.0))
 
-
-def _objective(oracle: ProblemOracle, x: np.ndarray, delta_k: float) -> float:
-    if oracle.exact_inner:
-        return oracle.objective(x, 0.0)
-    return oracle.objective(x, delta_k)
+    f_x = value(x)
+    t, trials = _backtrack(lambda t: value(x + t * d), f_x, g_norm, eps_k, p,
+                           slack=c_k / 2.0)
+    return LineSearchOutcome(t=t, trials=trials, accepted=t > 0.0, f_x=f_x)
 
 
 def step(oracle: ProblemOracle, state: GsState, p: GsParams,
@@ -196,13 +198,12 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     g = res.point
     g_norm = float(np.linalg.norm(g))
 
-    # A unit direction is drawn every iteration (used only by the null
-    # branch) so the stream position is branch-independent.
-    d_rand = random_unit_direction(n, rng)
-
-    f_here = _objective(oracle, x, delta_k)
+    # A unit direction is drawn every iteration, whatever the branch, so
+    # the stream position follows the documented draw order.
+    random_unit_direction(n, rng)
 
     if g_norm <= state.nu:
+        f_x = oracle.objective(x, delta_k)
         new_state = GsState(k=state.k + 1, x=x, eps=p.mu * state.eps,
                             nu=p.vartheta * state.nu)
         kind = StepKind.NULL_TOLERANCE
@@ -210,6 +211,7 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     else:
         d = -g / g_norm
         ls = line_search(oracle, x, d, g_norm, state.eps, p)
+        f_x = ls.f_x
         t = ls.t
         if t > 0.0:
             kind = StepKind.DESCENT
@@ -220,7 +222,7 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
         new_state = GsState(k=state.k + 1, x=new_x, eps=state.eps, nu=state.nu)
 
     rec = IterationRecord(
-        k=state.k, x=x, f_approx=f_here, eps=state.eps, nu=state.nu,
+        k=state.k, x=x, f_approx=f_x, eps=state.eps, nu=state.nu,
         g_norm=g_norm, t=t, step_kind=kind, sample_count=draws,
         wall_time_us=(time.perf_counter_ns() - t0) // 1000)
     return new_state, rec
@@ -269,7 +271,7 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng,
 
     if not trace.records:
         trace.records.append(IterationRecord(
-            k=1, x=x1, f_approx=_objective(oracle, x1, p.delta_k(1)),
+            k=1, x=x1, f_approx=oracle.objective(x1, p.delta_k(1)),
             eps=p.eps1, nu=p.nu1, g_norm=0.0, t=0.0,
             step_kind=StepKind.NULL_TOLERANCE, sample_count=0, wall_time_us=0))
 
@@ -277,7 +279,7 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng,
     trace.final_x = state.x
     trace.final_eps = state.eps
     trace.final_nu = state.nu
-    trace.final_f = _objective(oracle, state.x, p.delta_k(state.k))
+    trace.final_f = oracle.objective(state.x, p.delta_k(state.k))
     if check_descent:
         _check_descent(p, trace.records, trace.final_f)
     return trace
@@ -314,27 +316,20 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
         theta, _ = oracle.inner_max(x, delta_k)
         grad = np.asarray(oracle.grad_x_F(x, theta), dtype=float)
         g_norm = float(np.linalg.norm(grad))
-        f_here = _objective(oracle, x, delta_k)
+        f_here = oracle.eval_F(x, theta)
         if g_norm == 0.0:
             t = 0.0
         else:
             d = -grad / g_norm
-            t = p.t_init_factor * p.eps1
-            t_min = p.gamma * p.eps1 / 3.0
-            while True:
-                if _objective(oracle, x + t * d, delta_k) <= f_here - p.beta * t * g_norm:
-                    break
-                if p.gamma * t < t_min:
-                    t = 0.0
-                    break
-                t *= p.gamma
+            t, _ = _backtrack(lambda t: oracle.objective(x + t * d, delta_k),
+                              f_here, g_norm, p.eps1, p, slack=0.0)
         kind = StepKind.DESCENT if t > 0.0 else StepKind.NULL_LINESEARCH
         trace.records.append(IterationRecord(
             k=k, x=x, f_approx=f_here, eps=p.eps1, nu=p.nu1, g_norm=g_norm,
             t=t, step_kind=kind, sample_count=0,
             wall_time_us=(time.perf_counter_ns() - t0) // 1000))
         if t > 0.0:
-            x = x + t * (-grad / g_norm)
+            x = x + t * d
             stall = 0
         else:
             stall += 1
@@ -346,5 +341,5 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     trace.final_x = x
     trace.final_eps = p.eps1
     trace.final_nu = p.nu1
-    trace.final_f = _objective(oracle, x, p.delta_k(max(1, len(trace.records))))
+    trace.final_f = oracle.objective(x, p.delta_k(max(1, len(trace.records))))
     return trace

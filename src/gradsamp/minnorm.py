@@ -4,14 +4,13 @@ This is the per-iteration quadratic program of the driver: the sampled
 gradient bundle is a small polytope (m is about n + 1) and the search
 direction is the negated minimum-norm point of its hull.  Solved with
 Wolfe's minimum-norm-point method (major/minor cycles over affine
-minimizers); a lattice brute-force oracle is provided for testing.
+minimizers).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -133,82 +132,3 @@ def min_norm_point(points: Sequence[np.ndarray], tol: float = 1e-12) -> MinNormR
     gap = float(max(0.0, np.max(gsq - dots)))
     return MinNormResult(point=g, weights=weights, gap=gap, iterations=it,
                          capped=capped)
-
-
-def _compositions(total: int, parts: int):
-    """Yield all nonnegative integer vectors of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _window_eval(P: np.ndarray, denom: int, centers: np.ndarray,
-                 width: int) -> Tuple[np.ndarray, float]:
-    """Best lattice point (denominator ``denom``) within an L-inf window of
-    ``width`` lattice units around ``centers`` (float simplex weights)."""
-    m = P.shape[0]
-    c = np.rint(centers * denom).astype(int)
-    axes = []
-    for i in range(m - 1):
-        lo = max(0, c[i] - width)
-        hi = min(denom, c[i] + width)
-        axes.append(np.arange(lo, hi + 1))
-    if m == 1:
-        lam = np.array([1.0])
-        return lam, float(np.linalg.norm(lam @ P))
-    grids = np.meshgrid(*axes, indexing="ij")
-    head = np.stack([gg.ravel() for gg in grids], axis=1)
-    last = denom - head.sum(axis=1)
-    ok = (last >= max(0, c[m - 1] - width)) & (last <= min(denom, c[m - 1] + width))
-    head = head[ok]
-    last = last[ok]
-    if head.shape[0] == 0:
-        return centers, float(np.linalg.norm(centers @ P))
-    lam = np.column_stack([head, last]).astype(float) / denom
-    vals = np.linalg.norm(lam @ P, axis=1)
-    b = int(np.argmin(vals))
-    return lam[b], float(vals[b])
-
-
-def min_norm_bruteforce(points: Sequence[np.ndarray],
-                        grid_resolution: float) -> np.ndarray:
-    """Derivative-free lattice search for the hull's minimum-norm point.
-
-    Minimizes ||sum_i lam_i p_i|| over simplex weights on a lattice of
-    spacing ``grid_resolution``.  Small lattices are enumerated
-    exhaustively; larger ones (the node count grows combinatorially in the
-    point count) are searched by exhaustive coarse enumeration followed by
-    windowed refinement down to the requested spacing, which the convexity
-    of the objective makes reliable in practice.  Intended as an
-    independent test oracle, never called by the solver.
-    """
-    m = len(points)
-    if m == 0:
-        raise ValueError("empty point set")
-    if m > 6:
-        raise ValueError("brute force supports at most 6 points")
-    if not (0.0 < grid_resolution <= 0.1):
-        raise ValueError("grid_resolution must lie in (0, 0.1]")
-    P = np.asarray(points, dtype=float)
-    denom = max(1, int(round(1.0 / grid_resolution)))
-
-    n_nodes = math.comb(denom + m - 1, m - 1)
-    if n_nodes <= 60_000:
-        lam = np.array(list(_compositions(denom, m)), dtype=float) / denom
-        vals = np.linalg.norm(lam @ P, axis=1)
-        best = lam[int(np.argmin(vals))]
-        return best @ P
-
-    # Coarse exhaustive pass, then refine around the incumbent.
-    coarse = 8
-    lam = np.array(list(_compositions(coarse, m)), dtype=float) / coarse
-    vals = np.linalg.norm(lam @ P, axis=1)
-    best = lam[int(np.argmin(vals))]
-    d = coarse
-    while d < denom:
-        d = min(denom, d * 4)
-        best, _ = _window_eval(P, d, best, width=12)
-    return best @ P

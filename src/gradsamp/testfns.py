@@ -13,13 +13,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .core import ProblemOracle
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -94,25 +92,6 @@ class FiniteMaxOracle(ProblemOracle):
         vals = [self._value(x, i) for i in range(len(self._a))]
         i = int(np.argmax(vals))  # ties go to the lowest index
         return np.array([float(i)]), 0.0
-
-    def lip_F_theta(self, x):
-        x = np.asarray(x, dtype=float)
-        vals = [self._value(x, i) for i in range(len(self._a))]
-        best = _TINY
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                best = max(best, abs(vals[i] - vals[j]) / (j - i))
-        return best if best > 0.0 else 1.0
-
-    def lip_gradF_theta(self, x):
-        x = np.asarray(x, dtype=float)
-        grads = [self._grad(x, i) for i in range(len(self._a))]
-        best = _TINY
-        for i in range(len(grads)):
-            for j in range(i + 1, len(grads)):
-                best = max(best,
-                           float(np.linalg.norm(grads[i] - grads[j])) / (j - i))
-        return best if best > 0.0 else 1.0
 
     def in_D(self, x):
         # Outside D only where two maximal pieces tie with unequal gradients.
@@ -294,28 +273,6 @@ class CantorStressOracle(ProblemOracle):
         for v, t, k, coef in vals:
             if v == best:
                 return np.array([t]), 0.0
-
-    def lip_F_theta(self, x):
-        xv = float(np.asarray(x).ravel()[0])
-        vals = self._all_values(xv)
-        best = _TINY
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                dt = abs(vals[i][1] - vals[j][1])
-                if dt > 0.0:
-                    best = max(best, abs(vals[i][0] - vals[j][0]) / dt)
-        return best if best > 0.0 else 1.0
-
-    def lip_gradF_theta(self, x):
-        xv = float(np.asarray(x).ravel()[0])
-        ds = [(coef * self._g(k, xv)[1], t) for t, k, coef in self._candidates]
-        best = _TINY
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                dt = abs(ds[i][1] - ds[j][1])
-                if dt > 0.0:
-                    best = max(best, abs(ds[i][0] - ds[j][0]) / dt)
-        return best if best > 0.0 else 1.0
 
     def in_D(self, x):
         xv = float(np.asarray(x).ravel()[0])

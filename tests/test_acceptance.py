@@ -27,13 +27,12 @@ from gradsamp import (
     gradient_descent_baseline,
     inner_lp_max,
     make_coverage_oracle,
-    min_norm_bruteforce,
     min_norm_point,
     run,
-    two_agent_cost,
 )
 from gradsamp.cli import run_experiment
 from gradsamp.coverage import in_D_coverage, coverage_grad_x
+from oracles import min_norm_bruteforce, two_agent_cost
 
 SEED = 42
 CENTER = np.array([1.0, 3.0])
@@ -216,24 +215,18 @@ def _random_feasible_thetas(gen, lo, hi, w, mass, count):
     hi = np.asarray(hi, dtype=float)
     lam = (mass - float(lo @ w)) / max(float((hi - lo) @ w), 1e-300)
     base = lo + lam * (hi - lo)
-    K = lo.size
-    dirs = gen.standard_normal((count, K))
+    dirs = gen.standard_normal((count, lo.size))
     dirs -= np.outer(dirs @ w, w) / float(w @ w)  # stay on the mass plane
-    out = np.empty((count, K))
-    for i, d in enumerate(dirs):
-        t_lo, t_hi = -np.inf, np.inf
-        for j in range(K):
-            if d[j] > 1e-15:
-                t_hi = min(t_hi, (hi[j] - base[j]) / d[j])
-                t_lo = max(t_lo, (lo[j] - base[j]) / d[j])
-            elif d[j] < -1e-15:
-                t_hi = min(t_hi, (lo[j] - base[j]) / d[j])
-                t_lo = max(t_lo, (hi[j] - base[j]) / d[j])
-        if not (np.isfinite(t_lo) and np.isfinite(t_hi)) or t_hi <= t_lo:
-            out[i] = base
-        else:
-            out[i] = base + gen.uniform(t_lo, t_hi) * d
-    return np.clip(out, lo, hi)
+    # Step range along each direction that keeps every coordinate in its box;
+    # coordinates the direction (nearly) does not move impose no limit.
+    pos, neg = dirs > 1e-15, dirs < -1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):
+        to_hi, to_lo = (hi - base) / dirs, (lo - base) / dirs
+    t_hi = np.min(np.where(pos, to_hi, np.where(neg, to_lo, np.inf)), axis=1)
+    t_lo = np.max(np.where(pos, to_lo, np.where(neg, to_hi, -np.inf)), axis=1)
+    ok = np.isfinite(t_lo) & np.isfinite(t_hi) & (t_hi > t_lo)
+    t = gen.uniform(np.where(ok, t_lo, 0.0), np.where(ok, t_hi, 0.0))
+    return np.clip(base + t[:, None] * dirs, lo, hi)
 
 
 def test_criterion_08_inner_lp_exactness():

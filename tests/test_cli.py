@@ -73,10 +73,12 @@ def test_malformed_json_exits_1_with_location(tmp_path, capsys):
 
 
 def test_bad_params_exit_1(tmp_path, capsys):
-    cfg = _minimal_config(tmp_path / "out")
-    cfg["params"]["alpha"] = 2.0
-    assert run_experiment(str(_write(tmp_path, cfg))) == 1
-    assert "alpha" in capsys.readouterr().err
+    for field, value in (("alpha", 2.0), ("m", 3.5), ("max_iters", 20.0)):
+        cfg = _minimal_config(tmp_path / "out")
+        cfg["params"][field] = value
+        assert run_experiment(str(_write(tmp_path, cfg))) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_param_field_exit_1(tmp_path, capsys):

@@ -46,6 +46,12 @@ def test_multiple_violations_all_reported():
     assert "alpha" in msg and "beta" in msg and "m < n+1" in msg
 
 
+def test_non_integer_counts_rejected():
+    for field, value in (("m", 3.5), ("max_iters", 20.0), ("max_iters", True)):
+        with pytest.raises(ParamError, match=f"{field} not an integer"):
+            validate_params(GsParams(**{field: value}), 2)
+
+
 def test_t_init_factor_floor():
     with pytest.raises(ParamError, match="t_init_factor"):
         validate_params(GsParams(gamma=0.9, t_init_factor=0.2), 2)

@@ -25,6 +25,7 @@ from gradsamp import (
     sample_ball,
     step,
 )
+from gradsamp.testfns import FiniteMaxOracle
 
 
 def test_rng_repeatable():
@@ -95,12 +96,66 @@ def test_bundle_abs_value_signs():
     np.testing.assert_allclose(g, [[-1.0], [1.0]])
 
 
-def test_bundle_rejects_sample_outside_D():
+def test_bundle_rejects_nonpositive_delta():
     oracle = finite_max_oracle(abs_value_problem())
     with pytest.raises(ValueError):
-        build_bundle(oracle, [np.array([0.0])], 1e-3)
-    with pytest.raises(ValueError):
         build_bundle(oracle, [np.array([0.5])], 0.0)
+
+
+# -- inner-oracle tolerances -------------------------------------------------
+
+L_F, L_GRAD = 4.0, 8.0
+
+
+class InexactAbs(FiniteMaxOracle):
+    """|x| declared inexact, with constant Lipschitz bounds; records every
+    distance tolerance that inner_max is asked for."""
+
+    exact_inner = False
+
+    def __init__(self):
+        super().__init__(abs_value_problem())
+        self.tols = []
+
+    def inner_max(self, x, dist_tol):
+        self.tols.append(dist_tol)
+        return super().inner_max(x, dist_tol)
+
+    def lip_F_theta(self, x):
+        return L_F
+
+    def lip_gradF_theta(self, x):
+        return L_GRAD
+
+
+def test_bundle_requests_delta_over_lip_gradF_per_sample():
+    oracle = InexactAbs()
+    build_bundle(oracle, [np.array([0.3]), np.array([-0.7]), np.array([2.0])], 1e-3)
+    assert oracle.tols == pytest.approx([1e-3 / L_GRAD] * 3, rel=1e-15)
+
+
+def test_line_search_requests_c_k_over_4_lip_F_at_x_and_each_trial():
+    oracle = InexactAbs()
+    p = GsParams()
+    g_norm, eps_k = 1.0, 0.2
+    # Ascent direction: every trial fails, so the search backtracks to the floor.
+    out = line_search(oracle, np.array([0.5]), np.array([1.0]), g_norm, eps_k, p)
+    assert not out.accepted and out.trials >= 2
+    c_k = p.gamma * (1.0 - p.alpha) * p.beta * g_norm * eps_k / 3.0
+    assert oracle.tols == pytest.approx([c_k / (4.0 * L_F)] * (1 + out.trials),
+                                        rel=1e-15)
+
+
+def test_exact_oracle_is_never_asked_for_lipschitz_constants():
+    class NoLipschitz(FiniteMaxOracle):
+        def lip_F_theta(self, x):
+            raise AssertionError("exact oracle asked for a Lipschitz constant")
+
+        lip_gradF_theta = lip_F_theta
+
+    p = GsParams(max_iters=5000, eps_min=1e-3, nu_min=1e-3)
+    tr = run(NoLipschitz(abs_value_problem()), p, np.array([1.0]), Rng(16))
+    assert tr.termination == Termination.TOLERANCES_REACHED
 
 
 # -- line_search -------------------------------------------------------------

@@ -1,0 +1,131 @@
+"""Golden trajectories: any drift in the solver's iterates fails here.
+
+Each case records the iteration count, the termination, the step-kind
+sequence (one letter per iteration: D = Descent, L = NullLineSearch,
+T = NullTolerance) and the final iterate and objective to 17 significant
+digits.  A change that alters these values on purpose says why, and
+takes the new ones from ``PYTHONPATH=src python3 tests/test_golden.py``.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gradsamp import CoverageProblem, GsParams, Rng, make_coverage_oracle, run
+from gradsamp.cli import run_experiment
+
+REPO = Path(__file__).resolve().parents[1]
+LETTER = {"Descent": "D", "NullLineSearch": "L", "NullTolerance": "T"}
+
+
+def _fmt(v):
+    return f"{float(v):.17g}"
+
+
+def _kinds(trace_csv: Path) -> str:
+    rows = trace_csv.read_text().splitlines()
+    return "".join(LETTER[r.rsplit(",", 1)[1]] for r in rows[1:])
+
+
+def _config_case(name, out):
+    """One shipped config through the CLI at the config's own seed."""
+    assert run_experiment(str(REPO / "configs" / f"{name}.json"), out_dir=str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    samp = summary["sampling"]
+    got = {"iterations": samp["iterations"], "termination": samp["termination"],
+           "kinds": _kinds(out / "trace.csv"),
+           "final_x": [_fmt(v) for v in samp["final_x"]],
+           "final_f": _fmt(samp["final_f"])}
+    if "baseline_gd" in summary:
+        gd = summary["baseline_gd"]
+        got["gd_termination"] = gd["termination"]
+        got["gd_final_f"] = _fmt(gd["final_f"])
+    return got
+
+
+def _coverage_n20_case(out):
+    """A seeded N=20, K=40 coverage instance, capped at 20 iterations."""
+    gen = np.random.Generator(np.random.Philox(2020))
+    K = 40
+    prob = CoverageProblem(
+        n_agents=20, bin_edges=tuple(float(e) for e in range(K + 1)),
+        theta_lower=tuple(gen.uniform(0.0, 0.5, K) / K),
+        theta_upper=tuple(gen.uniform(1.5, 3.0, K) / K),
+        penalty_enabled=True)
+    x1 = np.sort(gen.uniform(-2.0, 42.0, 20))
+    trace = run(make_coverage_oracle(prob), GsParams(m=22, max_iters=20), x1, Rng(11))
+    return {"iterations": len(trace.records), "termination": trace.termination.value,
+            "kinds": "".join(LETTER[r.step_kind.value] for r in trace.records),
+            "final_x": [_fmt(v) for v in trace.final_x],
+            "final_f": _fmt(trace.final_f)}
+
+
+CASES = {
+    "two_agent": lambda out: _config_case("two_agent", out),
+    "five_agent": lambda out: _config_case("five_agent", out),
+    "abs_value": lambda out: _config_case("abs_value", out),
+    "coverage_n20": _coverage_n20_case,
+}
+
+GOLDEN = {
+    "two_agent": {
+        "iterations": 42,
+        "termination": "TolerancesReached",
+        "kinds": "DDDDDDDDDDDDTDTDDTDDDDDTDDTDDTDDDDLDDTDDDT",
+        "final_x": ["0.9986043846760515", "2.9991319592337096"],
+        "final_f": "1.0000007448160355",
+        "gd_termination": "Stalled",
+        "gd_final_f": "1.0033766276749507",
+    },
+    "five_agent": {
+        "iterations": 229,
+        "termination": "TolerancesReached",
+        "kinds": (
+            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDTDDDDDDDDDDDDDTDDDDDDDDDDDDDD"
+            "DDDDDDDDDDDDLLDDLLLTDLDDDDDLDLDDLLDDLDTDDDLDLDLLDDDLLLDTDDDD"
+            "LDLLDLLLLLTLLLDLLLLDLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLL"
+            "LLLDLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLTLT"
+        ),
+        "final_x": [
+            "0.73152626796558318", "1.8860266434275654", "2.9998185464571412",
+            "4.1139225168789189", "5.2683953018801919",
+        ],
+        "final_f": "0.60738612706210937",
+    },
+    "abs_value": {
+        "iterations": 32,
+        "termination": "TolerancesReached",
+        "kinds": "DDDDDDDDDDDDDDTTDDDTDTDTTDDTDDDT",
+        "final_x": ["0.0005208333333335352"],
+        "final_f": "0.0005208333333335352",
+    },
+    "coverage_n20": {
+        "iterations": 20,
+        "termination": "MaxIters",
+        "kinds": "DDDDDDDDDDDDDDDDDDDD",
+        "final_x": [
+            "0.041310112711587237", "0.9923159217722598", "4.250252498638396",
+            "4.4976118891528527", "5.9465187187593749", "8.3085778856116868",
+            "11.255768239493165", "18.270636985476148", "22.652174928357905",
+            "25.255840739278288", "25.779514543670356", "26.218046149331538",
+            "27.365795881262017", "29.591489371145911", "34.632048732571164",
+            "35.257234238050287", "35.575490002429191", "35.725284931699257",
+            "38.87522560075687", "40.021015220603736",
+        ],
+        "final_f": "2.9867982746091344",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_trajectory(name, tmp_path):
+    assert CASES[name](tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as d:
+        print(json.dumps({name: case(Path(d) / name) for name, case in CASES.items()},
+                         indent=1))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from gradsamp import MinNormResult, min_norm_bruteforce, min_norm_point
+from gradsamp import MinNormResult, min_norm_point
+from oracles import min_norm_bruteforce
 
 
 def test_singleton_hull():
