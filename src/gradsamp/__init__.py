@@ -6,6 +6,8 @@ together with a distributionally robust 1-D coverage benchmark family and
 analytic stress objectives for testing.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     DescentViolationError,
     GsParams,
@@ -54,5 +56,6 @@ from .testfns import (
     finite_max_oracle,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, obj in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]
 __version__ = "0.1.0"

@@ -23,7 +23,8 @@ class ParamError(ValueError):
 
 
 class NonsmoothSampleError(RuntimeError):
-    """A sampled point left the smooth set D under the 'stop' policy."""
+    """A sampled point left the smooth set D under the 'stop' policy, or
+    missed it on every allowed redraw under 'resample'."""
 
 
 class DescentViolationError(RuntimeError):

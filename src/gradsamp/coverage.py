@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -66,6 +67,12 @@ class CoverageProblem:
         e = np.asarray(self.bin_edges)
         return e[1:] - e[:-1]
 
+    @cached_property
+    def _edge_sets(self):
+        # (edges, doubled edges) for the exact-comparison D test.
+        return (frozenset(self.bin_edges),
+                frozenset(2.0 * e for e in self.bin_edges))
+
 
 def theta_feasible(prob: CoverageProblem, theta: np.ndarray,
                    tol: float = 1e-9) -> bool:
@@ -80,77 +87,75 @@ def theta_feasible(prob: CoverageProblem, theta: np.ndarray,
     return abs(float(theta @ prob.widths) - prob.total_mass) <= tol
 
 
-def _segments(prob: CoverageProblem, x: np.ndarray):
-    """Per-bin segment decomposition of the nearest-agent partition.
+def _partition(prob: CoverageProblem, x: np.ndarray):
+    """Nearest-agent partition of the bins, shared by c, dc/dx and the D test.
 
-    Yields (bin_index, alpha, beta, owner, a_idx, b_idx, order, xs) where
-    owner indexes the sorted positions, and a_idx/b_idx are the left
-    sorted-agent index of the midpoint an endpoint equals, or -1 when the
-    endpoint is a (constant) bin edge.
+    Returns (order, xs, segments): ``order`` sorts the agents, ``xs`` holds
+    their sorted positions, and each segment (k, alpha, beta, owner, a_idx,
+    b_idx) is a piece [alpha, beta] of bin k nearest to sorted agent
+    ``owner``.  a_idx/b_idx are the left sorted-agent index of the midpoint
+    an endpoint equals, or -1 when the endpoint is a (constant) bin edge.
     """
-    order = sorted(range(len(x)), key=x.__getitem__)
-    xs = [float(x[i]) for i in order]
-    mids = [(xs[i] + xs[i + 1]) / 2.0 for i in range(len(xs) - 1)]
+    xl = np.asarray(x, dtype=float).tolist()
+    order = sorted(range(len(xl)), key=xl.__getitem__)
+    xs = [xl[i] for i in order]
+    mids = [(u + v) / 2.0 for u, v in zip(xs, xs[1:])]
     edges = prob.bin_edges
+    segments = []
     for k in range(prob.n_bins):
         a, b = edges[k], edges[k + 1]
-        lo = bisect_right(mids, a)
-        hi = bisect_left(mids, b)
-        cuts = [(a, -1)] + [(mids[j], j) for j in range(lo, hi)] + [(b, -1)]
-        for s in range(len(cuts) - 1):
-            alpha, a_idx = cuts[s]
-            beta, b_idx = cuts[s + 1]
+        inner = range(bisect_right(mids, a), bisect_left(mids, b))
+        cuts = [(a, -1)] + [(mids[j], j) for j in inner] + [(b, -1)]
+        for (alpha, a_idx), (beta, b_idx) in zip(cuts, cuts[1:]):
             owner = bisect_left(mids, (alpha + beta) / 2.0)
-            yield k, alpha, beta, owner, a_idx, b_idx, order, xs
+            segments.append((k, alpha, beta, owner, a_idx, b_idx))
+    return order, xs, segments
 
 
-def _h_value(s: float, alpha: float, beta: float) -> float:
-    # Integral of 2|s - y| over [alpha, beta], by position of the owner s.
-    if s <= alpha:
-        return (beta - s) ** 2 - (alpha - s) ** 2
-    if s >= beta:
-        return (s - alpha) ** 2 - (s - beta) ** 2
-    return (beta - s) ** 2 + (s - alpha) ** 2
+def _smooth(prob: CoverageProblem, xs) -> bool:
+    # Membership in D of the sorted positions xs; see in_D_coverage.
+    edges, doubled = prob._edge_sets
+    pairs = list(zip(xs, xs[1:]))
+    return (edges.isdisjoint(xs) and all(u != v for u, v in pairs)
+            and doubled.isdisjoint([u + v for u, v in pairs]))
 
 
-def _h_partials(s: float, alpha: float, beta: float) -> Tuple[float, float, float]:
-    # (d/ds, d/dalpha, d/dbeta) of the segment integral.
-    if s <= alpha:
-        return (-2.0 * (beta - s) + 2.0 * (alpha - s),
-                -2.0 * (alpha - s), 2.0 * (beta - s))
-    if s >= beta:
-        return (2.0 * (s - alpha) - 2.0 * (s - beta),
-                -2.0 * (s - alpha), 2.0 * (s - beta))
-    return (-2.0 * (beta - s) + 2.0 * (s - alpha),
-            -2.0 * (s - alpha), 2.0 * (beta - s))
+def _jacobian(prob: CoverageProblem, order, xs, segments) -> np.ndarray:
+    # Each segment integral of 2|s - y| over [alpha, beta] has partials
+    # 2|beta - s| in beta and -2|alpha - s| in alpha, and, being shift
+    # invariant, their negated sum in the owner s.  A midpoint endpoint
+    # moves half with each of its two neighbouring agents.
+    J = [[0.0] * prob.n_agents for _ in range(prob.n_bins)]
+    for k, alpha, beta, owner, a_idx, b_idx in segments:
+        s = xs[owner]
+        pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
+        row = J[k]
+        row[order[owner]] += pa - pb
+        if a_idx >= 0:
+            row[order[a_idx]] += 0.5 * -pa
+            row[order[a_idx + 1]] += 0.5 * -pa
+        if b_idx >= 0:
+            row[order[b_idx]] += 0.5 * pb
+            row[order[b_idx + 1]] += 0.5 * pb
+    return np.array(J)
 
 
 def coverage_c_vector(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     """Per-bin coverage cost c(x): c_k = integral over bin k of twice the
     distance to the nearest agent.  F(x, theta) = <c(x), theta>."""
+    _, xs, segments = _partition(prob, x)
     c = [0.0] * prob.n_bins
-    for k, alpha, beta, owner, _a, _b, _order, xs in _segments(prob, x):
-        c[k] += _h_value(xs[owner], alpha, beta)
+    for k, alpha, beta, owner, _a, _b in segments:
+        # Integral of 2|s - y| over [alpha, beta], by position of the owner s.
+        s = xs[owner]
+        ha, hb = (alpha - s) ** 2, (beta - s) ** 2
+        c[k] += hb - ha if s <= alpha else ha - hb if s >= beta else hb + ha
     return np.asarray(c)
 
 
 def coverage_c_jacobian(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
-    """Jacobian dc/dx (n_bins x n_agents), valid on D.
-
-    Differentiates each segment integral through its owner position and
-    its midpoint-dependent endpoints (a midpoint moves half with each of
-    the two neighbouring agents)."""
-    J = np.zeros((prob.n_bins, prob.n_agents))
-    for k, alpha, beta, owner, a_idx, b_idx, order, xs in _segments(prob, x):
-        ds, da, db = _h_partials(xs[owner], alpha, beta)
-        J[k, order[owner]] += ds
-        if a_idx >= 0:
-            J[k, order[a_idx]] += 0.5 * da
-            J[k, order[a_idx + 1]] += 0.5 * da
-        if b_idx >= 0:
-            J[k, order[b_idx]] += 0.5 * db
-            J[k, order[b_idx + 1]] += 0.5 * db
-    return J
+    """Jacobian dc/dx (n_bins x n_agents), valid on D."""
+    return _jacobian(prob, *_partition(prob, x))
 
 
 def penalty(prob: CoverageProblem, x: np.ndarray) -> float:
@@ -169,9 +174,10 @@ def coverage_grad_x(prob: CoverageProblem, x: np.ndarray,
                     theta: np.ndarray) -> np.ndarray:
     """Analytic gradient of <c(x), theta> (+ weighted penalty), on D."""
     x = np.asarray(x, dtype=float)
-    if not in_D_coverage(prob, x):
+    order, xs, segments = _partition(prob, x)
+    if not _smooth(prob, xs):
         raise ValueError("gradient undefined: x lies on an excluded hyperplane")
-    g = coverage_c_jacobian(prob, x).T @ np.asarray(theta, dtype=float)
+    g = _jacobian(prob, order, xs, segments).T @ np.asarray(theta, dtype=float)
     if prob.penalty_enabled:
         g = g + prob.penalty_weight * _penalty_grad(prob, x)
     return g
@@ -184,20 +190,7 @@ def in_D_coverage(prob: CoverageProblem, x: np.ndarray) -> bool:
     bin edge, a midpoint of sorted-adjacent agents at a bin edge, and --
     with the penalty on -- an agent at a support endpoint (already a bin
     edge)."""
-    xs = sorted(float(v) for v in x)
-    edges = prob.bin_edges
-    for i in range(len(xs) - 1):
-        if xs[i] == xs[i + 1]:
-            return False
-        s = xs[i] + xs[i + 1]
-        for e in edges:
-            if s == 2.0 * e:
-                return False
-    for xi in xs:
-        for e in edges:
-            if xi == e:
-                return False
-    return True
+    return _smooth(prob, sorted(np.asarray(x, dtype=float).tolist()))
 
 
 def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:

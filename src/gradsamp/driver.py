@@ -32,6 +32,8 @@ from .core import (
 from .minnorm import min_norm_point
 
 _TINY = 1e-300
+_MAX_REDRAWS = 100  # in a row, per sample; a miss of D has probability 0
+_MAX_STALL = 25     # failed line searches in a row that stop the GD baseline
 
 
 class Rng:
@@ -174,7 +176,8 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     """One full iteration: sample, bundle, min-norm direction, line search.
 
     Raises NonsmoothSampleError when a sample leaves D under the 'stop'
-    policy; under 'resample', only the offending points are redrawn.
+    policy; under 'resample', only the offending points are redrawn, and
+    it is raised once one point misses D on _MAX_REDRAWS redraws in a row.
     """
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
@@ -186,12 +189,14 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     samples = sample_ball(x, state.eps, m, rng)
     draws = m
     for i in range(m):
+        redraws = 0
         while not oracle.in_D(samples[i]):
-            if policy is NonsmoothPolicy.STOP:
-                raise NonsmoothSampleError(
-                    f"sample left the smooth set D at iteration {state.k}")
+            if policy is NonsmoothPolicy.STOP or redraws == _MAX_REDRAWS:
+                raise NonsmoothSampleError(f"sample left the smooth set D at "
+                                           f"iteration {state.k} ({redraws} redraws)")
             samples[i] = sample_ball(x, state.eps, 1, rng)[0]
             draws += 1
+            redraws += 1
 
     grads = build_bundle(oracle, samples, delta_k)
     res = min_norm_point(grads)
@@ -244,8 +249,9 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng,
     """Iterate ``step`` from x1 until a stopping condition fires.
 
     Stops at max_iters, or when both tolerances drop to their configured
-    floors, or when a sample leaves D under the 'stop' policy.  With exact
-    inner oracles the recorded objective decreases by at least
+    floors, or when a sample leaves D under the 'stop' policy or cannot be
+    redrawn into D under 'resample'.  With exact inner oracles the
+    recorded objective decreases by at least
     alpha * beta * t_k * ||g^k|| on every accepted step; this is asserted
     at the end of the run unless ``check_descent`` is disabled.
     """
@@ -286,7 +292,7 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng,
 
 
 def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
-                              x1: np.ndarray, max_stall: int = 25) -> Trace:
+                              x1: np.ndarray) -> Trace:
     """Plain normalized gradient descent under the same step-size limits.
 
     The direction is the negated gradient of F at the inner maximizer of
@@ -294,7 +300,7 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     discounting.  The backtracking search uses the same step-size limits
     [gamma * eps1 / 3, t_init_factor * eps1] and the same beta/gamma, but
     no oracle-tolerance slack: the baseline evaluates the objective
-    directly, so the plain Armijo test applies.  Stops after ``max_stall``
+    directly, so the plain Armijo test applies.  Stops after _MAX_STALL
     consecutive failed line searches, when the iterate leaves D, or at
     max_iters.
     """
@@ -333,7 +339,7 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
             stall = 0
         else:
             stall += 1
-            if stall >= max_stall:
+            if stall >= _MAX_STALL:
                 termination = Termination.STALLED
                 break
 

@@ -15,6 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 _SV_CUTOFF = 1e-12  # relative singular-value cutoff for affine subproblems
+_TOL = 1e-12        # Wolfe-criterion tolerance, relative to 1 + ||g||^2
 
 
 @dataclass
@@ -44,18 +45,16 @@ def _affine_minimizer(Q: np.ndarray) -> np.ndarray:
     return sol[:s]
 
 
-def min_norm_point(points: Sequence[np.ndarray], tol: float = 1e-12) -> MinNormResult:
+def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
     """Minimum-norm point of conv(points) with a simplex-weight certificate.
 
     The returned point g satisfies the Wolfe criterion
-    <g, p_i - g> >= -tol * (1 + ||g||^2) for every input point; ``gap``
+    <g, p_i - g> >= -_TOL * (1 + ||g||^2) for every input point; ``gap``
     reports the worst violation before clipping at zero.  Deterministic for
     a fixed input order; vertex selection breaks ties at the lowest index.
     """
     if len(points) == 0:
         raise ValueError("empty point set")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     P = np.asarray(points, dtype=float)
     if P.ndim != 2:
         raise ValueError("points must share a common dimension")
@@ -90,7 +89,7 @@ def min_norm_point(points: Sequence[np.ndarray], tol: float = 1e-12) -> MinNormR
         dots = Q @ g
         gsq = float(g @ g)
         j = int(np.argmin(dots))
-        if dots[j] >= gsq - tol * (1.0 + gsq):
+        if dots[j] >= gsq - _TOL * (1.0 + gsq):
             break
         if j in active:
             break  # numerically stalled; certificate reported below

@@ -238,29 +238,25 @@ class CantorStressOracle(ProblemOracle):
                         eps_k / delta * float(bump_d1(np.array([u]))[0]))
         return 0.0, 0.0
 
-    def _candidate_value(self, t: float, x: float) -> float:
-        best = -math.inf
+    def _lookup(self, t: float, x: float) -> Tuple[float, float]:
+        """(F, dF/dx) at family index t: the larger of the segment formulas
+        that meet at t, the first one on a tie."""
+        best = None
         for tc, k, coef in self._candidates:
             if tc == t:
-                g, _ = self._g(k, x)
-                best = max(best, coef * g)
-        if best == -math.inf:
+                g, gd = self._g(k, x)
+                if best is None or coef * g > best[0]:
+                    best = (coef * g, coef * gd)
+        if best is None:
             raise ValueError(f"family index {t} is not on the truncated grid")
         return best
 
     def eval_F(self, x, theta):
-        return self._candidate_value(float(theta[0]), float(np.asarray(x).ravel()[0]))
+        return self._lookup(float(theta[0]), float(np.asarray(x).ravel()[0]))[0]
 
     def grad_x_F(self, x, theta):
-        xv = float(np.asarray(x).ravel()[0])
-        t = float(theta[0])
-        best, bestd = -math.inf, 0.0
-        for tc, k, coef in self._candidates:
-            if tc == t:
-                g, gd = self._g(k, xv)
-                if coef * g > best:
-                    best, bestd = coef * g, coef * gd
-        return np.array([bestd])
+        return np.array([self._lookup(float(theta[0]),
+                                      float(np.asarray(x).ravel()[0]))[1]])
 
     def _all_values(self, xv: float):
         return [(coef * self._g(k, xv)[0], t, k, coef)

@@ -4,9 +4,13 @@
   minimum-norm point of a convex hull (checks Wolfe's method).
 - ``two_agent_cost``: closed-form worst-case coverage cost of the
   two-agent, two-bin problem (checks the greedy inner LP).
+- ``excluded_hyperplanes``: the coverage smooth-set D's defining
+  hyperplanes that a point lies on, in exact rational arithmetic (checks
+  ``in_D_coverage``).
 """
 
 import math
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -115,3 +119,27 @@ def two_agent_cost(theta1_bounds: Tuple[float, float],
     else:
         th1 = min(t1hi, 0.5 - t2lo)
     return th1 * p1 + (0.5 - th1) * p2
+
+
+def excluded_hyperplanes(prob: CoverageProblem, x: np.ndarray) -> set:
+    """Kinds of excluded hyperplane that x lies on; x is in D iff none.
+
+    Straight from the definition of D, without sorting: two agents
+    coincide; an agent sits on a bin edge; or the midpoint of two agents
+    with no agent strictly between them sits on a bin edge.  Compared in
+    exact rationals, so the library's float test is checked, not copied.
+    """
+    xs = [Fraction(float(v)) for v in x]
+    edges = [Fraction(e) for e in prob.bin_edges]
+    kinds = set()
+    for i, a in enumerate(xs):
+        if a in edges:
+            kinds.add("agent_on_edge")
+        for j, b in enumerate(xs):
+            if i == j:
+                continue
+            if a == b:
+                kinds.add("coincident")
+            elif a < b and not any(a < c < b for c in xs) and (a + b) / 2 in edges:
+                kinds.add("midpoint_on_edge")
+    return kinds

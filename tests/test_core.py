@@ -1,6 +1,7 @@
 """Parameter validation, accuracy conversions, and shared-contract checks."""
 
 import math
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gradsamp import (
     validate_params,
 )
 from gradsamp.coverage import CoverageProblem
+import gradsamp
 
 
 def test_defaults_valid_for_small_dims():
@@ -141,3 +143,9 @@ def test_trace_iteration_numbers_strictly_increasing():
 def test_state_fields():
     s = GsState(k=3, x=np.array([1.0]), eps=0.1, nu=0.05)
     assert s.k == 3 and s.eps == 0.1 and s.nu == 0.05
+
+
+def test_public_api_exports_no_submodules():
+    assert not [n for n in gradsamp.__all__
+                if isinstance(getattr(gradsamp, n), ModuleType)]
+    assert len(gradsamp.__all__) == 40

@@ -20,7 +20,7 @@ from gradsamp import (
     penalty,
     theta_feasible,
 )
-from oracles import two_agent_cost
+from oracles import excluded_hyperplanes, two_agent_cost
 
 
 def _c_quadrature(prob, x):
@@ -130,17 +130,52 @@ def test_grad_rejects_x_outside_D():
         coverage_grad_x(prob, np.array([1.0, 1.0]), np.array([0.25, 0.25]))
 
 
+def _margin(prob, x):
+    """Smallest gap between x and an excluded hyperplane: moving one agent
+    by less than this cannot cross one."""
+    xs = np.sort(x)
+    edges = np.asarray(prob.bin_edges)
+    d = np.min(np.abs(xs[:, None] - edges[None, :]))
+    if len(xs) > 1:
+        mids = (xs[:-1] + xs[1:]) / 2.0
+        d = min(d, np.min(np.diff(xs)),
+                np.min(np.abs(mids[:, None] - edges[None, :])))
+    return d
+
+
 def test_jacobian_matches_finite_differences():
-    prob = CoverageProblem(n_agents=3, bin_edges=(0.0, 1.0, 2.0, 3.0),
-                           theta_lower=(0.0,) * 3, theta_upper=(1.0,) * 3)
-    x = np.array([0.31, 1.77, 2.45])
-    J = coverage_c_jacobian(prob, x)
-    h = 1e-7
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        fd = (coverage_c_vector(prob, x + e) - coverage_c_vector(prob, x - e)) / (2 * h)
-        np.testing.assert_allclose(J[:, i], fd, atol=1e-6)
+    """dc/dx and the penalized gradient against central differences, at
+    seeded points of D with up to 6 agents and 6 bins, penalty on and off.
+    Central differences are exact on a quadratic piece, so the points keep
+    a margin of 1e3 steps from every excluded hyperplane."""
+    h = 1e-6
+    for seed in range(12):
+        gen = np.random.Generator(np.random.Philox(300 + seed))
+        N = int(gen.integers(1, 7))
+        K = int(gen.integers(1, 7))
+        edges = tuple(float(v) for v in
+                      np.concatenate([[0.0], np.cumsum(gen.uniform(0.5, 2.0, K))]))
+        prob = CoverageProblem(n_agents=N, bin_edges=edges,
+                               theta_lower=(0.0,) * K, theta_upper=(2.0,) * K,
+                               penalty_enabled=seed % 2 == 1)
+        oracle = make_coverage_oracle(prob)
+        x = gen.uniform(-1.0, edges[-1] + 1.0, size=N)
+        while _margin(prob, x) < 1e3 * h:
+            x = gen.uniform(-1.0, edges[-1] + 1.0, size=N)
+        assert in_D_coverage(prob, x)
+        theta = gen.uniform(0.0, 1.0, size=K)
+        J = coverage_c_jacobian(prob, x)
+        g = coverage_grad_x(prob, x, theta)
+        for i in range(N):
+            e = np.zeros(N)
+            e[i] = h
+            fd = (coverage_c_vector(prob, x + e)
+                  - coverage_c_vector(prob, x - e)) / (2 * h)
+            np.testing.assert_allclose(J[:, i], fd, atol=1e-6,
+                                       err_msg=f"seed {seed}, agent {i}")
+            fd_F = (oracle.eval_F(x + e, theta)
+                    - oracle.eval_F(x - e, theta)) / (2 * h)
+            assert g[i] == pytest.approx(fd_F, abs=1e-6), f"seed {seed}, agent {i}"
 
 
 def test_cone_property_with_penalty():
@@ -205,6 +240,28 @@ def test_in_D_interior_point_accepted():
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 1.0, 2.0),
                            theta_lower=(0.0, 0.0), theta_upper=(1.0, 1.0))
     assert in_D_coverage(prob, np.array([0.31, 1.77]))
+
+
+def test_in_D_matches_definition_on_half_unit_grid():
+    """Agents on a half-unit grid over integer bin edges hit every kind of
+    excluded hyperplane; in_D_coverage must agree with the definition."""
+    gen = np.random.Generator(np.random.Philox(25))
+    seen = set()
+    inside = 0
+    for _ in range(2000):
+        N = int(gen.integers(1, 7))
+        K = int(gen.integers(1, 7))
+        edges = tuple(float(v) for v in
+                      np.concatenate([[0.0], np.cumsum(gen.integers(1, 3, K))]))
+        prob = CoverageProblem(n_agents=N, bin_edges=edges,
+                               theta_lower=(0.0,) * K, theta_upper=(1.0,) * K)
+        x = gen.integers(-2, 2 * int(edges[-1]) + 3, size=N) / 2.0
+        kinds = excluded_hyperplanes(prob, x)
+        assert in_D_coverage(prob, x) == (not kinds), (edges, x, kinds)
+        seen |= kinds
+        inside += not kinds
+    assert seen == {"coincident", "agent_on_edge", "midpoint_on_edge"}
+    assert 200 <= inside <= 1800
 
 
 # -- penalty -----------------------------------------------------------------

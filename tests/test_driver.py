@@ -265,6 +265,26 @@ def test_step_resample_policy_redraws_offenders():
     assert rec.sample_count > p.effective_m(1)  # extra draws happened
 
 
+def test_resample_policy_gives_up_after_capped_redraws():
+    """With D empty near x, 'resample' ends the run with NonsmoothSampleStop
+    after a bounded number of redraws instead of looping for ever."""
+
+    class NeverInD(FiniteMaxOracle):
+        calls = 0
+
+        def in_D(self, x):
+            self.calls += 1
+            if self.calls > 10_000:  # fail instead of hanging
+                raise AssertionError("redraws of one sample are unbounded")
+            return False
+
+    oracle = NeverInD(abs_value_problem())
+    p = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE, max_iters=3)
+    tr = run(oracle, p, np.array([1.0]), Rng(11))
+    assert tr.termination == Termination.NONSMOOTH_SAMPLE_STOP
+    assert oracle.calls == 101  # the first draw and 100 redraws
+
+
 # -- run ---------------------------------------------------------------------
 
 def test_run_zero_iters_gives_initial_record():

@@ -84,8 +84,6 @@ def test_empty_and_nonfinite_rejected():
         min_norm_point([])
     with pytest.raises(ValueError):
         min_norm_point([np.array([np.nan, 0.0])])
-    with pytest.raises(ValueError):
-        min_norm_point([np.array([1.0])], tol=0.0)
 
 
 def test_result_reports_iterations():

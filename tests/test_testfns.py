@@ -180,6 +180,16 @@ def test_stress_run_stays_bounded():
     assert tr.final_nu <= p.nu1 * p.vartheta ** 5
 
 
+def test_off_grid_family_index_rejected():
+    """Value and gradient both refuse a family index off the truncated grid."""
+    oracle = cantor_stress_oracle(CantorStressProblem(depth=3))
+    x, theta = np.array([0.3]), np.array([0.7])
+    with pytest.raises(ValueError):
+        oracle.eval_F(x, theta)
+    with pytest.raises(ValueError):
+        oracle.grad_x_F(x, theta)
+
+
 def test_depth_validation():
     with pytest.raises(ValueError):
         CantorStressProblem(depth=0)
