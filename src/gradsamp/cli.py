@@ -163,6 +163,8 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         if x1.shape != (oracle.dim,):
             raise ConfigError(
                 f"x1 has dimension {x1.shape}, problem needs {oracle.dim}")
+        if not np.all(np.isfinite(x1)):
+            raise ConfigError("x1 must be finite")
         run_seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
         validate_params(params, oracle.dim)
         out = Path(out_dir if out_dir is not None
@@ -170,7 +172,7 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         formats = set(cfg.get("formats", ["csv", "json"]))
         if not formats <= {"csv", "json"}:
             raise ConfigError(f"unknown formats: {sorted(formats - {'csv', 'json'})}")
-    except (ConfigError, ParamError, ValueError, TypeError) as e:
+    except (ConfigError, ParamError, ValueError, TypeError, OverflowError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
 

@@ -159,8 +159,8 @@ def validate_params(p: GsParams, n: int) -> None:
             errs.append(f"{name} not in (0,1): {v}")
     for name in ("eps1", "nu1", "delta1", "t_init_factor"):
         v = getattr(p, name)
-        if not (v > 0.0):
-            errs.append(f"{name} not positive: {v}")
+        if not (0.0 < v < math.inf):
+            errs.append(f"{name} not positive and finite: {v}")
     if p.m is not None and not _is_count(p.m):
         errs.append(f"m not an integer: {p.m!r}")
     elif p.effective_m(n) < n + 1:
@@ -173,8 +173,8 @@ def validate_params(p: GsParams, n: int) -> None:
         errs.append(f"max_iters not an integer: {p.max_iters!r}")
     elif p.max_iters < 0:
         errs.append(f"max_iters negative: {p.max_iters}")
-    if p.eps_min < 0.0 or p.nu_min < 0.0:
-        errs.append("eps_min/nu_min must be nonnegative")
+    if not (0.0 <= p.eps_min < math.inf and 0.0 <= p.nu_min < math.inf):
+        errs.append("eps_min/nu_min must be nonnegative and finite")
     try:
         NonsmoothPolicy(p.on_nonsmooth_sample)
     except ValueError:

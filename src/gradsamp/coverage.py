@@ -13,6 +13,7 @@ the support.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,21 +43,22 @@ class CoverageProblem:
         object.__setattr__(self, "theta_upper", upper)
         if self.n_agents < 1:
             raise ValueError("n_agents must be at least 1")
-        if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("bin_edges must be strictly increasing")
+        if (len(edges) < 2 or not all(map(math.isfinite, edges))
+                or any(b <= a for a, b in zip(edges, edges[1:]))):
+            raise ValueError("bin_edges must be finite and strictly increasing")
         K = len(edges) - 1
         if len(lower) != K or len(upper) != K:
             raise ValueError("theta bounds must have one entry per bin")
-        if any(lo < 0.0 or lo > hi for lo, hi in zip(lower, upper)):
+        if not all(0.0 <= lo <= hi for lo, hi in zip(lower, upper)):
             raise ValueError("need 0 <= theta_lower <= theta_upper")
-        if self.total_mass <= 0.0:
-            raise ValueError("total_mass must be positive")
+        if not 0.0 < self.total_mass < math.inf:
+            raise ValueError("total_mass must be positive and finite")
         w = self.widths
         if (np.dot(lower, w) > self.total_mass + 1e-12
                 or np.dot(upper, w) < self.total_mass - 1e-12):
             raise ValueError("mass constraint infeasible for the given bounds")
-        if self.penalty_weight <= 0.0:
-            raise ValueError("penalty_weight must be positive")
+        if not 0.0 < self.penalty_weight < math.inf:
+            raise ValueError("penalty_weight must be positive and finite")
 
     @property
     def n_bins(self) -> int:

@@ -106,8 +106,13 @@ def random_unit_direction(n: int, rng: Rng) -> np.ndarray:
 
 def _inner_tol(oracle: ProblemOracle, lip, x: np.ndarray, budget: float) -> float:
     """Inner-oracle distance tolerance budget / lip(x); 0.0 for exact oracles,
-    which ignore it, so their Lipschitz constants are never asked for."""
-    return 0.0 if oracle.exact_inner else budget / max(lip(x), _TINY)
+    which ignore it, so their Lipschitz constants are never asked for and a
+    budget that has underflowed to 0 does not matter."""
+    if oracle.exact_inner:
+        return 0.0
+    if not budget > 0.0:
+        raise ValueError(f"accuracy budget must be positive: {budget}")
+    return budget / max(lip(x), _TINY)
 
 
 def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,
@@ -136,8 +141,6 @@ def build_bundle(oracle: ProblemOracle, samples: List[np.ndarray],
     evaluated there.  All samples must lie in D: membership is decided
     once, by the sampling loop in ``step``, and is not tested again here.
     """
-    if delta_k <= 0.0:
-        raise ValueError("delta_k must be positive")
     grads = []
     for s in samples:
         tol = _inner_tol(oracle, oracle.lip_gradF_theta, s, delta_k)

@@ -40,10 +40,11 @@ class FiniteMaxProblem:
         for p in self.pieces:
             if len(p.a) != n:
                 raise ValueError("pieces must share a dimension")
-            if p.Q is not None:
-                Q = np.asarray(p.Q, dtype=float)
-                if Q.shape != (n, n) or not np.allclose(Q, Q.T):
-                    raise ValueError("Q must be symmetric n x n")
+            Q = np.zeros((n, n)) if p.Q is None else np.asarray(p.Q, dtype=float)
+            if not (np.all(np.isfinite(p.a)) and np.isfinite(p.b) and np.all(np.isfinite(Q))):
+                raise ValueError("piece coefficients must be finite")
+            if Q.shape != (n, n) or not np.allclose(Q, Q.T):
+                raise ValueError("Q must be symmetric n x n")
 
     @property
     def dim(self) -> int:
@@ -55,15 +56,66 @@ def abs_value_problem() -> FiniteMaxProblem:
     return FiniteMaxProblem(pieces=(MaxPiece(a=(1.0,)), MaxPiece(a=(-1.0,))))
 
 
-class FiniteMaxOracle(ProblemOracle):
-    """Exact enumeration oracle; theta is the (1-d) piece index."""
+class _MemberMaxOracle(ProblemOracle):
+    """Exact oracle for f(x) = max_i f_i(x) over finitely many smooth members.
+
+    theta = [t] is a family index naming one or more members; F(x, [t]) is
+    the largest of their values, the first on a tie, and a t that names no
+    member is rejected.  The inner maximizer names the first maximal member;
+    x is outside D only where maximal members disagree on the gradient.
+    Subclasses pass each member's family index, in member order, and supply
+    ``_value(x, i)`` and ``_grad(x, i)`` of member i."""
 
     exact_inner = True
+    theta_dim = 1
+
+    def __init__(self, indices):
+        self._indices = [float(t) for t in indices]
+        self._named = {}
+        for i, t in enumerate(self._indices):
+            self._named.setdefault(t, []).append(i)
+
+    def _values(self, x: np.ndarray) -> List[float]:
+        return [self._value(x, i) for i in range(len(self._indices))]
+
+    def _member(self, x: np.ndarray, theta) -> int:
+        named = self._named.get(float(theta[0]))
+        if named is None:
+            raise ValueError(f"family index {theta[0]} names no member")
+        if len(named) == 1:
+            return named[0]
+        return max(named, key=lambda i: self._value(x, i))
+
+    def eval_F(self, x, theta):
+        x = np.asarray(x, dtype=float)
+        return self._value(x, self._member(x, theta))
+
+    def grad_x_F(self, x, theta):
+        x = np.asarray(x, dtype=float)
+        return self._grad(x, self._member(x, theta))
+
+    def inner_max(self, x, dist_tol):
+        i = int(np.argmax(self._values(np.asarray(x, dtype=float))))  # ties go to the lowest
+        return np.array([self._indices[i]]), 0.0
+
+    def in_D(self, x):
+        x = np.asarray(x, dtype=float)
+        vals = self._values(x)
+        vmax = max(vals)
+        tied = [i for i, v in enumerate(vals) if v == vmax]
+        if len(tied) == 1:
+            return True
+        g0 = self._grad(x, tied[0])
+        return all(np.array_equal(self._grad(x, i), g0) for i in tied[1:])
+
+
+class FiniteMaxOracle(_MemberMaxOracle):
+    """Exact enumeration oracle; theta is the (1-d) piece index."""
 
     def __init__(self, prob: FiniteMaxProblem):
+        super().__init__(range(len(prob.pieces)))
         self.prob = prob
         self.dim = prob.dim
-        self.theta_dim = 1
         self._a = [np.asarray(p.a, dtype=float) for p in prob.pieces]
         self._b = [float(p.b) for p in prob.pieces]
         self._Q = [None if p.Q is None else np.asarray(p.Q, dtype=float)
@@ -80,29 +132,6 @@ class FiniteMaxOracle(ProblemOracle):
         if self._Q[i] is not None:
             g = g + self._Q[i] @ x
         return g
-
-    def eval_F(self, x, theta):
-        return self._value(np.asarray(x, dtype=float), int(round(float(theta[0]))))
-
-    def grad_x_F(self, x, theta):
-        return self._grad(np.asarray(x, dtype=float), int(round(float(theta[0]))))
-
-    def inner_max(self, x, dist_tol):
-        x = np.asarray(x, dtype=float)
-        vals = [self._value(x, i) for i in range(len(self._a))]
-        i = int(np.argmax(vals))  # ties go to the lowest index
-        return np.array([float(i)]), 0.0
-
-    def in_D(self, x):
-        # Outside D only where two maximal pieces tie with unequal gradients.
-        x = np.asarray(x, dtype=float)
-        vals = [self._value(x, i) for i in range(len(self._a))]
-        vmax = max(vals)
-        tied = [i for i, v in enumerate(vals) if v == vmax]
-        if len(tied) == 1:
-            return True
-        g0 = self._grad(x, tied[0])
-        return all(np.array_equal(self._grad(x, i), g0) for i in tied[1:])
 
 
 def finite_max_oracle(prob: FiniteMaxProblem) -> FiniteMaxOracle:
@@ -196,34 +225,31 @@ def _cantor_levels(depth: int):
     return levels
 
 
-class CantorStressOracle(ProblemOracle):
+class CantorStressOracle(_MemberMaxOracle):
     """Exact oracle for the truncated construction.
 
     The inner parameter is the scalar family index t; on each segment
     [1/(k+1), 1/k] the family value is affine in t, so the supremum over
     the truncated family is attained on the grid {0} union {1/k : k <=
-    depth} and is enumerated exactly.  At a shared grid point the two
-    adjacent segment formulas are both evaluated and the larger value
-    taken."""
-
-    exact_inner = True
+    depth} and is enumerated exactly.  The members are the segment
+    formulas coef * g_k; at a shared grid point 1/k both formulas that
+    meet there are members."""
 
     def __init__(self, prob: CantorStressProblem):
         self.prob = prob
         self.dim = 1
-        self.theta_dim = 1
         C = bump_derivative_bound()
         self._levels = {}
         for k, mids, delta, intervals in _cantor_levels(prob.depth):
             eps_k = delta * delta / (k * C)
             self._levels[k] = (mids, delta, eps_k, intervals)
-        # Candidate scalars: value is coef * g_k(x) at family point t.
-        self._candidates: List[Tuple[float, int, float]] = [(0.0, 0, 0.0)]
+        # Member (t, k, coef) has the value coef * g_k(x) at family index t;
+        # at t = 1/k the segments [1/(k+1), 1/k] and [1/k, 1/(k-1)] meet.
+        members = [(0.0, 0, 0.0)]
         for k in range(1, prob.depth + 1):
-            seg = 1.0 / (k * (k + 1)) ** 2
-            self._candidates.append((1.0 / k, k, seg))
-            if k >= 2:
-                self._candidates.append((1.0 / k, k, 1.0 / ((k - 1) * k) ** 2))
+            members += [(1.0 / k, k, 1.0 / (k * j) ** 2) for j in (k + 1, k - 1) if j]
+        super().__init__([t for t, _, _ in members])
+        self._formulas = [(k, coef) for _, k, coef in members]
 
     def _g(self, k: int, x: float) -> Tuple[float, float]:
         """(g_k(x), g_k'(x)) for the level-k bump sum."""
@@ -238,55 +264,17 @@ class CantorStressOracle(ProblemOracle):
                         eps_k / delta * float(bump_d1(np.array([u]))[0]))
         return 0.0, 0.0
 
-    def _lookup(self, t: float, x: float) -> Tuple[float, float]:
-        """(F, dF/dx) at family index t: the larger of the segment formulas
-        that meet at t, the first one on a tie."""
-        best = None
-        for tc, k, coef in self._candidates:
-            if tc == t:
-                g, gd = self._g(k, x)
-                if best is None or coef * g > best[0]:
-                    best = (coef * g, coef * gd)
-        if best is None:
-            raise ValueError(f"family index {t} is not on the truncated grid")
-        return best
+    def _value(self, x: np.ndarray, i: int) -> float:
+        k, coef = self._formulas[i]
+        return coef * self._g(k, float(x[0]))[0]
 
-    def eval_F(self, x, theta):
-        return self._lookup(float(theta[0]), float(np.asarray(x).ravel()[0]))[0]
-
-    def grad_x_F(self, x, theta):
-        return np.array([self._lookup(float(theta[0]),
-                                      float(np.asarray(x).ravel()[0]))[1]])
-
-    def _all_values(self, xv: float):
-        return [(coef * self._g(k, xv)[0], t, k, coef)
-                for t, k, coef in self._candidates]
-
-    def inner_max(self, x, dist_tol):
-        xv = float(np.asarray(x).ravel()[0])
-        vals = self._all_values(xv)
-        best = max(v for v, *_ in vals)
-        for v, t, k, coef in vals:
-            if v == best:
-                return np.array([t]), 0.0
-
-    def in_D(self, x):
-        xv = float(np.asarray(x).ravel()[0])
-        vals = self._all_values(xv)
-        best = max(v for v, *_ in vals)
-        derivs = {coef * self._g(k, xv)[1]
-                  for v, t, k, coef in vals if v == best}
-        return len(derivs) == 1
+    def _grad(self, x: np.ndarray, i: int) -> np.ndarray:
+        k, coef = self._formulas[i]
+        return np.array([coef * self._g(k, float(x[0]))[1]])
 
     # Exposed for tests of the construction itself.
     def level(self, k: int):
         return self._levels[k]
-
-    def g_value(self, k: int, x: float) -> float:
-        return self._g(k, x)[0]
-
-    def g_deriv(self, k: int, x: float) -> float:
-        return self._g(k, x)[1]
 
 
 def cantor_stress_oracle(prob: CantorStressProblem) -> CantorStressOracle:

@@ -73,12 +73,29 @@ def test_malformed_json_exits_1_with_location(tmp_path, capsys):
 
 
 def test_bad_params_exit_1(tmp_path, capsys):
-    for field, value in (("alpha", 2.0), ("m", 3.5), ("max_iters", 20.0)):
-        cfg = _minimal_config(tmp_path / "out")
+    nan, inf = float("nan"), float("inf")  # JSON NaN / Infinity
+    out = tmp_path / "out"
+    cases = []
+    for field, value in (("alpha", 2.0), ("m", 3.5), ("max_iters", 20.0),
+                         ("eps_min", nan), ("nu_min", nan), ("eps1", inf)):
+        cfg = _minimal_config(out)
         cfg["params"][field] = value
+        cases.append((cfg, field))
+    cases.append((_minimal_config(out, x1=[nan]), "x1"))
+    cases.append((_minimal_config(out, seed=inf), "infinity"))
+    cases.append((_minimal_config(out, problem={"type": "cantor", "depth": inf}),
+                  "infinity"))
+    cfg = _minimal_config(out)
+    cfg["problem"]["pieces"][0]["a"] = [nan]
+    cases.append((cfg, "finite"))
+    cfg = json.loads((REPO / "configs" / "two_agent.json").read_text())
+    cfg.update(output_dir=str(out), run_baseline_gd=False)
+    cfg["problem"]["bin_edges"] = [0.0, nan, 4.0]
+    cases.append((cfg, "bin_edges"))
+    for cfg, expected in cases:
         assert run_experiment(str(_write(tmp_path, cfg))) == 1
-        assert field in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_unknown_param_field_exit_1(tmp_path, capsys):

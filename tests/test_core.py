@@ -46,6 +46,13 @@ def test_multiple_violations_all_reported():
         validate_params(GsParams(alpha=0.0, beta=2.0, m=1), 2)
     msg = str(exc.value)
     assert "alpha" in msg and "beta" in msg and "m < n+1" in msg
+    with pytest.raises(ParamError) as exc:
+        validate_params(GsParams(eps1=math.inf, delta1=math.nan, eps_min=math.nan), 2)
+    msg = str(exc.value)
+    assert "eps1" in msg and "delta1" in msg and "eps_min" in msg
+    for value in (math.nan, math.inf):
+        with pytest.raises(ParamError, match="nu_min"):
+            validate_params(GsParams(nu_min=value), 2)
 
 
 def test_non_integer_counts_rejected():

@@ -5,6 +5,8 @@ defining integral, and the analytic gradient against central finite
 differences, so the closed-form segment algebra never certifies itself.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -368,3 +370,14 @@ def test_problem_validation_errors():
     with pytest.raises(ValueError):  # mass infeasible: upper sum < 1
         CoverageProblem(n_agents=1, bin_edges=(0.0, 1.0),
                         theta_lower=(0.0,), theta_upper=(0.5,))
+    # NaN anywhere, and infinity except in an upper density bound.
+    nan, inf = math.nan, math.inf
+    ok = dict(n_agents=1, bin_edges=(0.0, 1.0, 2.0), theta_lower=(0.0, 0.0),
+              theta_upper=(1.0, 1.0))
+    CoverageProblem(**{**ok, "theta_upper": (inf, inf)})
+    for field, value in (("bin_edges", (0.0, nan, 2.0)), ("bin_edges", (0.0, 1.0, inf)),
+                         ("theta_lower", (nan, 0.0)), ("theta_upper", (1.0, nan)),
+                         ("total_mass", nan), ("total_mass", inf),
+                         ("penalty_weight", nan), ("penalty_weight", inf)):
+        with pytest.raises(ValueError):
+            CoverageProblem(**{**ok, field: value})

@@ -97,9 +97,8 @@ def test_bundle_abs_value_signs():
 
 
 def test_bundle_rejects_nonpositive_delta():
-    oracle = finite_max_oracle(abs_value_problem())
     with pytest.raises(ValueError):
-        build_bundle(oracle, [np.array([0.5])], 0.0)
+        build_bundle(InexactAbs(), [np.array([0.5])], 0.0)
 
 
 # -- inner-oracle tolerances -------------------------------------------------
@@ -144,6 +143,14 @@ def test_line_search_requests_c_k_over_4_lip_F_at_x_and_each_trial():
     c_k = p.gamma * (1.0 - p.alpha) * p.beta * g_norm * eps_k / 3.0
     assert oracle.tols == pytest.approx([c_k / (4.0 * L_F)] * (1 + out.trials),
                                         rel=1e-15)
+
+
+def test_exact_oracle_runs_past_delta_underflow():
+    # delta_k = 1e-300 * 1e-10**(k - 1) is 0.0 from k = 4 on; exact oracles
+    # ignore it.
+    p = GsParams(delta1=1e-300, delta_decay=1e-10, max_iters=6)
+    tr = run(finite_max_oracle(abs_value_problem()), p, np.array([1.0]), Rng(4))
+    assert p.delta_k(4) == 0.0 and len(tr.records) == 6
 
 
 def test_exact_oracle_is_never_asked_for_lipschitz_constants():

@@ -13,7 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsamp import CoverageProblem, GsParams, Rng, make_coverage_oracle, run
+from gradsamp import (
+    CantorStressProblem,
+    CoverageProblem,
+    FiniteMaxProblem,
+    GsParams,
+    MaxPiece,
+    Rng,
+    cantor_stress_oracle,
+    finite_max_oracle,
+    make_coverage_oracle,
+    run,
+)
 from gradsamp.cli import run_experiment
 
 REPO = Path(__file__).resolve().parents[1]
@@ -45,6 +56,14 @@ def _config_case(name, out):
     return got
 
 
+def _trace_case(oracle, p, x1, seed):
+    trace = run(oracle, p, x1, Rng(seed))
+    return {"iterations": len(trace.records), "termination": trace.termination.value,
+            "kinds": "".join(LETTER[r.step_kind.value] for r in trace.records),
+            "final_x": [_fmt(v) for v in trace.final_x],
+            "final_f": _fmt(trace.final_f)}
+
+
 def _coverage_n20_case(out):
     """A seeded N=20, K=40 coverage instance, capped at 20 iterations."""
     gen = np.random.Generator(np.random.Philox(2020))
@@ -55,11 +74,27 @@ def _coverage_n20_case(out):
         theta_upper=tuple(gen.uniform(1.5, 3.0, K) / K),
         penalty_enabled=True)
     x1 = np.sort(gen.uniform(-2.0, 42.0, 20))
-    trace = run(make_coverage_oracle(prob), GsParams(m=22, max_iters=20), x1, Rng(11))
-    return {"iterations": len(trace.records), "termination": trace.termination.value,
-            "kinds": "".join(LETTER[r.step_kind.value] for r in trace.records),
-            "final_x": [_fmt(v) for v in trace.final_x],
-            "final_f": _fmt(trace.final_f)}
+    return _trace_case(make_coverage_oracle(prob), GsParams(m=22, max_iters=20), x1, 11)
+
+
+def _quad_max_case(out):
+    """A seeded max of 4 convex quadratics in n=3, run to tolerance."""
+    gen = np.random.Generator(np.random.Philox(404))
+    pieces = []
+    for _ in range(4):
+        B = gen.standard_normal((3, 3))
+        Q = B @ B.T
+        pieces.append(MaxPiece(a=tuple(gen.standard_normal(3)), b=float(gen.standard_normal()),
+                               Q=tuple(tuple(row) for row in Q)))
+    prob = FiniteMaxProblem(pieces=tuple(pieces))
+    p = GsParams(max_iters=2000, eps_min=1e-3, nu_min=1e-3)
+    return _trace_case(finite_max_oracle(prob), p, gen.uniform(-2.0, 2.0, 3), 13)
+
+
+def _cantor_case(out):
+    """The Cantor stress objective at depth 4, capped at 300 iterations."""
+    oracle = cantor_stress_oracle(CantorStressProblem(depth=4))
+    return _trace_case(oracle, GsParams(max_iters=300), np.array([0.3]), 17)
 
 
 CASES = {
@@ -67,6 +102,8 @@ CASES = {
     "five_agent": lambda out: _config_case("five_agent", out),
     "abs_value": lambda out: _config_case("abs_value", out),
     "coverage_n20": _coverage_n20_case,
+    "quad_max": _quad_max_case,
+    "cantor_depth4": _cantor_case,
 }
 
 GOLDEN = {
@@ -115,6 +152,22 @@ GOLDEN = {
             "38.87522560075687", "40.021015220603736",
         ],
         "final_f": "2.9867982746091344",
+    },
+    "quad_max": {
+        "iterations": 87,
+        "termination": "TolerancesReached",
+        "kinds": ("DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDD"
+                  "TDDTDDLLDTDDDDLDTTDDDDTDDDDDDDTDDDDDDDT"),
+        "final_x": ["0.39265555140359987", "0.37728211581904769",
+                    "0.18953807064069553"],
+        "final_f": "0.65699556095923095",
+    },
+    "cantor_depth4": {
+        "iterations": 300,
+        "termination": "MaxIters",
+        "kinds": "T" * 15 + "D" * 285,
+        "final_x": ["0.30057983398438237"],
+        "final_f": "3.7351148765046197e-07",
     },
 }
 

@@ -81,6 +81,11 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         FiniteMaxProblem(pieces=(MaxPiece(a=(1.0, 0.0),
                                           Q=((1.0, 2.0), (3.0, 4.0))),))
+    nan, inf = math.nan, math.inf
+    for piece in (MaxPiece(a=(nan,)), MaxPiece(a=(1.0,), b=nan),
+                  MaxPiece(a=(1.0,), b=-inf), MaxPiece(a=(0.0,), Q=((inf,),))):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMaxProblem(pieces=(MaxPiece(a=(1.0,)), piece))
 
 
 # -- bump --------------------------------------------------------------------
@@ -181,13 +186,17 @@ def test_stress_run_stays_bounded():
 
 
 def test_off_grid_family_index_rejected():
-    """Value and gradient both refuse a family index off the truncated grid."""
-    oracle = cantor_stress_oracle(CantorStressProblem(depth=3))
-    x, theta = np.array([0.3]), np.array([0.7])
-    with pytest.raises(ValueError):
-        oracle.eval_F(x, theta)
-    with pytest.raises(ValueError):
-        oracle.grad_x_F(x, theta)
+    """Value and gradient both refuse a family index that names no member:
+    off the truncated grid, or not a piece index."""
+    cases = [(cantor_stress_oracle(CantorStressProblem(depth=3)), (0.7,)),
+             (finite_max_oracle(abs_value_problem()), (-1.0, 0.7, 2.0))]
+    for oracle, bad in cases:
+        for t in bad:
+            x, theta = np.array([0.3]), np.array([t])
+            with pytest.raises(ValueError):
+                oracle.eval_F(x, theta)
+            with pytest.raises(ValueError):
+                oracle.grad_x_F(x, theta)
 
 
 def test_depth_validation():
