@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 from .core import (
     DescentViolationError,
     GsParams,
-    GsState,
     IterationRecord,
     NonsmoothPolicy,
     NonsmoothSampleError,
@@ -26,26 +25,14 @@ from .core import (
 )
 from .coverage import (
     CoverageProblem,
-    coverage_c_jacobian,
     coverage_c_vector,
     coverage_grad_x,
     in_D_coverage,
     inner_lp_max,
     make_coverage_oracle,
     penalty,
-    theta_feasible,
 )
-from .driver import (
-    LineSearchOutcome,
-    Rng,
-    build_bundle,
-    gradient_descent_baseline,
-    line_search,
-    random_unit_direction,
-    run,
-    sample_ball,
-    step,
-)
+from .driver import Rng, gradient_descent_baseline, run
 from .minnorm import MinNormResult, min_norm_point
 from .testfns import (
     CantorStressProblem,

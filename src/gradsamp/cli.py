@@ -19,7 +19,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import GsParams, NonsmoothPolicy, ParamError, Termination, Trace, validate_params
+from .core import (GsParams, NonsmoothPolicy, ParamError, Termination, Trace, _is_count,
+                   validate_params)
 from .coverage import CoverageProblem, make_coverage_oracle
 from .driver import Rng, gradient_descent_baseline, run
 from .testfns import (
@@ -51,12 +52,12 @@ def build_problem_oracle(problem: dict):
     kind = _require(problem, "type", "problem")
     if kind == "coverage":
         prob = CoverageProblem(
-            n_agents=int(_require(problem, "n_agents", "problem")),
+            n_agents=_require(problem, "n_agents", "problem"),
             bin_edges=tuple(_require(problem, "bin_edges", "problem")),
             theta_lower=tuple(_require(problem, "theta_lower", "problem")),
             theta_upper=tuple(_require(problem, "theta_upper", "problem")),
             total_mass=float(problem.get("total_mass", 1.0)),
-            penalty_enabled=bool(problem.get("penalty_enabled", False)),
+            penalty_enabled=problem.get("penalty_enabled", False),
             penalty_weight=float(problem.get("penalty_weight", 1.0)),
         )
         return make_coverage_oracle(prob)
@@ -71,7 +72,7 @@ def build_problem_oracle(problem: dict):
         return finite_max_oracle(FiniteMaxProblem(pieces=tuple(pieces)))
     if kind == "cantor":
         return cantor_stress_oracle(
-            CantorStressProblem(depth=int(_require(problem, "depth", "problem"))))
+            CantorStressProblem(depth=_require(problem, "depth", "problem")))
     raise ConfigError(f"unknown problem type: {kind!r}")
 
 
@@ -165,7 +166,9 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
                 f"x1 has dimension {x1.shape}, problem needs {oracle.dim}")
         if not np.all(np.isfinite(x1)):
             raise ConfigError("x1 must be finite")
-        run_seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
+        run_seed = cfg.get("seed", 0) if seed is None else seed
+        if not (_is_count(run_seed) and run_seed >= 0):
+            raise ConfigError(f"seed must be a nonnegative integer: {run_seed!r}")
         validate_params(params, oracle.dim)
         out = Path(out_dir if out_dir is not None
                    else _require(cfg, "output_dir", "config"))

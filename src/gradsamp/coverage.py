@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import ProblemOracle
+from .core import ProblemOracle, _is_count
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,10 @@ class CoverageProblem:
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "theta_lower", lower)
         object.__setattr__(self, "theta_upper", upper)
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be at least 1")
+        if not (_is_count(self.n_agents) and self.n_agents >= 1):
+            raise ValueError(f"n_agents must be an integer >= 1: {self.n_agents!r}")
+        if not isinstance(self.penalty_enabled, bool):
+            raise ValueError(f"penalty_enabled must be a bool: {self.penalty_enabled!r}")
         if (len(edges) < 2 or not all(map(math.isfinite, edges))
                 or any(b <= a for a, b in zip(edges, edges[1:]))):
             raise ValueError("bin_edges must be finite and strictly increasing")

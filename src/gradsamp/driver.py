@@ -41,8 +41,7 @@ class Rng:
 
     Backed by the Philox bit generator, so identical seeds give identical
     streams across runs and platforms.  Draw-order contract: a ball sample
-    consumes dim Gaussians followed by one uniform; a unit direction
-    consumes one block of dim Gaussians.
+    consumes dim Gaussians followed by one uniform, and nothing else draws.
     """
 
     def __init__(self, seed: int):
@@ -91,17 +90,6 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
             offset *= radius / d
         out.append(center + offset)
     return out
-
-
-def random_unit_direction(n: int, rng: Rng) -> np.ndarray:
-    """Uniform direction on the unit sphere (normalized Gaussian block)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    while True:
-        z = rng.gaussians(n)
-        nz = float(np.linalg.norm(z))
-        if nz > 0.0:
-            return z / nz
 
 
 def _inner_tol(oracle: ProblemOracle, lip, x: np.ndarray, budget: float) -> float:
@@ -184,8 +172,7 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     """
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
-    n = x.shape[0]
-    m = p.effective_m(n)
+    m = p.effective_m(x.shape[0])
     delta_k = p.delta_k(state.k)
     policy = NonsmoothPolicy(p.on_nonsmooth_sample)
 
@@ -205,10 +192,6 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     res = min_norm_point(grads)
     g = res.point
     g_norm = float(np.linalg.norm(g))
-
-    # A unit direction is drawn every iteration, whatever the branch, so
-    # the stream position follows the documented draw order.
-    random_unit_direction(n, rng)
 
     if g_norm <= state.nu:
         f_x = oracle.objective(x, delta_k)
@@ -247,8 +230,7 @@ def _check_descent(p: GsParams, records: List[IterationRecord],
                     f"iteration {r.k}: f={fs[i + 1]:.17g} exceeds bound {bound:.17g}")
 
 
-def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng,
-        check_descent: bool = True) -> Trace:
+def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     """Iterate ``step`` from x1 until a stopping condition fires.
 
     Stops at max_iters, or when both tolerances drop to their configured
@@ -256,7 +238,7 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng,
     redrawn into D under 'resample'.  With exact inner oracles the
     recorded objective decreases by at least
     alpha * beta * t_k * ||g^k|| on every accepted step; this is asserted
-    at the end of the run unless ``check_descent`` is disabled.
+    at the end of the run.
     """
     x1 = np.asarray(x1, dtype=float)
     if not np.all(np.isfinite(x1)):
@@ -289,8 +271,7 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng,
     trace.final_eps = state.eps
     trace.final_nu = state.nu
     trace.final_f = oracle.objective(state.x, p.delta_k(state.k))
-    if check_descent:
-        _check_descent(p, trace.records, trace.final_f)
+    _check_descent(p, trace.records, trace.final_f)
     return trace
 
 

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import ProblemOracle
+from .core import ProblemOracle, _is_count
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ class CantorStressProblem:
     depth: int
 
     def __post_init__(self):
-        if not (1 <= self.depth <= 12):
-            raise ValueError("depth must lie in [1, 12]")
+        if not (_is_count(self.depth) and 1 <= self.depth <= 12):
+            raise ValueError(f"depth must be an integer in [1, 12]: {self.depth!r}")
 
 
 def _cantor_levels(depth: int):

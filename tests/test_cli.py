@@ -82,9 +82,17 @@ def test_bad_params_exit_1(tmp_path, capsys):
         cfg["params"][field] = value
         cases.append((cfg, field))
     cases.append((_minimal_config(out, x1=[nan]), "x1"))
-    cases.append((_minimal_config(out, seed=inf), "infinity"))
-    cases.append((_minimal_config(out, problem={"type": "cantor", "depth": inf}),
-                  "infinity"))
+    # Counts and flags are checked, never truncated or coerced.
+    for seed in (inf, 1.9, -1):
+        cases.append((_minimal_config(out, seed=seed), "seed"))
+    for depth in (inf, 3.7):
+        cases.append((_minimal_config(out, problem={"type": "cantor", "depth": depth}),
+                      "depth"))
+    for field, value in (("n_agents", 2.9), ("penalty_enabled", "false")):
+        cfg = json.loads((REPO / "configs" / "two_agent.json").read_text())
+        cfg.update(output_dir=str(out), run_baseline_gd=False)
+        cfg["problem"][field] = value
+        cases.append((cfg, field))
     cfg = _minimal_config(out)
     cfg["problem"]["pieces"][0]["a"] = [nan]
     cases.append((cfg, "finite"))

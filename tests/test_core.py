@@ -8,7 +8,6 @@ import pytest
 
 from gradsamp import (
     GsParams,
-    GsState,
     NonsmoothPolicy,
     ParamError,
     Rng,
@@ -18,6 +17,7 @@ from gradsamp import (
     run,
     validate_params,
 )
+from gradsamp.core import GsState
 from gradsamp.coverage import CoverageProblem
 import gradsamp
 
@@ -155,4 +155,20 @@ def test_state_fields():
 def test_public_api_exports_no_submodules():
     assert not [n for n in gradsamp.__all__
                 if isinstance(getattr(gradsamp, n), ModuleType)]
-    assert len(gradsamp.__all__) == 40
+    assert len(gradsamp.__all__) == 31
+
+
+def test_public_api_is_pinned():
+    """The package namespace is the solver and the oracle contract; helpers
+    that only tests use are imported from their modules."""
+    assert set(gradsamp.__all__) == {
+        "CantorStressProblem", "CoverageProblem", "DescentViolationError",
+        "FiniteMaxProblem", "GsParams", "IterationRecord", "MaxPiece",
+        "MinNormResult", "NonsmoothPolicy", "NonsmoothSampleError", "ParamError",
+        "ProblemOracle", "Rng", "StepKind", "Termination", "Trace",
+        "abs_value_problem", "accuracy_to_distance", "cantor_stress_oracle",
+        "coverage_c_vector", "coverage_grad_x", "finite_max_oracle",
+        "gradient_descent_baseline", "in_D_coverage", "inner_lp_max",
+        "make_coverage_oracle", "min_norm_point", "penalty", "regularization_rho",
+        "run", "validate_params",
+    }

@@ -13,15 +13,14 @@ from scipy.integrate import quad
 
 from gradsamp import (
     CoverageProblem,
-    coverage_c_jacobian,
     coverage_c_vector,
     coverage_grad_x,
     in_D_coverage,
     inner_lp_max,
     make_coverage_oracle,
     penalty,
-    theta_feasible,
 )
+from gradsamp.coverage import coverage_c_jacobian, theta_feasible
 from oracles import excluded_hyperplanes, two_agent_cost
 
 
@@ -378,6 +377,8 @@ def test_problem_validation_errors():
     for field, value in (("bin_edges", (0.0, nan, 2.0)), ("bin_edges", (0.0, 1.0, inf)),
                          ("theta_lower", (nan, 0.0)), ("theta_upper", (1.0, nan)),
                          ("total_mass", nan), ("total_mass", inf),
-                         ("penalty_weight", nan), ("penalty_weight", inf)):
+                         ("penalty_weight", nan), ("penalty_weight", inf),
+                         ("n_agents", 2.5), ("n_agents", True),
+                         ("penalty_enabled", "false"), ("penalty_enabled", 1)):
         with pytest.raises(ValueError):
             CoverageProblem(**{**ok, field: value})

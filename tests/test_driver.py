@@ -7,7 +7,6 @@ import pytest
 
 from gradsamp import (
     GsParams,
-    GsState,
     MaxPiece,
     FiniteMaxProblem,
     NonsmoothPolicy,
@@ -16,15 +15,12 @@ from gradsamp import (
     StepKind,
     Termination,
     abs_value_problem,
-    build_bundle,
     finite_max_oracle,
     gradient_descent_baseline,
-    line_search,
-    random_unit_direction,
     run,
-    sample_ball,
-    step,
 )
+from gradsamp.core import GsState
+from gradsamp.driver import build_bundle, line_search, sample_ball, step
 from gradsamp.testfns import FiniteMaxOracle
 
 
@@ -64,26 +60,6 @@ def test_sample_ball_validation():
         sample_ball(np.zeros(2), 0.0, 1, Rng(0))
     with pytest.raises(ValueError):
         sample_ball(np.zeros(2), 1.0, 0, Rng(0))
-
-
-# -- random_unit_direction ---------------------------------------------------
-
-def test_unit_direction_normalized():
-    rng = Rng(4)
-    for _ in range(200):
-        assert abs(np.linalg.norm(random_unit_direction(3, rng)) - 1.0) <= 1e-12
-
-
-def test_unit_direction_1d_sign_balance():
-    rng = Rng(5)
-    draws = [random_unit_direction(1, rng)[0] for _ in range(10_000)]
-    assert abs(np.mean(np.array(draws) > 0) - 0.5) <= 0.02
-
-
-def test_unit_direction_3d_mean_zero():
-    rng = Rng(6)
-    pts = np.array([random_unit_direction(3, rng) for _ in range(100_000)])
-    assert np.all(np.abs(pts.mean(axis=0)) <= 0.02)
 
 
 # -- build_bundle ------------------------------------------------------------
@@ -290,6 +266,23 @@ def test_resample_policy_gives_up_after_capped_redraws():
     tr = run(oracle, p, np.array([1.0]), Rng(11))
     assert tr.termination == Termination.NONSMOOTH_SAMPLE_STOP
     assert oracle.calls == 101  # the first draw and 100 redraws
+
+
+def test_step_draws_only_the_ball_samples():
+    """Draw-order contract: a step whose samples all land in D consumes
+    exactly the m ball samples (n Gaussians, then one uniform, each)."""
+    oracle = finite_max_oracle(FiniteMaxProblem(pieces=(
+        MaxPiece(a=(1.0, 0.0, 0.0)), MaxPiece(a=(-1.0, 0.0, 0.0)))))
+    p = GsParams()
+    x = np.array([1.0, 0.5, -0.5])
+    state = GsState(k=1, x=x, eps=0.2, nu=0.1)
+    stepped = Rng(12)
+    _, rec = step(oracle, state, p, stepped)
+    m = p.effective_m(3)
+    assert rec.step_kind == StepKind.DESCENT and rec.sample_count == m
+    fresh = Rng(12)
+    sample_ball(x, state.eps, m, fresh)
+    np.testing.assert_array_equal(stepped.gaussians(3), fresh.gaussians(3))
 
 
 # -- run ---------------------------------------------------------------------

@@ -108,59 +108,61 @@ CASES = {
 
 GOLDEN = {
     "two_agent": {
-        "iterations": 42,
+        "iterations": 38,
         "termination": "TolerancesReached",
-        "kinds": "DDDDDDDDDDDDTDTDDTDDDDDTDDTDDTDDDDLDDTDDDT",
-        "final_x": ["0.9986043846760515", "2.9991319592337096"],
-        "final_f": "1.0000007448160355",
+        "kinds": "DDDDDDDDDDTDDDDDDTDDTDDTDDDTDTDDDDDDTT",
+        "final_x": ["0.99906740998626609", "3.0004155954814271"],
+        "final_f": "1.0000007398849278",
         "gd_termination": "Stalled",
         "gd_final_f": "1.0033766276749507",
     },
     "five_agent": {
-        "iterations": 229,
+        "iterations": 152,
         "termination": "TolerancesReached",
         "kinds": (
-            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDTDDDDDDDDDDDDDTDDDDDDDDDDDDDD"
-            "DDDDDDDDDDDDLLDDLLLTDLDDDDDLDLDDLLDDLDTDDDLDLDLLDDDLLLDTDDDD"
-            "LDLLDLLLLLTLLLDLLLLDLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLL"
-            "LLLDLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLLTLT"
+            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDTDDDDDDDDDTDDDDDDDDDLDDDDD"
+            "DDDDDDDDDDLLLDLLTLDDDDLDDDDDLDLLDLLDLLDDDDDLTDLLLLDLDTDDDLLL"
+            "LLDDLLLLLLLTDLTLDDDDDDLLLLLLLDLT"
         ),
         "final_x": [
-            "0.73152626796558318", "1.8860266434275654", "2.9998185464571412",
-            "4.1139225168789189", "5.2683953018801919",
+            "0.73143145088028627", "1.885921731441714", "2.999688395435542",
+            "4.1141879434659474", "5.268622827238155",
         ],
-        "final_f": "0.60738612706210937",
+        "final_f": "0.60740343124862695",
     },
     "abs_value": {
-        "iterations": 32,
+        "iterations": 28,
         "termination": "TolerancesReached",
-        "kinds": "DDDDDDDDDDDDDDTTDDDTDTDTTDDTDDDT",
-        "final_x": ["0.0005208333333335352"],
-        "final_f": "0.0005208333333335352",
+        "kinds": "DDDDDDDDDDDDDTDDTDDDTDDTTTTT",
+        "final_x": ["2.1510571102112408e-16"],
+        "final_f": "2.1510571102112408e-16",
     },
     "coverage_n20": {
         "iterations": 20,
         "termination": "MaxIters",
         "kinds": "DDDDDDDDDDDDDDDDDDDD",
         "final_x": [
-            "0.041310112711587237", "0.9923159217722598", "4.250252498638396",
-            "4.4976118891528527", "5.9465187187593749", "8.3085778856116868",
-            "11.255768239493165", "18.270636985476148", "22.652174928357905",
-            "25.255840739278288", "25.779514543670356", "26.218046149331538",
-            "27.365795881262017", "29.591489371145911", "34.632048732571164",
-            "35.257234238050287", "35.575490002429191", "35.725284931699257",
-            "38.87522560075687", "40.021015220603736",
+            "0.041944989022724914", "0.99268680397876552", "4.2508178900498192",
+            "4.4975924463866406", "5.945089321438358", "8.3143461308672553",
+            "11.261541562040462", "18.259718658028905", "22.656021823312823",
+            "25.256417997034134", "25.779534384469649", "26.217965113762023",
+            "27.374836783860104", "29.577034806275613", "34.633712379380079",
+            "35.257323954835464", "35.577416257393345", "35.71511528682602",
+            "38.8755762139306", "40.021209649299429",
         ],
-        "final_f": "2.9867982746091344",
+        "final_f": "2.9862484091318366",
     },
     "quad_max": {
-        "iterations": 87,
+        "iterations": 88,
         "termination": "TolerancesReached",
-        "kinds": ("DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDD"
-                  "TDDTDDLLDTDDDDLDTTDDDDTDDDDDDDTDDDDDDDT"),
-        "final_x": ["0.39265555140359987", "0.37728211581904769",
-                    "0.18953807064069553"],
-        "final_f": "0.65699556095923095",
+        "kinds": (
+            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDLDLDTDDDDDTTDLD"
+            "DDLDDLDLTDTDDDDDDDTDDDTDDDDT"
+        ),
+        "final_x": [
+            "0.39253357754818213", "0.37699419881317531", "0.18982249115350225",
+        ],
+        "final_f": "0.65715313421698629",
     },
     "cantor_depth4": {
         "iterations": 300,

@@ -204,3 +204,6 @@ def test_depth_validation():
         CantorStressProblem(depth=0)
     with pytest.raises(ValueError):
         CantorStressProblem(depth=13)
+    for depth in (3.5, 3.0, True):
+        with pytest.raises(ValueError):
+            CantorStressProblem(depth=depth)
