@@ -77,6 +77,18 @@ class CoverageProblem:
         return (frozenset(self.bin_edges),
                 frozenset(2.0 * e for e in self.bin_edges))
 
+    @cached_property
+    def _mass_bounds(self):
+        # For inner_lp_max: the widths (read-only, as every call shares
+        # them), the lower bin masses and the room above them as lists, and
+        # the sums of the lower and upper bin masses.
+        w = self.widths
+        w.flags.writeable = False
+        lo_m = np.asarray(self.theta_lower) * w
+        hi_m = np.asarray(self.theta_upper) * w
+        return (w, lo_m.tolist(), (hi_m - lo_m).tolist(),
+                float(lo_m.sum()), float(hi_m.sum()))
+
 
 def theta_feasible(prob: CoverageProblem, theta: np.ndarray,
                    tol: float = 1e-9) -> bool:
@@ -99,21 +111,47 @@ def _partition(prob: CoverageProblem, x: np.ndarray):
     b_idx) is a piece [alpha, beta] of bin k nearest to sorted agent
     ``owner``.  a_idx/b_idx are the left sorted-agent index of the midpoint
     an endpoint equals, or -1 when the endpoint is a (constant) bin edge.
+
+    One pointer j walks the sorted midpoints across all bins: the midpoints
+    strictly inside a bin cut it, and the segment just below midpoint j,
+    the first one not yet passed, lies in the cell of sorted agent j.  The
+    owner is defined as ``bisect_left(mids, centre)`` with centre =
+    (alpha + beta) / 2, which is j unless the centre rounds down onto
+    alpha (beta is then alpha's float successor, or equal to it); only
+    then is it looked up.
     """
     xl = np.asarray(x, dtype=float).tolist()
     order = sorted(range(len(xl)), key=xl.__getitem__)
     xs = [xl[i] for i in order]
     mids = [(u + v) / 2.0 for u, v in zip(xs, xs[1:])]
+    mids.append(math.inf)  # stops both walks below: the edges are finite
     edges = prob.bin_edges
     segments = []
+    j = bisect_right(mids, edges[0])
     for k in range(prob.n_bins):
-        a, b = edges[k], edges[k + 1]
-        inner = range(bisect_right(mids, a), bisect_left(mids, b))
-        cuts = [(a, -1)] + [(mids[j], j) for j in inner] + [(b, -1)]
-        for (alpha, a_idx), (beta, b_idx) in zip(cuts, cuts[1:]):
-            owner = bisect_left(mids, (alpha + beta) / 2.0)
-            segments.append((k, alpha, beta, owner, a_idx, b_idx))
+        alpha, a_idx, b = edges[k], -1, edges[k + 1]
+        while mids[j] < b:
+            beta = mids[j]
+            owner = j if (alpha + beta) / 2.0 != alpha else bisect_left(mids, alpha)
+            segments.append((k, alpha, beta, owner, a_idx, j))
+            alpha, a_idx = beta, j
+            j += 1
+        owner = j if (alpha + b) / 2.0 != alpha else bisect_left(mids, alpha)
+        segments.append((k, alpha, b, owner, a_idx, -1))
+        while mids[j] == b:  # a midpoint on an edge cuts nothing
+            j += 1
     return order, xs, segments
+
+
+def _cost(xs, segments, n_bins: int) -> np.ndarray:
+    # c_k sums, over the segments of bin k, the integral of 2|s - y| over
+    # [alpha, beta], by position of the owner s.
+    c = [0.0] * n_bins
+    for k, alpha, beta, owner, _a, _b in segments:
+        s = xs[owner]
+        ha, hb = (alpha - s) ** 2, (beta - s) ** 2
+        c[k] += hb - ha if s <= alpha else ha - hb if s >= beta else hb + ha
+    return np.asarray(c)
 
 
 def _smooth(prob: CoverageProblem, xs) -> bool:
@@ -128,33 +166,40 @@ def _jacobian(prob: CoverageProblem, order, xs, segments) -> np.ndarray:
     # Each segment integral of 2|s - y| over [alpha, beta] has partials
     # 2|beta - s| in beta and -2|alpha - s| in alpha, and, being shift
     # invariant, their negated sum in the owner s.  A midpoint endpoint
-    # moves half with each of its two neighbouring agents.
-    J = [[0.0] * prob.n_agents for _ in range(prob.n_bins)]
+    # moves half with each of its two neighbouring agents.  Only O(N + K)
+    # cells are nonzero: each is summed in segment order under its flat
+    # index k*N + i, then scattered into the dense matrix.
+    N = len(xs)
+    cells = {}
+    get = cells.get
     for k, alpha, beta, owner, a_idx, b_idx in segments:
         s = xs[owner]
         pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
-        row = J[k]
-        row[order[owner]] += pa - pb
+        row = k * N
+        i = row + order[owner]
+        cells[i] = get(i, 0.0) + (pa - pb)
         if a_idx >= 0:
-            row[order[a_idx]] += 0.5 * -pa
-            row[order[a_idx + 1]] += 0.5 * -pa
+            d = 0.5 * -pa
+            i = row + order[a_idx]
+            cells[i] = get(i, 0.0) + d
+            i = row + order[a_idx + 1]
+            cells[i] = get(i, 0.0) + d
         if b_idx >= 0:
-            row[order[b_idx]] += 0.5 * pb
-            row[order[b_idx + 1]] += 0.5 * pb
-    return np.array(J)
+            d = 0.5 * pb
+            i = row + order[b_idx]
+            cells[i] = get(i, 0.0) + d
+            i = row + order[b_idx + 1]
+            cells[i] = get(i, 0.0) + d
+    J = np.zeros(prob.n_bins * N)
+    J[list(cells)] = list(cells.values())
+    return J.reshape(prob.n_bins, N)
 
 
 def coverage_c_vector(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     """Per-bin coverage cost c(x): c_k = integral over bin k of twice the
     distance to the nearest agent.  F(x, theta) = <c(x), theta>."""
     _, xs, segments = _partition(prob, x)
-    c = [0.0] * prob.n_bins
-    for k, alpha, beta, owner, _a, _b in segments:
-        # Integral of 2|s - y| over [alpha, beta], by position of the owner s.
-        s = xs[owner]
-        ha, hb = (alpha - s) ** 2, (beta - s) ** 2
-        c[k] += hb - ha if s <= alpha else ha - hb if s >= beta else hb + ha
-    return np.asarray(c)
+    return _cost(xs, segments, prob.n_bins)
 
 
 def coverage_c_jacobian(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
@@ -174,17 +219,22 @@ def _penalty_grad(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     return np.where(x < lo, -1.0, 0.0) + np.where(x > hi, 1.0, 0.0)
 
 
-def coverage_grad_x(prob: CoverageProblem, x: np.ndarray,
-                    theta: np.ndarray) -> np.ndarray:
-    """Analytic gradient of <c(x), theta> (+ weighted penalty), on D."""
-    x = np.asarray(x, dtype=float)
-    order, xs, segments = _partition(prob, x)
+def _gradient(prob: CoverageProblem, x: np.ndarray, theta, order, xs,
+              segments) -> np.ndarray:
+    # The gradient of <c, theta> (+ weighted penalty) from x's partition.
     if not _smooth(prob, xs):
         raise ValueError("gradient undefined: x lies on an excluded hyperplane")
     g = _jacobian(prob, order, xs, segments).T @ np.asarray(theta, dtype=float)
     if prob.penalty_enabled:
         g = g + prob.penalty_weight * _penalty_grad(prob, x)
     return g
+
+
+def coverage_grad_x(prob: CoverageProblem, x: np.ndarray,
+                    theta: np.ndarray) -> np.ndarray:
+    """Analytic gradient of <c(x), theta> (+ weighted penalty), on D."""
+    x = np.asarray(x, dtype=float)
+    return _gradient(prob, x, theta, *_partition(prob, x))
 
 
 def in_D_coverage(prob: CoverageProblem, x: np.ndarray) -> bool:
@@ -205,26 +255,28 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     greedy fill by decreasing rate c_k / width_k is exact (ties broken at
     the lowest index)."""
     c = np.asarray(c, dtype=float)
-    w = prob.widths
-    lo_m = np.asarray(prob.theta_lower) * w
-    hi_m = np.asarray(prob.theta_upper) * w
-    resid = prob.total_mass - float(lo_m.sum())
-    if resid < -1e-9 or prob.total_mass > float(hi_m.sum()) + 1e-9:
+    w, lo_m, room, lo_sum, hi_sum = prob._mass_bounds
+    resid = prob.total_mass - lo_sum
+    if resid < -1e-9 or prob.total_mass > hi_sum + 1e-9:
         raise ValueError("infeasible mass bounds")
-    masses = lo_m.copy()
-    order = np.argsort(-(c / w), kind="stable")
-    for k in order:
+    masses = list(lo_m)
+    for k in np.argsort(-(c / w), kind="stable").tolist():
         if resid <= 0.0:
             break
-        add = min(hi_m[k] - lo_m[k], resid)
+        add = min(room[k], resid)
         masses[k] += add
         resid -= add
-    return masses / w
+    return np.asarray(masses) / w
 
 
 class CoverageOracle(ProblemOracle):
     """Oracle contract for the coverage family: exact greedy inner LP and
-    analytic gradients."""
+    analytic gradients.
+
+    The partition and c of the last point asked about are kept, so a bundle
+    sample's inner_max and grad_x_F, or a line-search trial's inner_max and
+    eval_F, build the partition once.  ``in_D`` runs first on every sample
+    of a bundle, so it keeps its own sort and leaves the memo alone."""
 
     exact_inner = True
 
@@ -232,21 +284,30 @@ class CoverageOracle(ProblemOracle):
         self.prob = prob
         self.dim = prob.n_agents
         self.theta_dim = prob.n_bins
+        self._last = None  # (x bytes, order, xs, segments, c)
+
+    def _at(self, x: np.ndarray):
+        key = x.tobytes()
+        if self._last is None or self._last[0] != key:
+            order, xs, segments = _partition(self.prob, x)
+            self._last = (key, order, xs, segments,
+                          _cost(xs, segments, self.prob.n_bins))
+        return self._last[1:]
 
     def eval_F(self, x, theta):
         x = np.asarray(x, dtype=float)
-        v = float(coverage_c_vector(self.prob, x) @ np.asarray(theta, dtype=float))
+        v = float(self._at(x)[3] @ np.asarray(theta, dtype=float))
         if self.prob.penalty_enabled:
             v += self.prob.penalty_weight * penalty(self.prob, x)
         return v
 
     def grad_x_F(self, x, theta):
-        return coverage_grad_x(self.prob, np.asarray(x, dtype=float),
-                               np.asarray(theta, dtype=float))
+        x = np.asarray(x, dtype=float)
+        order, xs, segments, _ = self._at(x)
+        return _gradient(self.prob, x, theta, order, xs, segments)
 
     def inner_max(self, x, dist_tol):
-        c = coverage_c_vector(self.prob, np.asarray(x, dtype=float))
-        return inner_lp_max(self.prob, c), 0.0
+        return inner_lp_max(self.prob, self._at(np.asarray(x, dtype=float))[3]), 0.0
 
     def in_D(self, x):
         return in_D_coverage(self.prob, np.asarray(x, dtype=float))

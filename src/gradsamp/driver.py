@@ -27,6 +27,7 @@ from .core import (
     StepKind,
     Termination,
     Trace,
+    _is_count,
     validate_params,
 )
 from .minnorm import min_norm_point
@@ -45,6 +46,8 @@ class Rng:
     """
 
     def __init__(self, seed: int):
+        if not (_is_count(seed) and seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0: {seed!r}")
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 

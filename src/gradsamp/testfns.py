@@ -250,9 +250,22 @@ class CantorStressOracle(_MemberMaxOracle):
             members += [(1.0 / k, k, 1.0 / (k * j) ** 2) for j in (k + 1, k - 1) if j]
         super().__init__([t for t, _, _ in members])
         self._formulas = [(k, coef) for _, k, coef in members]
+        self._at_x, self._at_g = None, {}
 
     def _g(self, k: int, x: float) -> Tuple[float, float]:
-        """(g_k(x), g_k'(x)) for the level-k bump sum."""
+        """(g_k(x), g_k'(x)) for the level-k bump sum.
+
+        Kept per level for the last x asked about, since a sample's in_D,
+        inner_max and grad_x_F read the same levels.  x = -0.0 may reuse
+        x = 0.0, and vice versa: no midpoint is 0, so both give the same."""
+        if x != self._at_x:
+            self._at_x, self._at_g = x, {}
+        got = self._at_g.get(k)
+        if got is None:
+            got = self._at_g[k] = self._bump_sum(k, x)
+        return got
+
+    def _bump_sum(self, k: int, x: float) -> Tuple[float, float]:
         if k == 0:
             return 0.0, 0.0
         mids, delta, eps_k, _ = self._levels[k]

@@ -7,15 +7,22 @@
 - ``excluded_hyperplanes``: the coverage smooth-set D's defining
   hyperplanes that a point lies on, in exact rational arithmetic (checks
   ``in_D_coverage``).
+- ``reference_c_vector``, ``reference_c_jacobian``, ``reference_grad_x``
+  and ``reference_lp_max``: the coverage cost, its Jacobian, the gradient
+  and the greedy inner LP as first written, with the partition found by
+  bisection per bin and per segment, the Jacobian filled as a list of
+  lists, and the LP on NumPy scalars (checks, byte for byte, the
+  library's single-walk partition, scattered Jacobian and list-based LP).
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from gradsamp import CoverageProblem, coverage_c_vector
+from gradsamp import CoverageProblem, coverage_c_vector, in_D_coverage
 
 
 def _compositions(total: int, parts: int):
@@ -143,3 +150,83 @@ def excluded_hyperplanes(prob: CoverageProblem, x: np.ndarray) -> set:
             elif a < b and not any(a < c < b for c in xs) and (a + b) / 2 in edges:
                 kinds.add("midpoint_on_edge")
     return kinds
+
+
+def _reference_partition(prob: CoverageProblem, x: np.ndarray):
+    # Segments (k, alpha, beta, owner, a_idx, b_idx) as in the library: the
+    # midpoints strictly inside each bin cut it, and the owner is the
+    # sorted agent whose cell holds the segment's centre.
+    xl = np.asarray(x, dtype=float).tolist()
+    order = sorted(range(len(xl)), key=xl.__getitem__)
+    xs = [xl[i] for i in order]
+    mids = [(u + v) / 2.0 for u, v in zip(xs, xs[1:])]
+    edges = prob.bin_edges
+    segments = []
+    for k in range(prob.n_bins):
+        a, b = edges[k], edges[k + 1]
+        inner = range(bisect_right(mids, a), bisect_left(mids, b))
+        cuts = [(a, -1)] + [(mids[j], j) for j in inner] + [(b, -1)]
+        for (alpha, a_idx), (beta, b_idx) in zip(cuts, cuts[1:]):
+            owner = bisect_left(mids, (alpha + beta) / 2.0)
+            segments.append((k, alpha, beta, owner, a_idx, b_idx))
+    return order, xs, segments
+
+
+def reference_c_vector(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
+    _, xs, segments = _reference_partition(prob, x)
+    c = [0.0] * prob.n_bins
+    for k, alpha, beta, owner, _a, _b in segments:
+        s = xs[owner]
+        ha, hb = (alpha - s) ** 2, (beta - s) ** 2
+        c[k] += hb - ha if s <= alpha else ha - hb if s >= beta else hb + ha
+    return np.asarray(c)
+
+
+def reference_c_jacobian(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
+    order, xs, segments = _reference_partition(prob, x)
+    J = [[0.0] * prob.n_agents for _ in range(prob.n_bins)]
+    for k, alpha, beta, owner, a_idx, b_idx in segments:
+        s = xs[owner]
+        pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
+        row = J[k]
+        row[order[owner]] += pa - pb
+        if a_idx >= 0:
+            row[order[a_idx]] += 0.5 * -pa
+            row[order[a_idx + 1]] += 0.5 * -pa
+        if b_idx >= 0:
+            row[order[b_idx]] += 0.5 * pb
+            row[order[b_idx + 1]] += 0.5 * pb
+    return np.array(J)
+
+
+def reference_grad_x(prob: CoverageProblem, x: np.ndarray,
+                     theta: np.ndarray) -> np.ndarray:
+    """Gradient of <c, theta> (+ weighted penalty); ValueError off D."""
+    x = np.asarray(x, dtype=float)
+    if not in_D_coverage(prob, x):
+        raise ValueError("gradient undefined: x lies on an excluded hyperplane")
+    g = reference_c_jacobian(prob, x).T @ np.asarray(theta, dtype=float)
+    if prob.penalty_enabled:
+        lo, hi = prob.bin_edges[0], prob.bin_edges[-1]
+        g = g + prob.penalty_weight * (np.where(x < lo, -1.0, 0.0)
+                                       + np.where(x > hi, 1.0, 0.0))
+    return g
+
+
+def reference_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
+    """Greedy fill of the bin masses by decreasing c_k / width_k."""
+    c = np.asarray(c, dtype=float)
+    w = prob.widths
+    lo_m = np.asarray(prob.theta_lower) * w
+    hi_m = np.asarray(prob.theta_upper) * w
+    resid = prob.total_mass - float(lo_m.sum())
+    if resid < -1e-9 or prob.total_mass > float(hi_m.sum()) + 1e-9:
+        raise ValueError("infeasible mass bounds")
+    masses = lo_m.copy()
+    for k in np.argsort(-(c / w), kind="stable"):
+        if resid <= 0.0:
+            break
+        add = min(hi_m[k] - lo_m[k], resid)
+        masses[k] += add
+        resid -= add
+    return masses / w

@@ -20,8 +20,17 @@ from gradsamp import (
     make_coverage_oracle,
     penalty,
 )
+from gradsamp import coverage
 from gradsamp.coverage import coverage_c_jacobian, theta_feasible
-from oracles import excluded_hyperplanes, two_agent_cost
+from gradsamp.driver import build_bundle
+from oracles import (
+    excluded_hyperplanes,
+    reference_c_jacobian,
+    reference_c_vector,
+    reference_grad_x,
+    reference_lp_max,
+    two_agent_cost,
+)
 
 
 def _c_quadrature(prob, x):
@@ -352,6 +361,156 @@ def test_oracle_exact_inner_reports_zero_distance():
     _, achieved = oracle.inner_max(np.array([0.7, 3.2]), 0.0)
     assert achieved == 0.0
     assert oracle.objective(np.array([1.0, 3.0])) == pytest.approx(1.0)
+
+
+# -- byte identity with the bisect reference ---------------------------------
+
+def _grad_or_error(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except ValueError:
+        return "ValueError"
+
+
+def _reference_cases():
+    """Seeded (problem, x, theta) with N, K <= 8, penalty on and off, over
+    five kinds of agent positions: a half-unit grid over integer edges
+    (coincident agents, agents on edges, midpoints on edges); continuous;
+    integers nudged by 1e-15; groups of three or more coincident agents,
+    so midpoints repeat; and clusters a few ulps wide, where neighbouring
+    cuts are adjacent floats.  Then two fixed clusters of the last kind, one
+    on an edge and one in D."""
+    gen = np.random.Generator(np.random.Philox(26))
+    for i in range(4000):
+        N = int(gen.integers(1, 9))
+        K = int(gen.integers(1, 9))
+        edges = tuple(float(v) for v in
+                      np.concatenate([[0.0], np.cumsum(gen.integers(1, 3, K))]))
+        prob = CoverageProblem(n_agents=N, bin_edges=edges,
+                               theta_lower=(0.0,) * K, theta_upper=(1.0,) * K,
+                               penalty_enabled=i % 2 == 1)
+        top = edges[-1]
+        kind = i // 2 % 5
+        if kind == 0:
+            x = gen.integers(-2, 2 * int(top) + 3, size=N) / 2.0
+        elif kind == 1:
+            x = gen.uniform(-1.0, top + 1.0, size=N)
+        elif kind == 2:
+            x = (gen.integers(-1, int(top) + 2, size=N)
+                 + gen.choice([-1e-15, 0.0, 1e-15], size=N))
+        elif kind == 3:
+            x = gen.integers(-2, 2 * int(top) + 3, size=N) / 2.0
+            x[:max(3, N // 2)] = x[0]
+            x = gen.permutation(x)
+        else:
+            centre = gen.integers(0, 4 * int(top) + 1) / 4.0
+            x = centre + gen.integers(-3, 4, size=N) * np.spacing(max(centre, 1.0))
+        yield prob, x, gen.uniform(0.0, 1.0, size=K)
+    prob = CoverageProblem(n_agents=3, bin_edges=(0.0, 1.0, 2.0, 3.0, 4.0),
+                           theta_lower=(0.0,) * 4, theta_upper=(1.0,) * 4)
+    for centre, steps in ((3.0, [-1.0, 1.0, 1.0]), (3.25, [-1.0, 0.0, 1.0])):
+        yield prob, centre + np.array(steps) * np.spacing(centre), np.full(4, 0.25)
+
+
+def test_coverage_matches_bisect_reference_bytewise():
+    """c, J, the gradient and the oracle's answers equal, byte for byte, the
+    per-bin bisect partition with a list-of-lists Jacobian, and the
+    gradient raises on exactly the same points."""
+    inside = outside = repeated = 0
+    for prob, x, theta in _reference_cases():
+        case = (prob.bin_edges, prob.penalty_enabled, x.tolist())
+        c = reference_c_vector(prob, x)
+        assert coverage_c_vector(prob, x).tobytes() == c.tobytes(), case
+        assert (coverage_c_jacobian(prob, x).tobytes()
+                == reference_c_jacobian(prob, x).tobytes()), case
+        grad = _grad_or_error(reference_grad_x, prob, x, theta)
+        assert _grad_or_error(coverage_grad_x, prob, x, theta) == grad, case
+
+        oracle = make_coverage_oracle(prob)
+        lp = reference_lp_max(prob, c)
+        star, _ = oracle.inner_max(x, 0.0)
+        assert star.tobytes() == lp.tobytes(), case
+        assert (_grad_or_error(oracle.grad_x_F, x, star)
+                == _grad_or_error(reference_grad_x, prob, x, lp)), case
+        for t in (star, theta):
+            F = float(c @ t)
+            if prob.penalty_enabled:
+                F += prob.penalty_weight * penalty(prob, x)
+            assert repr(oracle.eval_F(x, t)) == repr(F), case
+        assert _grad_or_error(oracle.grad_x_F, x, theta) == grad, case
+
+        inside += grad != "ValueError"
+        outside += grad == "ValueError"
+        repeated += np.max(np.unique(x, return_counts=True)[1]) >= 3
+    assert inside >= 1000 and outside >= 1000 and repeated >= 500
+
+
+# -- the oracle's last-point memo --------------------------------------------
+
+def _memo_problem():
+    gen = np.random.Generator(np.random.Philox(27))
+    prob = CoverageProblem(n_agents=6, bin_edges=tuple(float(v) for v in range(9)),
+                           theta_lower=(0.05,) * 8, theta_upper=(0.3,) * 8,
+                           penalty_enabled=True)
+    return prob, gen
+
+
+def _fresh(prob, x, theta):
+    # Module-level answers, which build their own partition every time.
+    c = coverage_c_vector(prob, x)
+    F = float(c @ theta) + prob.penalty_weight * penalty(prob, x)
+    return (inner_lp_max(prob, c).tobytes(), repr(F),
+            coverage_grad_x(prob, x, theta).tobytes())
+
+
+def _asked(oracle, x, theta):
+    star, _ = oracle.inner_max(x, 0.0)
+    return (star.tobytes(), repr(oracle.eval_F(x, theta)),
+            oracle.grad_x_F(x, theta).tobytes())
+
+
+def test_oracle_memo_interleaved_points_match_fresh_results():
+    prob, gen = _memo_problem()
+    oracle = make_coverage_oracle(prob)
+    x1, x2 = gen.uniform(-0.5, 8.5, size=6), gen.uniform(-0.5, 8.5, size=6)
+    theta = gen.uniform(0.05, 0.3, size=8)
+    for x in (x1, x2, x1, x1, x2):
+        assert in_D_coverage(prob, x)
+        assert _asked(oracle, x, theta) == _fresh(prob, x, theta)
+
+
+def test_oracle_memo_not_poisoned_by_in_place_change():
+    prob, gen = _memo_problem()
+    oracle = make_coverage_oracle(prob)
+    x = gen.uniform(-0.5, 8.5, size=6)
+    theta = gen.uniform(0.05, 0.3, size=8)
+    before = _asked(oracle, x, theta)
+    x += 0.125
+    assert _asked(oracle, x, theta) == _fresh(prob, x, theta) != before
+    x -= 0.125
+    assert _asked(oracle, x, theta) == before
+
+
+def test_one_partition_per_bundle_sample_and_per_objective(monkeypatch):
+    prob, gen = _memo_problem()
+    oracle = make_coverage_oracle(prob)
+    built = []
+    partition = coverage._partition
+
+    def counted(prob, x):
+        built.append(np.array(x))
+        return partition(prob, x)
+
+    monkeypatch.setattr(coverage, "_partition", counted)
+    samples = [gen.uniform(-0.5, 8.5, size=6) for _ in range(5)]
+    build_bundle(oracle, samples, 1e-3)
+    assert len(built) == len(samples)
+    for y, got in zip(samples, built):
+        np.testing.assert_array_equal(got, y)
+    built.clear()
+    y = gen.uniform(-0.5, 8.5, size=6)
+    oracle.objective(y)
+    assert len(built) == 1
 
 
 # -- problem validation ------------------------------------------------------

@@ -31,6 +31,16 @@ def test_rng_repeatable():
     assert a.uniform() == b.uniform()
 
 
+def test_rng_rejects_a_seed_that_is_not_a_count():
+    """A float or bool seed is not truncated or coerced, and a negative one
+    is refused by name rather than by the bit generator."""
+    for seed in (1.9, 1.0, True, -1, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            Rng(seed)
+    assert Rng(np.int64(5)).seed == 5
+    np.testing.assert_array_equal(Rng(np.uint32(5)).gaussians(4), Rng(5).gaussians(4))
+
+
 # -- sample_ball -------------------------------------------------------------
 
 def test_sample_ball_radius_bound_exact():

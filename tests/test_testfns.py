@@ -177,6 +177,45 @@ def test_nondifferentiability_witness_at_midpoints():
         assert abs(right - left) >= witness
 
 
+def test_bump_evaluated_once_per_point(monkeypatch):
+    """Bumps of different levels are disjoint, so a point lies on at most
+    one: its in_D, inner_max, eval_F and grad_x_F evaluate that bump and
+    its slope once between them, and agree with a fresh oracle."""
+    from gradsamp import testfns
+
+    calls = {"bump": 0, "bump_d1": 0}
+
+    def counted(name, fn):
+        def wrapped(u):
+            calls[name] += 1
+            return fn(u)
+        return wrapped
+
+    prob = CantorStressProblem(depth=4)
+    oracle = cantor_stress_oracle(prob)
+    expected = []
+    for k in (2, 4, 2):
+        mids, delta, _, _ = oracle.level(k)
+        x = np.array([mids[1] + delta / 3.0])
+        fresh = cantor_stress_oracle(prob)
+        theta, _ = fresh.inner_max(x, 0.0)
+        expected.append((fresh.in_D(x), theta, fresh.eval_F(x, theta),
+                         fresh.grad_x_F(x, theta)))
+    monkeypatch.setattr(testfns, "bump", counted("bump", bump))
+    monkeypatch.setattr(testfns, "bump_d1", counted("bump_d1", bump_d1))
+    for n, k in enumerate((2, 4, 2), start=1):
+        mids, delta, _, _ = oracle.level(k)
+        x = np.array([mids[1] + delta / 3.0])
+        in_d = oracle.in_D(x)
+        theta, _ = oracle.inner_max(x, 0.0)
+        got = (in_d, theta, oracle.eval_F(x, theta), oracle.grad_x_F(x, theta))
+        assert calls == {"bump": n, "bump_d1": n}
+        want = expected[n - 1]
+        assert got[0] == want[0] and got[2] == want[2]
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[3], want[3])
+
+
 def test_stress_run_stays_bounded():
     oracle = cantor_stress_oracle(CantorStressProblem(depth=4))
     p = GsParams(max_iters=500)
