@@ -118,6 +118,7 @@ def write_trace_json(trace: Trace, path: Path) -> None:
                 "t": r.t,
                 "step_kind": r.step_kind.value,
                 "sample_count": r.sample_count,
+                "wall_time_us": r.wall_time_us,
             }
             for r in trace.records
         ],

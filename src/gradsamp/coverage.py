@@ -220,9 +220,10 @@ def _penalty_grad(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _gradient(prob: CoverageProblem, x: np.ndarray, theta, order, xs,
-              segments) -> np.ndarray:
-    # The gradient of <c, theta> (+ weighted penalty) from x's partition.
-    if not _smooth(prob, xs):
+              segments, smooth: bool) -> np.ndarray:
+    # The gradient of <c, theta> (+ weighted penalty) from x's partition
+    # and its membership in D.
+    if not smooth:
         raise ValueError("gradient undefined: x lies on an excluded hyperplane")
     g = _jacobian(prob, order, xs, segments).T @ np.asarray(theta, dtype=float)
     if prob.penalty_enabled:
@@ -234,7 +235,8 @@ def coverage_grad_x(prob: CoverageProblem, x: np.ndarray,
                     theta: np.ndarray) -> np.ndarray:
     """Analytic gradient of <c(x), theta> (+ weighted penalty), on D."""
     x = np.asarray(x, dtype=float)
-    return _gradient(prob, x, theta, *_partition(prob, x))
+    order, xs, segments = _partition(prob, x)
+    return _gradient(prob, x, theta, order, xs, segments, _smooth(prob, xs))
 
 
 def in_D_coverage(prob: CoverageProblem, x: np.ndarray) -> bool:
@@ -273,10 +275,11 @@ class CoverageOracle(ProblemOracle):
     """Oracle contract for the coverage family: exact greedy inner LP and
     analytic gradients.
 
-    The partition and c of the last point asked about are kept, so a bundle
-    sample's inner_max and grad_x_F, or a line-search trial's inner_max and
-    eval_F, build the partition once.  ``in_D`` runs first on every sample
-    of a bundle, so it keeps its own sort and leaves the memo alone."""
+    The partition, c and D membership of the last point asked about are
+    kept, so a bundle sample's in_D, inner_max and grad_x_F, or a
+    line-search trial's inner_max and eval_F, build the partition once.
+    The memo is read and replaced as one tuple, so concurrent callers never
+    get another caller's point."""
 
     exact_inner = True
 
@@ -284,15 +287,17 @@ class CoverageOracle(ProblemOracle):
         self.prob = prob
         self.dim = prob.n_agents
         self.theta_dim = prob.n_bins
-        self._last = None  # (x bytes, order, xs, segments, c)
+        self._last = (None,)  # (x bytes, order, xs, segments, c, in D)
 
     def _at(self, x: np.ndarray):
         key = x.tobytes()
-        if self._last is None or self._last[0] != key:
+        last = self._last
+        if last[0] != key:
             order, xs, segments = _partition(self.prob, x)
-            self._last = (key, order, xs, segments,
-                          _cost(xs, segments, self.prob.n_bins))
-        return self._last[1:]
+            last = self._last = (key, order, xs, segments,
+                                 _cost(xs, segments, self.prob.n_bins),
+                                 _smooth(self.prob, xs))
+        return last[1:]
 
     def eval_F(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -303,14 +308,14 @@ class CoverageOracle(ProblemOracle):
 
     def grad_x_F(self, x, theta):
         x = np.asarray(x, dtype=float)
-        order, xs, segments, _ = self._at(x)
-        return _gradient(self.prob, x, theta, order, xs, segments)
+        order, xs, segments, _, smooth = self._at(x)
+        return _gradient(self.prob, x, theta, order, xs, segments, smooth)
 
     def inner_max(self, x, dist_tol):
         return inner_lp_max(self.prob, self._at(np.asarray(x, dtype=float))[3]), 0.0
 
     def in_D(self, x):
-        return in_D_coverage(self.prob, np.asarray(x, dtype=float))
+        return self._at(np.asarray(x, dtype=float))[4]
 
 
 def make_coverage_oracle(prob: CoverageProblem) -> CoverageOracle:

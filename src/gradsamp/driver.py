@@ -10,6 +10,7 @@ step-size limits is included for comparison.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -83,12 +84,12 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
     for _ in range(count):
         z = rng.gaussians(n)
         u = rng.uniform()
-        nz = float(np.linalg.norm(z))
+        nz = math.sqrt(z.dot(z))  # the same operations as np.linalg.norm
         if nz == 0.0:
             out.append(center.copy())
             continue
         offset = (radius * u ** (1.0 / n)) * (z / nz)
-        d = float(np.linalg.norm(offset))
+        d = math.sqrt(offset.dot(offset))
         if d > radius:
             offset *= radius / d
         out.append(center + offset)
@@ -123,21 +124,27 @@ def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,
         t *= p.gamma
 
 
+def _sample_gradient(oracle: ProblemOracle, s: np.ndarray,
+                     delta_k: float) -> np.ndarray:
+    # The inner maximizer within delta_k / lip_gradF_theta of the argmax,
+    # and the gradient of F there.
+    tol = _inner_tol(oracle, oracle.lip_gradF_theta, s, delta_k)
+    theta, _ = oracle.inner_max(s, tol)
+    return np.asarray(oracle.grad_x_F(s, theta), dtype=float)
+
+
 def build_bundle(oracle: ProblemOracle, samples: List[np.ndarray],
                  delta_k: float) -> List[np.ndarray]:
     """Approximate gradients of the inner maximum at the sampled points.
 
     For each sample, the inner maximizer is requested within distance
     delta_k / lip_gradF_theta of the argmax, and the gradient of F is
-    evaluated there.  All samples must lie in D: membership is decided
-    once, by the sampling loop in ``step``, and is not tested again here.
+    evaluated there.  All samples must lie in D; membership is not tested
+    here.  ``step`` does not call this list helper: it evaluates each sample
+    right after that sample's own D test, so an oracle that keeps its last
+    point serves the test, inner_max and grad_x_F from one evaluation.
     """
-    grads = []
-    for s in samples:
-        tol = _inner_tol(oracle, oracle.lip_gradF_theta, s, delta_k)
-        theta, _ = oracle.inner_max(s, tol)
-        grads.append(np.asarray(oracle.grad_x_F(s, theta), dtype=float))
-    return grads
+    return [_sample_gradient(oracle, s, delta_k) for s in samples]
 
 
 def line_search(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray,
@@ -169,9 +176,15 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
          rng: Rng) -> Tuple[GsState, IterationRecord]:
     """One full iteration: sample, bundle, min-norm direction, line search.
 
-    Raises NonsmoothSampleError when a sample leaves D under the 'stop'
-    policy; under 'resample', only the offending points are redrawn, and
-    it is raised once one point misses D on _MAX_REDRAWS redraws in a row.
+    All m ball samples are drawn first.  Then each sample in index order is
+    tested for D, redrawn while it misses (under 'resample'), and evaluated
+    at once: inner maximizer and gradient, so an oracle that keeps its last
+    point answers all three from one evaluation.  Raises
+    NonsmoothSampleError when a sample leaves D under the 'stop' policy;
+    under 'resample', only the offending points are redrawn, and it is
+    raised once one point misses D on _MAX_REDRAWS redraws in a row.  Either
+    way the gradients of the samples before the offending one have been
+    computed by then.
     """
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
@@ -181,17 +194,18 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
 
     samples = sample_ball(x, state.eps, m, rng)
     draws = m
-    for i in range(m):
+    grads = []
+    for s in samples:
         redraws = 0
-        while not oracle.in_D(samples[i]):
+        while not oracle.in_D(s):
             if policy is NonsmoothPolicy.STOP or redraws == _MAX_REDRAWS:
                 raise NonsmoothSampleError(f"sample left the smooth set D at "
                                            f"iteration {state.k} ({redraws} redraws)")
-            samples[i] = sample_ball(x, state.eps, 1, rng)[0]
+            s = sample_ball(x, state.eps, 1, rng)[0]
             draws += 1
             redraws += 1
+        grads.append(_sample_gradient(oracle, s, delta_k))
 
-    grads = build_bundle(oracle, samples, delta_k)
     res = min_norm_point(grads)
     g = res.point
     g_norm = float(np.linalg.norm(g))

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,14 @@ def abs_value_problem() -> FiniteMaxProblem:
     return FiniteMaxProblem(pieces=(MaxPiece(a=(1.0,)), MaxPiece(a=(-1.0,))))
 
 
+def _argmax(vals) -> int:
+    """The index np.argmax picks: the first NaN, else the first maximum."""
+    for i, v in enumerate(vals):
+        if v != v:
+            return i
+    return vals.index(max(vals))
+
+
 class _MemberMaxOracle(ProblemOracle):
     """Exact oracle for f(x) = max_i f_i(x) over finitely many smooth members.
 
@@ -64,7 +72,11 @@ class _MemberMaxOracle(ProblemOracle):
     member is rejected.  The inner maximizer names the first maximal member;
     x is outside D only where maximal members disagree on the gradient.
     Subclasses pass each member's family index, in member order, and supply
-    ``_value(x, i)`` and ``_grad(x, i)`` of member i."""
+    ``_value(x, i)`` and ``_grad(x, i)`` of member i.
+
+    The member values of the last point asked about are kept, so a bundle
+    sample's in_D, inner_max and grad_x_F, or a line-search trial's
+    inner_max and eval_F, evaluate each member once."""
 
     exact_inner = True
     theta_dim = 1
@@ -74,9 +86,17 @@ class _MemberMaxOracle(ProblemOracle):
         self._named = {}
         for i, t in enumerate(self._indices):
             self._named.setdefault(t, []).append(i)
+        self._last = (None, ())  # (x bytes, member values)
 
-    def _values(self, x: np.ndarray) -> List[float]:
-        return [self._value(x, i) for i in range(len(self._indices))]
+    def _values(self, x: np.ndarray) -> Tuple[float, ...]:
+        # One read and one write of the memo, so concurrent callers never
+        # get the values of another caller's point.
+        key = x.tobytes()
+        last = self._last
+        if last[0] != key:
+            last = self._last = (key, tuple(self._value(x, i)
+                                            for i in range(len(self._indices))))
+        return last[1]
 
     def _member(self, x: np.ndarray, theta) -> int:
         named = self._named.get(float(theta[0]))
@@ -84,18 +104,18 @@ class _MemberMaxOracle(ProblemOracle):
             raise ValueError(f"family index {theta[0]} names no member")
         if len(named) == 1:
             return named[0]
-        return max(named, key=lambda i: self._value(x, i))
+        return max(named, key=self._values(x).__getitem__)
 
     def eval_F(self, x, theta):
         x = np.asarray(x, dtype=float)
-        return self._value(x, self._member(x, theta))
+        return self._values(x)[self._member(x, theta)]
 
     def grad_x_F(self, x, theta):
         x = np.asarray(x, dtype=float)
         return self._grad(x, self._member(x, theta))
 
     def inner_max(self, x, dist_tol):
-        i = int(np.argmax(self._values(np.asarray(x, dtype=float))))  # ties go to the lowest
+        i = _argmax(self._values(np.asarray(x, dtype=float)))
         return np.array([self._indices[i]]), 0.0
 
     def in_D(self, x):
@@ -250,19 +270,22 @@ class CantorStressOracle(_MemberMaxOracle):
             members += [(1.0 / k, k, 1.0 / (k * j) ** 2) for j in (k + 1, k - 1) if j]
         super().__init__([t for t, _, _ in members])
         self._formulas = [(k, coef) for _, k, coef in members]
-        self._at_x, self._at_g = None, {}
+        self._at = (None, {})  # (x, {level: (g_k(x), g_k'(x))})
 
     def _g(self, k: int, x: float) -> Tuple[float, float]:
         """(g_k(x), g_k'(x)) for the level-k bump sum.
 
-        Kept per level for the last x asked about, since a sample's in_D,
-        inner_max and grad_x_F read the same levels.  x = -0.0 may reuse
-        x = 0.0, and vice versa: no midpoint is 0, so both give the same."""
-        if x != self._at_x:
-            self._at_x, self._at_g = x, {}
-        got = self._at_g.get(k)
+        Kept per level for the last x asked about, since a sample's member
+        values and its gradient read the same levels.  x = -0.0 may reuse
+        x = 0.0, and vice versa: no midpoint is 0, so both give the same.
+        The memo is read and replaced as one tuple, and a level dict only
+        ever holds the levels of its own x, so concurrent callers are safe."""
+        at = self._at
+        if x != at[0]:
+            at = self._at = (x, {})
+        got = at[1].get(k)
         if got is None:
-            got = self._at_g[k] = self._bump_sum(k, x)
+            got = at[1][k] = self._bump_sum(k, x)
         return got
 
     def _bump_sum(self, k: int, x: float) -> Tuple[float, float]:

@@ -154,13 +154,33 @@ def test_shipped_configs_parse_and_run(tmp_path):
         assert (out / "trace.csv").exists()
 
 
+def _without_timings(trace_json: Path) -> dict:
+    payload = json.loads(trace_json.read_text())
+    for r in payload["records"]:
+        del r["wall_time_us"]
+    return payload
+
+
 def test_byte_identical_reruns(tmp_path):
+    """trace.csv is byte-identical across reruns; trace.json is identical
+    but for the per-iteration wall times, the one nondeterministic field."""
     cfg = _write(tmp_path, _minimal_config(tmp_path / "ignored"))
     a, b = tmp_path / "ra", tmp_path / "rb"
     assert run_experiment(str(cfg), out_dir=str(a)) == 0
     assert run_experiment(str(cfg), out_dir=str(b)) == 0
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
-    assert (a / "trace.json").read_bytes() == (b / "trace.json").read_bytes()
+    assert _without_timings(a / "trace.json") == _without_timings(b / "trace.json")
+
+
+def test_trace_json_exports_wall_time_us(tmp_path):
+    out = tmp_path / "out"
+    assert run_experiment(str(_write(tmp_path, _minimal_config(out)))) == 0
+    records = json.loads((out / "trace.json").read_text())["records"]
+    assert len(records) == 40
+    for r in records:
+        t = r["wall_time_us"]
+        assert type(t) is int and t >= 0
+    assert "wall_time_us" not in (out / "trace.csv").read_text()
 
 
 # -- plot data ---------------------------------------------------------------

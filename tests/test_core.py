@@ -1,22 +1,31 @@
 """Parameter validation, accuracy conversions, and shared-contract checks."""
 
 import math
+import sys
+import threading
+import time
 from types import ModuleType
 
 import numpy as np
 import pytest
 
 from gradsamp import (
+    CantorStressProblem,
+    FiniteMaxProblem,
     GsParams,
+    MaxPiece,
     NonsmoothPolicy,
     ParamError,
     Rng,
     accuracy_to_distance,
+    cantor_stress_oracle,
+    finite_max_oracle,
     make_coverage_oracle,
     regularization_rho,
     run,
     validate_params,
 )
+from gradsamp import coverage, testfns
 from gradsamp.core import GsState
 from gradsamp.coverage import CoverageProblem
 import gradsamp
@@ -138,6 +147,84 @@ def test_oracle_purity_double_call():
     assert oracle.eval_F(x, theta) == oracle.eval_F(x, theta)
     np.testing.assert_array_equal(oracle.grad_x_F(x, theta),
                                   oracle.grad_x_F(x, theta))
+
+
+def _concurrency_case(family):
+    """(oracle factory, a few distinct points in D, and the (owner, name) of
+    the function that fills the oracle's memo) for one oracle family."""
+    gen = np.random.Generator(np.random.Philox(61))
+    if family == "finite_max":
+        prob = FiniteMaxProblem(pieces=tuple(
+            MaxPiece(a=tuple(gen.standard_normal(3)), b=float(gen.standard_normal()),
+                     Q=((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.5)))
+            for _ in range(5)))
+        return (lambda: finite_max_oracle(prob),
+                [gen.uniform(-2.0, 2.0, size=3) for _ in range(3)],
+                (testfns.FiniteMaxOracle, "_value"))
+    if family == "cantor":
+        prob = CantorStressProblem(depth=4)
+        levels = cantor_stress_oracle(prob)
+        points = []
+        for k in (2, 3, 4):  # on a bump of each level, so every level is asked
+            mids, delta, _, _ = levels.level(k)
+            points.append(np.array([mids[1] + delta / 3.0]))
+        return (lambda: cantor_stress_oracle(prob), points,
+                (testfns.CantorStressOracle, "_bump_sum"))
+    prob = CoverageProblem(n_agents=6, bin_edges=tuple(float(v) for v in range(9)),
+                           theta_lower=(0.05,) * 8, theta_upper=(0.3,) * 8,
+                           penalty_enabled=True)
+    return (lambda: make_coverage_oracle(prob),
+            [gen.uniform(-0.5, 8.5, size=6) for _ in range(3)],
+            (coverage, "_partition"))
+
+
+def _answers(oracle, x):
+    theta, _ = oracle.inner_max(x, 0.0)
+    return (oracle.in_D(x), theta.tobytes(), repr(oracle.eval_F(x, theta)),
+            oracle.grad_x_F(x, theta).tobytes(), repr(oracle.objective(x)))
+
+
+@pytest.mark.parametrize("family", ["finite_max", "cantor", "coverage"])
+def test_oracle_memos_safe_to_call_concurrently(family, monkeypatch):
+    """The contract allows concurrent calls, and every shipped oracle keeps
+    its last point: threads that share one oracle, each on its own point,
+    get exactly what a fresh oracle gives.  The function that fills the
+    memo sleeps briefly before it returns, so the threads switch while a
+    memo is being filled and not only where the interpreter happens to."""
+    make, points, (owner, name) = _concurrency_case(family)
+    want = [_answers(make(), x) for x in points]
+    fill = getattr(owner, name)
+
+    def yielding(*args):
+        got = fill(*args)
+        time.sleep(1e-5)
+        return got
+
+    monkeypatch.setattr(owner, name, yielding)
+    shared = make()
+    wrong = []
+
+    def ask(x, expected):
+        try:
+            for _ in range(100):
+                got = _answers(shared, x)
+                if got != expected:
+                    wrong.append(got)
+        except Exception as e:  # a thread's exception would only warn
+            wrong.append(repr(e))
+
+    threads = [threading.Thread(target=ask, args=case) for case in zip(points, want)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a[0] for a in want)
+    assert wrong == []
 
 
 def test_trace_iteration_numbers_strictly_increasing():

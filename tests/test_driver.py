@@ -11,6 +11,7 @@ from gradsamp import (
     FiniteMaxProblem,
     NonsmoothPolicy,
     NonsmoothSampleError,
+    ProblemOracle,
     Rng,
     StepKind,
     Termination,
@@ -19,6 +20,7 @@ from gradsamp import (
     gradient_descent_baseline,
     run,
 )
+from gradsamp import driver
 from gradsamp.core import GsState
 from gradsamp.driver import build_bundle, line_search, sample_ball, step
 from gradsamp.testfns import FiniteMaxOracle
@@ -276,6 +278,91 @@ def test_resample_policy_gives_up_after_capped_redraws():
     tr = run(oracle, p, np.array([1.0]), Rng(11))
     assert tr.termination == Termination.NONSMOOTH_SAMPLE_STOP
     assert oracle.calls == 101  # the first draw and 100 redraws
+
+
+class _Logged(ProblemOracle):
+    """Logs every call with its point; misses D as a verdict list says, and
+    its gradient at a point is the point itself."""
+
+    dim = 2
+    theta_dim = 1
+    exact_inner = True
+
+    def __init__(self, verdicts):
+        self.verdicts = list(verdicts)
+        self.calls = []
+
+    def in_D(self, x):
+        self.calls.append(("in_D", x.tobytes()))
+        return self.verdicts.pop(0)
+
+    def inner_max(self, x, dist_tol):
+        self.calls.append(("inner_max", x.tobytes()))
+        return np.array([0.0]), 0.0
+
+    def grad_x_F(self, x, theta):
+        self.calls.append(("grad_x_F", x.tobytes()))
+        return x.copy()
+
+
+class _Bundled(Exception):
+    pass
+
+
+def _stop_at_min_norm(monkeypatch):
+    bundles = []
+
+    def capture(grads):
+        bundles.append([g.copy() for g in grads])
+        raise _Bundled
+
+    monkeypatch.setattr(driver, "min_norm_point", capture)
+    return bundles
+
+
+def test_step_tests_and_evaluates_each_sample_in_turn(monkeypatch):
+    """Each sample is tested for D, redrawn while it misses, then evaluated
+    before the next one is tested.  The draws keep their documented order,
+    all m ball samples first and the redraws after them in index order, so
+    the bundle is the one of testing every sample before evaluating any."""
+    misses = {1: 1, 3: 2}  # sample index -> D tests it fails in a row
+    x = np.array([1.0, 0.5])
+    state = GsState(k=1, x=x, eps=0.2, nu=0.1)
+    p = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
+    m = p.effective_m(2)
+    rng = Rng(21)
+    samples = sample_ball(x, state.eps, m, rng)
+    calls, bundle, verdicts = [], [], []
+    for i, s in enumerate(samples):
+        for _ in range(misses.get(i, 0)):
+            calls.append(("in_D", s.tobytes()))
+            verdicts.append(False)
+            s = sample_ball(x, state.eps, 1, rng)[0]
+        calls += [("in_D", s.tobytes()), ("inner_max", s.tobytes()),
+                  ("grad_x_F", s.tobytes())]
+        verdicts.append(True)
+        bundle.append(s)
+
+    oracle = _Logged(verdicts)
+    bundles = _stop_at_min_norm(monkeypatch)
+    with pytest.raises(_Bundled):
+        step(oracle, state, p, Rng(21))
+    assert oracle.calls == calls and oracle.verdicts == []
+    assert [g.tobytes() for g in bundles[0]] == [s.tobytes() for s in bundle]
+
+
+def test_step_stop_policy_evaluates_the_samples_before_the_miss(monkeypatch):
+    x = np.array([1.0, 0.5])
+    state = GsState(k=1, x=x, eps=0.2, nu=0.1)
+    samples = sample_ball(x, state.eps, 4, Rng(22))
+    oracle = _Logged([True, True, False])
+    bundles = _stop_at_min_norm(monkeypatch)
+    with pytest.raises(NonsmoothSampleError):
+        step(oracle, state, GsParams(), Rng(22))
+    assert oracle.calls == [(name, s.tobytes()) for s in samples[:2]
+                            for name in ("in_D", "inner_max", "grad_x_F")] + [
+        ("in_D", samples[2].tobytes())]
+    assert bundles == []
 
 
 def test_step_draws_only_the_ball_samples():

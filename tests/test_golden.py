@@ -8,6 +8,7 @@ takes the new ones from ``PYTHONPATH=src python3 tests/test_golden.py``.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,28 @@ def _quad_max_case(out):
     return _trace_case(finite_max_oracle(prob), p, gen.uniform(-2.0, 2.0, 3), 13)
 
 
+def _maxquad_case(out):
+    """MAXQUAD of Lemarechal & Mifflin (1978), n = 10 with five quadratic
+    pieces, from one seeded start in [-1, 1]^10, run to tolerance."""
+    n = 10
+    pieces = []
+    for k in range(1, 6):
+        A = np.zeros((n, n))
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                A[i - 1, j - 1] = A[j - 1, i - 1] = (
+                    math.exp(i / j) * math.cos(i * j) * math.sin(k))
+        for i in range(1, n + 1):
+            A[i - 1, i - 1] = i / 10 * abs(math.sin(k)) + float(np.abs(A[i - 1]).sum())
+        b = [math.exp(i / k) * math.sin(i * k) for i in range(1, n + 1)]
+        pieces.append(MaxPiece(a=tuple(-v for v in b),
+                               Q=tuple(tuple(row) for row in 2.0 * A)))
+    prob = FiniteMaxProblem(pieces=tuple(pieces))
+    gen = np.random.Generator(np.random.Philox(1978))
+    p = GsParams(m=12, nu1=10.0, eps_min=1e-3, nu_min=1e-3, max_iters=1000)
+    return _trace_case(finite_max_oracle(prob), p, gen.uniform(-1.0, 1.0, n), 19)
+
+
 def _cantor_case(out):
     """The Cantor stress objective at depth 4, capped at 300 iterations."""
     oracle = cantor_stress_oracle(CantorStressProblem(depth=4))
@@ -103,6 +126,7 @@ CASES = {
     "abs_value": lambda out: _config_case("abs_value", out),
     "coverage_n20": _coverage_n20_case,
     "quad_max": _quad_max_case,
+    "maxquad": _maxquad_case,
     "cantor_depth4": _cantor_case,
 }
 
@@ -163,6 +187,25 @@ GOLDEN = {
             "0.39253357754818213", "0.37699419881317531", "0.18982249115350225",
         ],
         "final_f": "0.65715313421698629",
+    },
+    "maxquad": {
+        "iterations": 259,
+        "termination": "TolerancesReached",
+        "kinds": (
+            "DDDDDDDDDDDDDDDDDDDDDTDDDDDDDDDDDTDDDDDDDTDDDDDDDDDTDDDDDDDD"
+            "DLDDDDDTDDDDDDDDTDDDDDDDDDDDDTDDDDDDDDDDDDDDDLDTDDDDDDDDDDDD"
+            "LDDLDDDDTDDDDDDDDDLDDDDTDDDDDDDDDDDDDDDDDDTLDDDDDDDDLLDLLLDD"
+            "DDLDLDLDLDLDDLLLLTDDDDLDDDDDLLLDLLLDDDLLDLLLDDDDLLLLTDDDLLDD"
+            "DDDDDLLDDDLDLDDLLLT"
+        ),
+        "final_x": [
+            "-0.12620812938310799", "-0.034463895845510829",
+            "-0.0069190920182300494", "0.026329225084709199",
+            "0.067280294088464102", "-0.2784339402316468",
+            "0.074245264569610989", "0.13855656025414667",
+            "0.084049123399421846", "0.038590030140494287",
+        ],
+        "final_f": "-0.84139843290728689",
     },
     "cantor_depth4": {
         "iterations": 300,

@@ -17,7 +17,14 @@ from gradsamp import (
     finite_max_oracle,
     run,
 )
-from gradsamp.testfns import bump, bump_d1, bump_d2, bump_derivative_bound
+from gradsamp.testfns import (
+    FiniteMaxOracle,
+    _argmax,
+    bump,
+    bump_d1,
+    bump_d2,
+    bump_derivative_bound,
+)
 
 
 # -- finite-max family -------------------------------------------------------
@@ -57,6 +64,72 @@ def test_enumeration_matches_max_over_pieces():
         theta, _ = oracle.inner_max(x, 0.0)
         vals = [oracle.eval_F(x, np.array([float(i)])) for i in range(3)]
         assert oracle.eval_F(x, theta) == max(vals)
+
+
+def _quadratic_pieces():
+    gen = np.random.Generator(np.random.Philox(91))
+    pieces = []
+    for _ in range(4):
+        B = gen.standard_normal((3, 3))
+        pieces.append(MaxPiece(a=tuple(gen.standard_normal(3)), b=float(gen.standard_normal()),
+                               Q=tuple(tuple(row) for row in B @ B.T)))
+    return FiniteMaxProblem(pieces=tuple(pieces)), gen
+
+
+def _asked(oracle, x):
+    theta, _ = oracle.inner_max(x, 0.0)
+    return (oracle.in_D(x), theta.tobytes(), repr(oracle.eval_F(x, theta)),
+            oracle.grad_x_F(x, theta).tobytes())
+
+
+def test_each_piece_evaluated_once_per_bundle_sample_and_per_objective(monkeypatch):
+    """The member values of the last point are kept: a bundle sample's
+    in_D, inner_max and grad_x_F, and one objective, evaluate each piece
+    once, and give what a fresh oracle gives."""
+    prob, gen = _quadratic_pieces()
+    oracle = finite_max_oracle(prob)
+    cases = []
+    for _ in range(3):
+        s, y = gen.uniform(-2.0, 2.0, size=3), gen.uniform(-2.0, 2.0, size=3)
+        cases.append((s, y, _asked(finite_max_oracle(prob), s),
+                      finite_max_oracle(prob).objective(y)))
+    evaluated = []
+    value = FiniteMaxOracle._value
+
+    def counted(self, x, i):
+        evaluated.append(i)
+        return value(self, x, i)
+
+    monkeypatch.setattr(FiniteMaxOracle, "_value", counted)
+    for s, y, asked, f in cases:
+        in_d = oracle.in_D(s)
+        theta, _ = oracle.inner_max(s, 0.0)
+        grad = oracle.grad_x_F(s, theta)
+        assert sorted(evaluated) == [0, 1, 2, 3]
+        assert (in_d, theta.tobytes(), grad.tobytes()) == (asked[0], asked[1], asked[3])
+        evaluated.clear()
+        assert oracle.objective(y) == f
+        assert sorted(evaluated) == [0, 1, 2, 3]
+        evaluated.clear()
+
+
+def test_member_memo_not_poisoned_by_in_place_change():
+    prob, gen = _quadratic_pieces()
+    oracle = finite_max_oracle(prob)
+    x = gen.uniform(-2.0, 2.0, size=3)
+    start = x.copy()
+    before = _asked(oracle, x)
+    x += 0.25
+    assert _asked(oracle, x) == _asked(finite_max_oracle(prob), x) != before
+    x[:] = start
+    assert _asked(oracle, x) == before
+
+
+def test_inner_max_index_matches_numpy_argmax():
+    nan, inf = math.nan, math.inf
+    for vals in ([1.0, 3.0, 3.0, 2.0], [-0.0, 0.0], [0.0, -0.0], [-inf, -inf],
+                 [1.0, nan, 5.0, nan], [nan, 2.0], [inf, nan], [-1.0], [2.0, inf, inf]):
+        assert _argmax(tuple(vals)) == int(np.argmax(vals)), vals
 
 
 def test_in_D_tie_detection():
