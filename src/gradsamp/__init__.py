@@ -1,7 +1,7 @@
 """Gradient sampling for nonsmooth min-max objectives.
 
 A sampling-based descent method for minimizing f(x) = max_theta F(x, theta)
-when f is only reachable through an approximate inner-maximization oracle,
+when f is only reachable through an exact inner-maximization oracle,
 together with a distributionally robust 1-D coverage benchmark family and
 analytic stress objectives for testing.
 """
@@ -19,8 +19,6 @@ from .core import (
     StepKind,
     Termination,
     Trace,
-    accuracy_to_distance,
-    regularization_rho,
     validate_params,
 )
 from .coverage import (

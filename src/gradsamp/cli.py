@@ -105,7 +105,6 @@ def write_trace_json(trace: Trace, path: Path) -> None:
     payload = {
         "seed": trace.seed,
         "termination": trace.termination.value,
-        "f_mode": trace.f_mode,
         "params": trace.params_snapshot,
         "records": [
             {
@@ -173,6 +172,9 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         validate_params(params, oracle.dim)
         out = Path(out_dir if out_dir is not None
                    else _require(cfg, "output_dir", "config"))
+        run_gd = cfg.get("run_baseline_gd", False)
+        if not isinstance(run_gd, bool):
+            raise ConfigError(f"run_baseline_gd must be a bool: {run_gd!r}")
         formats = set(cfg.get("formats", ["csv", "json"]))
         if not formats <= {"csv", "json"}:
             raise ConfigError(f"unknown formats: {sorted(formats - {'csv', 'json'})}")
@@ -191,7 +193,7 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         write_trace_json(trace, out / "trace.json")
 
     summary = {"seed": run_seed, "sampling": _summary_block(trace, wall)}
-    if cfg.get("run_baseline_gd", False):
+    if run_gd:
         t0 = time.perf_counter()
         gd = gradient_descent_baseline(oracle, params, x1)
         wall_gd = time.perf_counter() - t0

@@ -1,11 +1,9 @@
 """Shared contracts for the gradient-sampling solver.
 
 The objective is a pointwise maximum f(x) = max_theta F(x, theta) that is
-only accessible through an inner-maximization routine returning a point
-within a prescribed distance of the argmax.  This module holds the oracle
-contract, the algorithm parameters and per-iteration state, the trace
-telemetry types, and the two closed-form accuracy conversions used when
-wiring approximate inner solvers into the driver.
+only accessible through an exact inner-maximization routine returning a
+maximizer.  This module holds the oracle contract, the algorithm
+parameters and per-iteration state, and the trace telemetry types.
 """
 
 from __future__ import annotations
@@ -38,17 +36,11 @@ class ProblemOracle:
 
     - ``dim``: dimension n of the decision variable.
     - ``theta_dim``: dimension d of the inner parameter.
-    - ``exact_inner``: True when ``inner_max`` returns an exact maximizer
-      (``achieved_dist`` is then always 0).
     - ``eval_F(x, theta)``: value of F.
     - ``grad_x_F(x, theta)``: gradient of F in x; defined only on the open
       full-measure set D.
-    - ``inner_max(x, dist_tol)``: a point within ``dist_tol`` of the argmax
-      set, together with the oracle's own certified distance bound.
+    - ``inner_max(x)``: an exact maximizer of theta -> F(x, theta).
     - ``in_D(x)``: membership in D.
-    - ``lip_F_theta(x)``, ``lip_gradF_theta(x)``: Lipschitz constants of
-      theta -> F(x, theta) and theta -> grad_x F(x, theta); required only
-      when ``exact_inner`` is False, as exact oracles ignore tolerances.
 
     All methods must be pure (identical inputs give identical outputs) and
     safe to call concurrently.
@@ -56,7 +48,8 @@ class ProblemOracle:
 
     dim: int
     theta_dim: int
-    exact_inner: bool = False
+    # The contract is exact; the flag is kept for outside code that reads it.
+    exact_inner: bool = True
 
     def eval_F(self, x: np.ndarray, theta: np.ndarray) -> float:
         raise NotImplementedError
@@ -64,22 +57,16 @@ class ProblemOracle:
     def grad_x_F(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def inner_max(self, x: np.ndarray, dist_tol: float):
-        raise NotImplementedError
-
-    def lip_F_theta(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def lip_gradF_theta(self, x: np.ndarray) -> float:
+    def inner_max(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def in_D(self, x: np.ndarray) -> bool:
         raise NotImplementedError
 
-    def objective(self, x: np.ndarray, dist_tol: float = 0.0) -> float:
-        """f(x) evaluated through the inner oracle at the given accuracy."""
-        theta, _ = self.inner_max(np.asarray(x, dtype=float), dist_tol)
-        return self.eval_F(np.asarray(x, dtype=float), theta)
+    def objective(self, x: np.ndarray) -> float:
+        """f(x) = F(x, inner_max(x))."""
+        x = np.asarray(x, dtype=float)
+        return self.eval_F(x, self.inner_max(x))
 
 
 class NonsmoothPolicy(str, Enum):
@@ -110,8 +97,6 @@ class GsParams:
 
     ``m`` may be left as None, in which case it resolves to n + 2 for the
     problem dimension at hand (the minimum admissible value is n + 1).
-    The inner-oracle accuracy schedule is geometric,
-    delta_k = delta1 * delta_decay**(k - 1), strictly decreasing to zero.
     """
 
     alpha: float = 0.1
@@ -122,8 +107,6 @@ class GsParams:
     mu: float = 0.5
     vartheta: float = 0.5
     m: Optional[int] = None
-    delta1: float = 1e-3
-    delta_decay: float = 0.95
     t_init_factor: float = 1.0 / 3.0
     max_iters: int = 1000
     eps_min: float = 0.0
@@ -132,9 +115,6 @@ class GsParams:
 
     def effective_m(self, n: int) -> int:
         return self.m if self.m is not None else n + 2
-
-    def delta_k(self, k: int) -> float:
-        return self.delta1 * self.delta_decay ** (k - 1)
 
     def snapshot(self) -> dict:
         d = asdict(self)
@@ -153,11 +133,11 @@ def validate_params(p: GsParams, n: int) -> None:
     Raises ParamError with the full list of violations.
     """
     errs: List[str] = []
-    for name in ("alpha", "beta", "gamma", "mu", "vartheta", "delta_decay"):
+    for name in ("alpha", "beta", "gamma", "mu", "vartheta"):
         v = getattr(p, name)
         if not (0.0 < v < 1.0):
             errs.append(f"{name} not in (0,1): {v}")
-    for name in ("eps1", "nu1", "delta1", "t_init_factor"):
+    for name in ("eps1", "nu1", "t_init_factor"):
         v = getattr(p, name)
         if not (0.0 < v < math.inf):
             errs.append(f"{name} not positive and finite: {v}")
@@ -219,29 +199,8 @@ class Trace:
     params_snapshot: dict = field(default_factory=dict)
     seed: int = 0
     termination: Termination = Termination.MAX_ITERS
-    f_mode: str = "exact"  # "exact" or "delta": how f_approx was evaluated
     final_x: Optional[np.ndarray] = None
     final_f: float = math.nan
     final_eps: float = math.nan
     final_nu: float = math.nan
 
-
-def accuracy_to_distance(value_gap: float, strong_concavity_rho: float) -> float:
-    """Distance-to-argmax certificate earned from a value-gap certificate.
-
-    For a strongly concave inner problem with modulus rho, a point whose
-    value is within ``value_gap`` of the maximum lies within
-    sqrt(2 * value_gap / rho) of the unique maximizer.
-    """
-    if value_gap <= 0.0 or strong_concavity_rho <= 0.0:
-        raise ValueError("value_gap and strong_concavity_rho must be positive")
-    return math.sqrt(2.0 * value_gap / strong_concavity_rho)
-
-
-def regularization_rho(epsilon: float, theta_max_norm_sq: float) -> float:
-    """Largest quadratic-regularization weight keeping the regularized
-    value within epsilon below the true max, given max ||theta||^2 over
-    the feasible set."""
-    if epsilon <= 0.0 or theta_max_norm_sq <= 0.0:
-        raise ValueError("epsilon and theta_max_norm_sq must be positive")
-    return 2.0 * epsilon / theta_max_norm_sq

@@ -281,8 +281,6 @@ class CoverageOracle(ProblemOracle):
     The memo is read and replaced as one tuple, so concurrent callers never
     get another caller's point."""
 
-    exact_inner = True
-
     def __init__(self, prob: CoverageProblem):
         self.prob = prob
         self.dim = prob.n_agents
@@ -311,8 +309,8 @@ class CoverageOracle(ProblemOracle):
         order, xs, segments, _, smooth = self._at(x)
         return _gradient(self.prob, x, theta, order, xs, segments, smooth)
 
-    def inner_max(self, x, dist_tol):
-        return inner_lp_max(self.prob, self._at(np.asarray(x, dtype=float))[3]), 0.0
+    def inner_max(self, x):
+        return inner_lp_max(self.prob, self._at(np.asarray(x, dtype=float))[3])
 
     def in_D(self, x):
         return self._at(np.asarray(x, dtype=float))[4]

@@ -1,7 +1,7 @@
 """Sampling-based descent driver for min-max objectives.
 
 Each iteration samples points uniformly from a ball around the iterate,
-collects approximate gradients of the inner maximum at those points, takes
+collects gradients of F at the inner maximizers of those points, takes
 the negated minimum-norm element of their convex hull as the search
 direction, and applies a limited backtracking line search with a hard
 floor on the step size.  A plain gradient-descent baseline with the same
@@ -33,7 +33,6 @@ from .core import (
 )
 from .minnorm import min_norm_point
 
-_TINY = 1e-300
 _MAX_REDRAWS = 100  # in a row, per sample; a miss of D has probability 0
 _MAX_STALL = 25     # failed line searches in a row that stop the GD baseline
 
@@ -96,17 +95,6 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
     return out
 
 
-def _inner_tol(oracle: ProblemOracle, lip, x: np.ndarray, budget: float) -> float:
-    """Inner-oracle distance tolerance budget / lip(x); 0.0 for exact oracles,
-    which ignore it, so their Lipschitz constants are never asked for and a
-    budget that has underflowed to 0 does not matter."""
-    if oracle.exact_inner:
-        return 0.0
-    if not budget > 0.0:
-        raise ValueError(f"accuracy budget must be positive: {budget}")
-    return budget / max(lip(x), _TINY)
-
-
 def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,
                slack: float) -> Tuple[float, int]:
     """Backtracking from t = t_init_factor * eps by factors gamma until
@@ -124,27 +112,21 @@ def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,
         t *= p.gamma
 
 
-def _sample_gradient(oracle: ProblemOracle, s: np.ndarray,
-                     delta_k: float) -> np.ndarray:
-    # The inner maximizer within delta_k / lip_gradF_theta of the argmax,
-    # and the gradient of F there.
-    tol = _inner_tol(oracle, oracle.lip_gradF_theta, s, delta_k)
-    theta, _ = oracle.inner_max(s, tol)
-    return np.asarray(oracle.grad_x_F(s, theta), dtype=float)
+def _sample_gradient(oracle: ProblemOracle, s: np.ndarray) -> np.ndarray:
+    return np.asarray(oracle.grad_x_F(s, oracle.inner_max(s)), dtype=float)
 
 
-def build_bundle(oracle: ProblemOracle, samples: List[np.ndarray],
-                 delta_k: float) -> List[np.ndarray]:
-    """Approximate gradients of the inner maximum at the sampled points.
+def build_bundle(oracle: ProblemOracle,
+                 samples: List[np.ndarray]) -> List[np.ndarray]:
+    """Gradients of the inner maximum at the sampled points.
 
-    For each sample, the inner maximizer is requested within distance
-    delta_k / lip_gradF_theta of the argmax, and the gradient of F is
-    evaluated there.  All samples must lie in D; membership is not tested
+    For each sample, the gradient of F is evaluated at the inner
+    maximizer.  All samples must lie in D; membership is not tested
     here.  ``step`` does not call this list helper: it evaluates each sample
     right after that sample's own D test, so an oracle that keeps its last
     point serves the test, inner_max and grad_x_F from one evaluation.
     """
-    return [_sample_gradient(oracle, s, delta_k) for s in samples]
+    return [_sample_gradient(oracle, s) for s in samples]
 
 
 def line_search(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray,
@@ -152,23 +134,19 @@ def line_search(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray,
     """Limited backtracking search along the unit direction d.
 
     Starts at t = t_init_factor * eps_k and shrinks by gamma until the
-    oracle-tolerant sufficient-decrease test passes; returns t = 0 once the
-    next trial would undercut the floor gamma * eps_k / 3.  Both function
-    values come from the inner oracle at accuracy c_k / (4 L), where
-    c_k = gamma * (1 - alpha) * beta * g_norm * eps_k / 3.
+    sufficient-decrease test f(x + t d) <= f(x) - beta * t * g_norm + c_k / 2
+    passes, where c_k = gamma * (1 - alpha) * beta * g_norm * eps_k / 3;
+    returns t = 0 once the next trial would undercut the floor
+    gamma * eps_k / 3.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if abs(float(np.linalg.norm(d)) - 1.0) > 1e-12:
         raise ValueError("search direction must be a unit vector")
     c_k = p.gamma * (1.0 - p.alpha) * p.beta * g_norm * eps_k / 3.0
-
-    def value(y: np.ndarray) -> float:
-        return oracle.objective(y, _inner_tol(oracle, oracle.lip_F_theta, y, c_k / 4.0))
-
-    f_x = value(x)
-    t, trials = _backtrack(lambda t: value(x + t * d), f_x, g_norm, eps_k, p,
-                           slack=c_k / 2.0)
+    f_x = oracle.objective(x)
+    t, trials = _backtrack(lambda t: oracle.objective(x + t * d), f_x, g_norm,
+                           eps_k, p, slack=c_k / 2.0)
     return LineSearchOutcome(t=t, trials=trials, accepted=t > 0.0, f_x=f_x)
 
 
@@ -189,7 +167,6 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
     m = p.effective_m(x.shape[0])
-    delta_k = p.delta_k(state.k)
     policy = NonsmoothPolicy(p.on_nonsmooth_sample)
 
     samples = sample_ball(x, state.eps, m, rng)
@@ -204,14 +181,14 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
             s = sample_ball(x, state.eps, 1, rng)[0]
             draws += 1
             redraws += 1
-        grads.append(_sample_gradient(oracle, s, delta_k))
+        grads.append(_sample_gradient(oracle, s))
 
     res = min_norm_point(grads)
     g = res.point
     g_norm = float(np.linalg.norm(g))
 
     if g_norm <= state.nu:
-        f_x = oracle.objective(x, delta_k)
+        f_x = oracle.objective(x)
         new_state = GsState(k=state.k + 1, x=x, eps=p.mu * state.eps,
                             nu=p.vartheta * state.nu)
         kind = StepKind.NULL_TOLERANCE
@@ -252,18 +229,16 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
 
     Stops at max_iters, or when both tolerances drop to their configured
     floors, or when a sample leaves D under the 'stop' policy or cannot be
-    redrawn into D under 'resample'.  With exact inner oracles the
-    recorded objective decreases by at least
-    alpha * beta * t_k * ||g^k|| on every accepted step; this is asserted
-    at the end of the run.
+    redrawn into D under 'resample'.  The recorded objective decreases by at
+    least alpha * beta * t_k * ||g^k|| on every accepted step; this is
+    asserted at the end of the run.
     """
     x1 = np.asarray(x1, dtype=float)
     if not np.all(np.isfinite(x1)):
         raise ValueError("x1 must be finite")
     validate_params(p, x1.shape[0])
 
-    trace = Trace(params_snapshot=p.snapshot(), seed=rng.seed,
-                  f_mode="exact" if oracle.exact_inner else "delta")
+    trace = Trace(params_snapshot=p.snapshot(), seed=rng.seed)
     state = GsState(k=1, x=x1, eps=p.eps1, nu=p.nu1)
     termination = Termination.MAX_ITERS
     for _ in range(p.max_iters):
@@ -279,7 +254,7 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
 
     if not trace.records:
         trace.records.append(IterationRecord(
-            k=1, x=x1, f_approx=oracle.objective(x1, p.delta_k(1)),
+            k=1, x=x1, f_approx=oracle.objective(x1),
             eps=p.eps1, nu=p.nu1, g_norm=0.0, t=0.0,
             step_kind=StepKind.NULL_TOLERANCE, sample_count=0, wall_time_us=0))
 
@@ -287,7 +262,7 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     trace.final_x = state.x
     trace.final_eps = state.eps
     trace.final_nu = state.nu
-    trace.final_f = oracle.objective(state.x, p.delta_k(state.k))
+    trace.final_f = oracle.objective(state.x)
     _check_descent(p, trace.records, trace.final_f)
     return trace
 
@@ -300,18 +275,19 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     the current iterate; there is no sampling and no tolerance
     discounting.  The backtracking search uses the same step-size limits
     [gamma * eps1 / 3, t_init_factor * eps1] and the same beta/gamma, but
-    no oracle-tolerance slack: the baseline evaluates the objective
-    directly, so the plain Armijo test applies.  Stops after _MAX_STALL
+    not the c_k / 2 slack of ``line_search``: the plain Armijo test
+    applies.  Stops after _MAX_STALL
     consecutive failed line searches, when the iterate leaves D, or at
     max_iters.
     """
     x = np.asarray(x1, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x1 must be finite")
     validate_params(p, x.shape[0])
     if not oracle.in_D(x):
         raise ValueError("x1 must lie in the smooth set D")
 
-    trace = Trace(params_snapshot=p.snapshot(), seed=0,
-                  f_mode="exact" if oracle.exact_inner else "delta")
+    trace = Trace(params_snapshot=p.snapshot(), seed=0)
     termination = Termination.MAX_ITERS
     stall = 0
     for k in range(1, p.max_iters + 1):
@@ -319,8 +295,7 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
         if not oracle.in_D(x):
             termination = Termination.LEFT_DOMAIN
             break
-        delta_k = p.delta_k(k)
-        theta, _ = oracle.inner_max(x, delta_k)
+        theta = oracle.inner_max(x)
         grad = np.asarray(oracle.grad_x_F(x, theta), dtype=float)
         g_norm = float(np.linalg.norm(grad))
         f_here = oracle.eval_F(x, theta)
@@ -328,8 +303,8 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
             t = 0.0
         else:
             d = -grad / g_norm
-            t, _ = _backtrack(lambda t: oracle.objective(x + t * d, delta_k),
-                              f_here, g_norm, p.eps1, p, slack=0.0)
+            t, _ = _backtrack(lambda t: oracle.objective(x + t * d), f_here,
+                              g_norm, p.eps1, p, slack=0.0)
         kind = StepKind.DESCENT if t > 0.0 else StepKind.NULL_LINESEARCH
         trace.records.append(IterationRecord(
             k=k, x=x, f_approx=f_here, eps=p.eps1, nu=p.nu1, g_norm=g_norm,
@@ -348,5 +323,5 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     trace.final_x = x
     trace.final_eps = p.eps1
     trace.final_nu = p.nu1
-    trace.final_f = oracle.objective(x, p.delta_k(max(1, len(trace.records))))
+    trace.final_f = oracle.objective(x)
     return trace

@@ -78,7 +78,6 @@ class _MemberMaxOracle(ProblemOracle):
     sample's in_D, inner_max and grad_x_F, or a line-search trial's
     inner_max and eval_F, evaluate each member once."""
 
-    exact_inner = True
     theta_dim = 1
 
     def __init__(self, indices):
@@ -114,9 +113,9 @@ class _MemberMaxOracle(ProblemOracle):
         x = np.asarray(x, dtype=float)
         return self._grad(x, self._member(x, theta))
 
-    def inner_max(self, x, dist_tol):
+    def inner_max(self, x):
         i = _argmax(self._values(np.asarray(x, dtype=float)))
-        return np.array([self._indices[i]]), 0.0
+        return np.array([self._indices[i]])
 
     def in_D(self, x):
         x = np.asarray(x, dtype=float)
@@ -227,7 +226,7 @@ class CantorStressProblem:
 
 
 def _cantor_levels(depth: int):
-    """Midpoints (floats, sorted) and half-widths delta_k for k = 1..depth."""
+    """Midpoints (floats, sorted) and removal half-widths for k = 1..depth."""
     intervals = [(Fraction(0), Fraction(1))]
     # Level 0 removal (no bump rides on it).
     levels = []

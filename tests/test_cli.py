@@ -83,6 +83,7 @@ def test_bad_params_exit_1(tmp_path, capsys):
         cases.append((cfg, field))
     cases.append((_minimal_config(out, x1=[nan]), "x1"))
     # Counts and flags are checked, never truncated or coerced.
+    cases.append((_minimal_config(out, run_baseline_gd="false"), "run_baseline_gd"))
     for seed in (inf, 1.9, -1):
         cases.append((_minimal_config(out, seed=seed), "seed"))
     for depth in (inf, 3.7):
@@ -107,10 +108,12 @@ def test_bad_params_exit_1(tmp_path, capsys):
 
 
 def test_unknown_param_field_exit_1(tmp_path, capsys):
-    cfg = _minimal_config(tmp_path / "out")
-    cfg["params"]["stepsize"] = 0.1
-    assert run_experiment(str(_write(tmp_path, cfg))) == 1
-    assert "stepsize" in capsys.readouterr().err
+    for field in ("stepsize", "delta1", "delta_decay"):
+        cfg = _minimal_config(tmp_path / "out")
+        cfg["params"][field] = 0.1
+        assert run_experiment(str(_write(tmp_path, cfg))) == 1
+        assert f"unknown params field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_dimension_mismatch_exit_1(tmp_path, capsys):

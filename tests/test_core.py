@@ -1,4 +1,4 @@
-"""Parameter validation, accuracy conversions, and shared-contract checks."""
+"""Parameter validation and shared-contract checks."""
 
 import math
 import sys
@@ -17,11 +17,9 @@ from gradsamp import (
     NonsmoothPolicy,
     ParamError,
     Rng,
-    accuracy_to_distance,
     cantor_stress_oracle,
     finite_max_oracle,
     make_coverage_oracle,
-    regularization_rho,
     run,
     validate_params,
 )
@@ -56,9 +54,9 @@ def test_multiple_violations_all_reported():
     msg = str(exc.value)
     assert "alpha" in msg and "beta" in msg and "m < n+1" in msg
     with pytest.raises(ParamError) as exc:
-        validate_params(GsParams(eps1=math.inf, delta1=math.nan, eps_min=math.nan), 2)
+        validate_params(GsParams(eps1=math.inf, nu1=math.nan, eps_min=math.nan), 2)
     msg = str(exc.value)
-    assert "eps1" in msg and "delta1" in msg and "eps_min" in msg
+    assert "eps1" in msg and "nu1" in msg and "eps_min" in msg
     for value in (math.nan, math.inf):
         with pytest.raises(ParamError, match="nu_min"):
             validate_params(GsParams(nu_min=value), 2)
@@ -81,43 +79,18 @@ def test_effective_m_defaults_to_n_plus_two():
     assert GsParams(m=9).effective_m(4) == 9
 
 
-def test_delta_schedule_geometric_and_decreasing():
-    p = GsParams(delta1=1e-3, delta_decay=0.95)
-    ds = [p.delta_k(k) for k in range(1, 50)]
-    assert ds[0] == 1e-3
-    assert all(b < a for a, b in zip(ds, ds[1:]))
-    assert ds[9] == pytest.approx(1e-3 * 0.95 ** 9)
-
-
 def test_snapshot_round_trips_policy_as_string():
     snap = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE).snapshot()
     assert snap["on_nonsmooth_sample"] == "resample"
 
 
-def test_accuracy_to_distance_examples():
-    assert accuracy_to_distance(0.5, 1.0) == pytest.approx(1.0)
-    assert accuracy_to_distance(2.0, 4.0) == pytest.approx(1.0)
-    assert accuracy_to_distance(1e-6, 2.0) == pytest.approx(1e-3)
-
-
-def test_accuracy_to_distance_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        accuracy_to_distance(0.0, 1.0)
-    with pytest.raises(ValueError):
-        accuracy_to_distance(1.0, -1.0)
-
-
-def test_regularization_rho_examples():
-    assert regularization_rho(1.0, 2.0) == pytest.approx(1.0)
-    assert regularization_rho(0.01, 1.0) == pytest.approx(0.02)
-    assert regularization_rho(0.5, 4.0) == pytest.approx(0.25)
-
-
-def test_regularization_rho_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        regularization_rho(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        regularization_rho(1.0, 0.0)
+def test_param_fields_are_pinned():
+    """The parameter surface is the solver's: no field for an inner-oracle
+    accuracy schedule, which exact oracles would ignore."""
+    assert set(GsParams().snapshot()) == {
+        "alpha", "beta", "gamma", "eps1", "nu1", "mu", "vartheta", "m",
+        "t_init_factor", "max_iters", "eps_min", "nu_min", "on_nonsmooth_sample",
+    }
 
 
 def _two_agent_oracle():
@@ -179,7 +152,7 @@ def _concurrency_case(family):
 
 
 def _answers(oracle, x):
-    theta, _ = oracle.inner_max(x, 0.0)
+    theta = oracle.inner_max(x)
     return (oracle.in_D(x), theta.tobytes(), repr(oracle.eval_F(x, theta)),
             oracle.grad_x_F(x, theta).tobytes(), repr(oracle.objective(x)))
 
@@ -242,7 +215,7 @@ def test_state_fields():
 def test_public_api_exports_no_submodules():
     assert not [n for n in gradsamp.__all__
                 if isinstance(getattr(gradsamp, n), ModuleType)]
-    assert len(gradsamp.__all__) == 31
+    assert len(gradsamp.__all__) == 29
 
 
 def test_public_api_is_pinned():
@@ -253,9 +226,9 @@ def test_public_api_is_pinned():
         "FiniteMaxProblem", "GsParams", "IterationRecord", "MaxPiece",
         "MinNormResult", "NonsmoothPolicy", "NonsmoothSampleError", "ParamError",
         "ProblemOracle", "Rng", "StepKind", "Termination", "Trace",
-        "abs_value_problem", "accuracy_to_distance", "cantor_stress_oracle",
+        "abs_value_problem", "cantor_stress_oracle",
         "coverage_c_vector", "coverage_grad_x", "finite_max_oracle",
         "gradient_descent_baseline", "in_D_coverage", "inner_lp_max",
-        "make_coverage_oracle", "min_norm_point", "penalty", "regularization_rho",
-        "run", "validate_params",
+        "make_coverage_oracle", "min_norm_point", "penalty", "run",
+        "validate_params",
     }

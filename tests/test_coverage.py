@@ -358,8 +358,11 @@ def test_oracle_exact_inner_reports_zero_distance():
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 2.0, 4.0),
                            theta_lower=(0.0, 0.0), theta_upper=(0.45, 0.45))
     oracle = make_coverage_oracle(prob)
-    _, achieved = oracle.inner_max(np.array([0.7, 3.2]), 0.0)
-    assert achieved == 0.0
+    x = np.array([0.7, 3.2])
+    theta = oracle.inner_max(x)
+    assert theta.shape == (oracle.theta_dim,) and theta_feasible(prob, theta)
+    assert oracle.eval_F(x, theta) == pytest.approx(
+        two_agent_cost((0.0, 0.45), (0.0, 0.45), x))
     assert oracle.objective(np.array([1.0, 3.0])) == pytest.approx(1.0)
 
 
@@ -428,7 +431,7 @@ def test_coverage_matches_bisect_reference_bytewise():
 
         oracle = make_coverage_oracle(prob)
         lp = reference_lp_max(prob, c)
-        star, _ = oracle.inner_max(x, 0.0)
+        star = oracle.inner_max(x)
         assert star.tobytes() == lp.tobytes(), case
         assert (_grad_or_error(oracle.grad_x_F, x, star)
                 == _grad_or_error(reference_grad_x, prob, x, lp)), case
@@ -464,7 +467,7 @@ def _fresh(prob, x, theta):
 
 
 def _asked(oracle, x, theta):
-    star, _ = oracle.inner_max(x, 0.0)
+    star = oracle.inner_max(x)
     return (star.tobytes(), repr(oracle.eval_F(x, theta)),
             oracle.grad_x_F(x, theta).tobytes())
 
@@ -503,7 +506,7 @@ def test_one_partition_per_bundle_sample_and_per_objective(monkeypatch):
 
     monkeypatch.setattr(coverage, "_partition", counted)
     samples = [gen.uniform(-0.5, 8.5, size=6) for _ in range(5)]
-    build_bundle(oracle, samples, 1e-3)
+    build_bundle(oracle, samples)
     assert len(built) == len(samples)
     for y, got in zip(samples, built):
         np.testing.assert_array_equal(got, y)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradsamp import (
+    CoverageProblem,
     GsParams,
     MaxPiece,
     FiniteMaxProblem,
@@ -18,6 +19,7 @@ from gradsamp import (
     abs_value_problem,
     finite_max_oracle,
     gradient_descent_baseline,
+    make_coverage_oracle,
     run,
 )
 from gradsamp import driver
@@ -78,79 +80,10 @@ def test_sample_ball_validation():
 
 def test_bundle_abs_value_signs():
     oracle = finite_max_oracle(abs_value_problem())
-    g = build_bundle(oracle, [np.array([0.3]), np.array([0.7])], 1e-3)
+    g = build_bundle(oracle, [np.array([0.3]), np.array([0.7])])
     np.testing.assert_allclose(g, [[1.0], [1.0]])
-    g = build_bundle(oracle, [np.array([-0.3]), np.array([0.7])], 1e-3)
+    g = build_bundle(oracle, [np.array([-0.3]), np.array([0.7])])
     np.testing.assert_allclose(g, [[-1.0], [1.0]])
-
-
-def test_bundle_rejects_nonpositive_delta():
-    with pytest.raises(ValueError):
-        build_bundle(InexactAbs(), [np.array([0.5])], 0.0)
-
-
-# -- inner-oracle tolerances -------------------------------------------------
-
-L_F, L_GRAD = 4.0, 8.0
-
-
-class InexactAbs(FiniteMaxOracle):
-    """|x| declared inexact, with constant Lipschitz bounds; records every
-    distance tolerance that inner_max is asked for."""
-
-    exact_inner = False
-
-    def __init__(self):
-        super().__init__(abs_value_problem())
-        self.tols = []
-
-    def inner_max(self, x, dist_tol):
-        self.tols.append(dist_tol)
-        return super().inner_max(x, dist_tol)
-
-    def lip_F_theta(self, x):
-        return L_F
-
-    def lip_gradF_theta(self, x):
-        return L_GRAD
-
-
-def test_bundle_requests_delta_over_lip_gradF_per_sample():
-    oracle = InexactAbs()
-    build_bundle(oracle, [np.array([0.3]), np.array([-0.7]), np.array([2.0])], 1e-3)
-    assert oracle.tols == pytest.approx([1e-3 / L_GRAD] * 3, rel=1e-15)
-
-
-def test_line_search_requests_c_k_over_4_lip_F_at_x_and_each_trial():
-    oracle = InexactAbs()
-    p = GsParams()
-    g_norm, eps_k = 1.0, 0.2
-    # Ascent direction: every trial fails, so the search backtracks to the floor.
-    out = line_search(oracle, np.array([0.5]), np.array([1.0]), g_norm, eps_k, p)
-    assert not out.accepted and out.trials >= 2
-    c_k = p.gamma * (1.0 - p.alpha) * p.beta * g_norm * eps_k / 3.0
-    assert oracle.tols == pytest.approx([c_k / (4.0 * L_F)] * (1 + out.trials),
-                                        rel=1e-15)
-
-
-def test_exact_oracle_runs_past_delta_underflow():
-    # delta_k = 1e-300 * 1e-10**(k - 1) is 0.0 from k = 4 on; exact oracles
-    # ignore it.
-    p = GsParams(delta1=1e-300, delta_decay=1e-10, max_iters=6)
-    tr = run(finite_max_oracle(abs_value_problem()), p, np.array([1.0]), Rng(4))
-    assert p.delta_k(4) == 0.0 and len(tr.records) == 6
-
-
-def test_exact_oracle_is_never_asked_for_lipschitz_constants():
-    class NoLipschitz(FiniteMaxOracle):
-        def lip_F_theta(self, x):
-            raise AssertionError("exact oracle asked for a Lipschitz constant")
-
-        lip_gradF_theta = lip_F_theta
-
-    p = GsParams(max_iters=5000, eps_min=1e-3, nu_min=1e-3)
-    tr = run(NoLipschitz(abs_value_problem()), p, np.array([1.0]), Rng(16))
-    assert tr.termination == Termination.TOLERANCES_REACHED
 
 
 # -- line_search -------------------------------------------------------------
@@ -286,7 +219,6 @@ class _Logged(ProblemOracle):
 
     dim = 2
     theta_dim = 1
-    exact_inner = True
 
     def __init__(self, verdicts):
         self.verdicts = list(verdicts)
@@ -296,9 +228,9 @@ class _Logged(ProblemOracle):
         self.calls.append(("in_D", x.tobytes()))
         return self.verdicts.pop(0)
 
-    def inner_max(self, x, dist_tol):
+    def inner_max(self, x):
         self.calls.append(("inner_max", x.tobytes()))
-        return np.array([0.0]), 0.0
+        return np.array([0.0])
 
     def grad_x_F(self, x, theta):
         self.calls.append(("grad_x_F", x.tobytes()))
@@ -442,9 +374,20 @@ def test_run_tolerance_stopping():
 
 
 def test_run_rejects_nonfinite_start():
-    oracle = finite_max_oracle(abs_value_problem())
-    with pytest.raises(ValueError):
-        run(oracle, GsParams(), np.array([np.inf]), Rng(17))
+    """Both solvers refuse a NaN or infinite start by name, before the
+    oracle sees it, on a finite max and on a coverage problem."""
+    coverage = make_coverage_oracle(CoverageProblem(
+        n_agents=2, bin_edges=(0.0, 2.0, 4.0), theta_lower=(0.0, 0.0),
+        theta_upper=(0.45, 0.45)))
+    for oracle, x1 in ((finite_max_oracle(abs_value_problem()), [1.0]),
+                       (coverage, [1.0, 3.0])):
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.array(x1)
+            x[0] = bad
+            with pytest.raises(ValueError, match="x1 must be finite"):
+                run(oracle, GsParams(), x, Rng(17))
+            with pytest.raises(ValueError, match="x1 must be finite"):
+                gradient_descent_baseline(oracle, GsParams(max_iters=3), x)
 
 
 # -- gradient_descent_baseline ----------------------------------------------

@@ -31,8 +31,7 @@ from gradsamp.testfns import (
 
 def test_abs_value_basics():
     oracle = finite_max_oracle(abs_value_problem())
-    theta, dist = oracle.inner_max(np.array([0.7]), 0.0)
-    assert dist == 0.0
+    theta = oracle.inner_max(np.array([0.7]))
     assert theta[0] == 0.0  # piece x is active
     assert oracle.eval_F(np.array([0.7]), theta) == pytest.approx(0.7)
     np.testing.assert_allclose(oracle.grad_x_F(np.array([0.7]), theta), [1.0])
@@ -45,7 +44,7 @@ def test_quadratic_vs_affine_piece():
     ))
     oracle = finite_max_oracle(prob)
     x = np.array([2.0])
-    theta, _ = oracle.inner_max(x, 0.0)
+    theta = oracle.inner_max(x)
     assert theta[0] == 0.0
     assert oracle.eval_F(x, theta) == pytest.approx(3.0)
     np.testing.assert_allclose(oracle.grad_x_F(x, theta), [4.0])
@@ -61,7 +60,7 @@ def test_enumeration_matches_max_over_pieces():
     oracle = finite_max_oracle(prob)
     for _ in range(10_000):
         x = gen.uniform(-3.0, 3.0, size=2)
-        theta, _ = oracle.inner_max(x, 0.0)
+        theta = oracle.inner_max(x)
         vals = [oracle.eval_F(x, np.array([float(i)])) for i in range(3)]
         assert oracle.eval_F(x, theta) == max(vals)
 
@@ -77,7 +76,7 @@ def _quadratic_pieces():
 
 
 def _asked(oracle, x):
-    theta, _ = oracle.inner_max(x, 0.0)
+    theta = oracle.inner_max(x)
     return (oracle.in_D(x), theta.tobytes(), repr(oracle.eval_F(x, theta)),
             oracle.grad_x_F(x, theta).tobytes())
 
@@ -103,7 +102,7 @@ def test_each_piece_evaluated_once_per_bundle_sample_and_per_objective(monkeypat
     monkeypatch.setattr(FiniteMaxOracle, "_value", counted)
     for s, y, asked, f in cases:
         in_d = oracle.in_D(s)
-        theta, _ = oracle.inner_max(s, 0.0)
+        theta = oracle.inner_max(s)
         grad = oracle.grad_x_F(s, theta)
         assert sorted(evaluated) == [0, 1, 2, 3]
         assert (in_d, theta.tobytes(), grad.tobytes()) == (asked[0], asked[1], asked[3])
@@ -213,7 +212,7 @@ def test_f_zero_outside_bumps():
     oracle = cantor_stress_oracle(CantorStressProblem(depth=4))
     # 0.5 is the midpoint of the level-0 removal, which carries no bump, so
     # every family member vanishes there.
-    theta, _ = oracle.inner_max(np.array([0.5]), 0.0)
+    theta = oracle.inner_max(np.array([0.5]))
     assert oracle.eval_F(np.array([0.5]), theta) == 0.0
     np.testing.assert_array_equal(oracle.grad_x_F(np.array([0.5]), theta),
                                   [0.0])
@@ -241,7 +240,7 @@ def test_nondifferentiability_witness_at_midpoints():
         h = delta * 1e-4
 
         def f(x):
-            theta, _ = oracle.inner_max(np.array([x]), 0.0)
+            theta = oracle.inner_max(np.array([x]))
             return oracle.eval_F(np.array([x]), theta)
 
         right = (f(x0 + h) - f(x0)) / h
@@ -271,7 +270,7 @@ def test_bump_evaluated_once_per_point(monkeypatch):
         mids, delta, _, _ = oracle.level(k)
         x = np.array([mids[1] + delta / 3.0])
         fresh = cantor_stress_oracle(prob)
-        theta, _ = fresh.inner_max(x, 0.0)
+        theta = fresh.inner_max(x)
         expected.append((fresh.in_D(x), theta, fresh.eval_F(x, theta),
                          fresh.grad_x_F(x, theta)))
     monkeypatch.setattr(testfns, "bump", counted("bump", bump))
@@ -280,7 +279,7 @@ def test_bump_evaluated_once_per_point(monkeypatch):
         mids, delta, _, _ = oracle.level(k)
         x = np.array([mids[1] + delta / 3.0])
         in_d = oracle.in_D(x)
-        theta, _ = oracle.inner_max(x, 0.0)
+        theta = oracle.inner_max(x)
         got = (in_d, theta, oracle.eval_F(x, theta), oracle.grad_x_F(x, theta))
         assert calls == {"bump": n, "bump_d1": n}
         want = expected[n - 1]
