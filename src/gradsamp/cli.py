@@ -175,7 +175,13 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         run_gd = cfg.get("run_baseline_gd", False)
         if not isinstance(run_gd, bool):
             raise ConfigError(f"run_baseline_gd must be a bool: {run_gd!r}")
-        formats = set(cfg.get("formats", ["csv", "json"]))
+        if run_gd and not oracle.in_D(x1):
+            raise ConfigError("x1 must lie in the smooth set D when "
+                              "run_baseline_gd is true")
+        formats = cfg.get("formats", ["csv", "json"])
+        if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)):
+            raise ConfigError(f"formats must be a list of strings: {formats!r}")
+        formats = set(formats)
         if not formats <= {"csv", "json"}:
             raise ConfigError(f"unknown formats: {sorted(formats - {'csv', 'json'})}")
     except (ConfigError, ParamError, ValueError, TypeError, OverflowError) as e:

@@ -224,6 +224,17 @@ def _check_descent(p: GsParams, records: List[IterationRecord],
                     f"iteration {r.k}: f={fs[i + 1]:.17g} exceeds bound {bound:.17g}")
 
 
+def _start_point(oracle: ProblemOracle, x1) -> np.ndarray:
+    """x1 as a float vector, checked to be finite and of shape (oracle.dim,)."""
+    x1 = np.asarray(x1, dtype=float)
+    if x1.shape != (oracle.dim,):
+        raise ValueError(f"x1 has shape {x1.shape}, the problem needs shape "
+                         f"({oracle.dim},)")
+    if not np.all(np.isfinite(x1)):
+        raise ValueError("x1 must be finite")
+    return x1
+
+
 def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     """Iterate ``step`` from x1 until a stopping condition fires.
 
@@ -231,11 +242,10 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     floors, or when a sample leaves D under the 'stop' policy or cannot be
     redrawn into D under 'resample'.  The recorded objective decreases by at
     least alpha * beta * t_k * ||g^k|| on every accepted step; this is
-    asserted at the end of the run.
+    asserted at the end of the run.  Raises ValueError, before the oracle
+    is called, unless x1 is a finite vector of shape (oracle.dim,).
     """
-    x1 = np.asarray(x1, dtype=float)
-    if not np.all(np.isfinite(x1)):
-        raise ValueError("x1 must be finite")
+    x1 = _start_point(oracle, x1)
     validate_params(p, x1.shape[0])
 
     trace = Trace(params_snapshot=p.snapshot(), seed=rng.seed)
@@ -278,11 +288,10 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     not the c_k / 2 slack of ``line_search``: the plain Armijo test
     applies.  Stops after _MAX_STALL
     consecutive failed line searches, when the iterate leaves D, or at
-    max_iters.
+    max_iters.  Raises ValueError unless x1 is a finite vector of shape
+    (oracle.dim,) in D.
     """
-    x = np.asarray(x1, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x1 must be finite")
+    x = _start_point(oracle, x1)
     validate_params(p, x.shape[0])
     if not oracle.in_D(x):
         raise ValueError("x1 must lie in the smooth set D")

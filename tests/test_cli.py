@@ -84,6 +84,9 @@ def test_bad_params_exit_1(tmp_path, capsys):
     cases.append((_minimal_config(out, x1=[nan]), "x1"))
     # Counts and flags are checked, never truncated or coerced.
     cases.append((_minimal_config(out, run_baseline_gd="false"), "run_baseline_gd"))
+    # The GD baseline's start is tested for D before any output is written.
+    cases.append((_minimal_config(out, run_baseline_gd=True, x1=[0.0]), "smooth set D"))
+    cases.append((_minimal_config(out, formats="csv"), "formats must be a list"))
     for seed in (inf, 1.9, -1):
         cases.append((_minimal_config(out, seed=seed), "seed"))
     for depth in (inf, 3.7):

@@ -1,6 +1,7 @@
 """Sampling, line search, single steps, full runs, and the GD baseline."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -388,6 +389,18 @@ def test_run_rejects_nonfinite_start():
                 run(oracle, GsParams(), x, Rng(17))
             with pytest.raises(ValueError, match="x1 must be finite"):
                 gradient_descent_baseline(oracle, GsParams(max_iters=3), x)
+
+
+def test_run_rejects_misshapen_start():
+    """Both solvers refuse an x1 whose shape is not (oracle.dim,), naming
+    both shapes, before the oracle sees it."""
+    oracle = finite_max_oracle(abs_value_problem())
+    for bad in (np.array([1.0, 2.0]), np.array(1.0), np.array([[1.0]])):
+        expected = re.escape(f"x1 has shape {bad.shape}, the problem needs shape (1,)")
+        with pytest.raises(ValueError, match=expected):
+            run(oracle, GsParams(), bad, Rng(17))
+        with pytest.raises(ValueError, match=expected):
+            gradient_descent_baseline(oracle, GsParams(max_iters=3), bad)
 
 
 # -- gradient_descent_baseline ----------------------------------------------

@@ -4,7 +4,10 @@ Each case records the iteration count, the termination, the step-kind
 sequence (one letter per iteration: D = Descent, L = NullLineSearch,
 T = NullTolerance) and the final iterate and objective to 17 significant
 digits.  A change that alters these values on purpose says why, and
-takes the new ones from ``PYTHONPATH=src python3 tests/test_golden.py``.
+takes the new ones from ``PYTHONPATH=src python3 tests/test_golden.py``;
+with ``--diff`` it prints instead, per case, whether the iteration count,
+termination and step kinds match ``GOLDEN`` and the largest relative
+change of the final iterate and objective.
 """
 
 import json
@@ -26,7 +29,9 @@ from gradsamp import (
     make_coverage_oracle,
     run,
 )
+import gradsamp.driver
 from gradsamp.cli import run_experiment
+from gradsamp.minnorm import _TOL, min_norm_point
 
 REPO = Path(__file__).resolve().parents[1]
 LETTER = {"Descent": "D", "NullLineSearch": "L", "NullTolerance": "T"}
@@ -135,8 +140,8 @@ GOLDEN = {
         "iterations": 38,
         "termination": "TolerancesReached",
         "kinds": "DDDDDDDDDDTDDDDDDTDDTDDTDDDTDTDDDDDDTT",
-        "final_x": ["0.99906740998626609", "3.0004155954814271"],
-        "final_f": "1.0000007398849278",
+        "final_x": ["0.99906740998641996", "3.0004155954812228"],
+        "final_f": "1.0000007398849273",
         "gd_termination": "Stalled",
         "gd_final_f": "1.0033766276749507",
     },
@@ -149,10 +154,10 @@ GOLDEN = {
             "LLDDLLLLLLLTDLTLDDDDDDLLLLLLLDLT"
         ),
         "final_x": [
-            "0.73143145088028627", "1.885921731441714", "2.999688395435542",
-            "4.1141879434659474", "5.268622827238155",
+            "0.73143145088028927", "1.8859217314417163", "2.9996883954355442",
+            "4.114187943465951", "5.2686228272381594",
         ],
-        "final_f": "0.60740343124862695",
+        "final_f": "0.60740343124862717",
     },
     "abs_value": {
         "iterations": 28,
@@ -166,15 +171,15 @@ GOLDEN = {
         "termination": "MaxIters",
         "kinds": "DDDDDDDDDDDDDDDDDDDD",
         "final_x": [
-            "0.041944989022724914", "0.99268680397876552", "4.2508178900498192",
+            "0.04194498902272488", "0.99268680397876552", "4.2508178900498201",
             "4.4975924463866406", "5.945089321438358", "8.3143461308672553",
             "11.261541562040462", "18.259718658028905", "22.656021823312823",
             "25.256417997034134", "25.779534384469649", "26.217965113762023",
-            "27.374836783860104", "29.577034806275613", "34.633712379380079",
+            "27.374836783860104", "29.577034806275616", "34.633712379380079",
             "35.257323954835464", "35.577416257393345", "35.71511528682602",
             "38.8755762139306", "40.021209649299429",
         ],
-        "final_f": "2.9862484091318366",
+        "final_f": "2.9862484091318358",
     },
     "quad_max": {
         "iterations": 88,
@@ -184,9 +189,9 @@ GOLDEN = {
             "DDLDDLDLTDTDDDDDDDTDDDTDDDDT"
         ),
         "final_x": [
-            "0.39253357754818213", "0.37699419881317531", "0.18982249115350225",
+            "0.39253357754817314", "0.37699419881319635", "0.18982249115349453",
         ],
-        "final_f": "0.65715313421698629",
+        "final_f": "0.65715313421698696",
     },
     "maxquad": {
         "iterations": 259,
@@ -199,13 +204,13 @@ GOLDEN = {
             "DDDDDLLDDDLDLDDLLLT"
         ),
         "final_x": [
-            "-0.12620812938310799", "-0.034463895845510829",
-            "-0.0069190920182300494", "0.026329225084709199",
-            "0.067280294088464102", "-0.2784339402316468",
-            "0.074245264569610989", "0.13855656025414667",
-            "0.084049123399421846", "0.038590030140494287",
+            "-0.12620818094799216", "-0.034463757795843021",
+            "-0.0069190792196406753", "0.026329201970226982",
+            "0.06728025181865932", "-0.27843397503061967",
+            "0.074245320717514121", "0.13855661937418007",
+            "0.084049179045732947", "0.038590055290555057",
         ],
-        "final_f": "-0.84139843290728689",
+        "final_f": "-0.84139843182158736",
     },
     "cantor_depth4": {
         "iterations": 300,
@@ -222,8 +227,56 @@ def test_golden_trajectory(name, tmp_path):
     assert CASES[name](tmp_path) == GOLDEN[name]
 
 
+def test_maxquad_min_norm_points_are_certified(monkeypatch):
+    """Every min-norm QP of the maxquad case meets its own Wolfe test,
+    gap <= _TOL * (1 + ||g||^2), instead of stalling short of it."""
+    gaps = []
+
+    def checked(points):
+        res = min_norm_point(points)
+        gaps.append(res.gap / (_TOL * (1.0 + float(res.point @ res.point))))
+        return res
+
+    monkeypatch.setattr(gradsamp.driver, "min_norm_point", checked)
+    _maxquad_case(None)
+    assert len(gaps) == GOLDEN["maxquad"]["iterations"]
+    bad = [r for r in gaps if r > 1.0]
+    assert not bad, f"{len(bad)} of {len(gaps)} calls uncertified, worst {max(bad):.3g}"
+
+
+def test_audit_line_flags_changes():
+    want = GOLDEN["two_agent"]
+    assert _audit(want, want) == ("iterations=same termination=same kinds=same "
+                                  "gd_termination=same max_rel_change=0")
+    got = dict(want, kinds="D" + want["kinds"][1:-1] + "D", final_f="1.0000007398859273")
+    assert "kinds=DIFFERS" in _audit(got, want)
+    assert "max_rel_change=1e-12" in _audit(got, want)
+
+
+def _audit(got, want):
+    """One line comparing a case with its golden record: whether each
+    discrete field matches, and the largest relative change of the final
+    iterate and objective values."""
+    fields = [k for k in ("iterations", "termination", "kinds", "gd_termination")
+              if k in want or k in got]
+    marks = " ".join(f"{k}={'same' if got.get(k) == want.get(k) else 'DIFFERS'}"
+                     for k in fields)
+    keys = [k for k in ("final_f", "gd_final_f") if k in want and k in got]
+    old = [float(v) for v in want["final_x"]] + [float(want[k]) for k in keys]
+    new = [float(v) for v in got["final_x"]] + [float(got[k]) for k in keys]
+    if len(old) != len(new):
+        return f"{marks} final_x=DIFFERS in length"
+    rel = max(abs(n - o) / abs(o) if o != 0.0 else abs(n) for o, n in zip(old, new))
+    return f"{marks} max_rel_change={rel:.3g}"
+
+
 if __name__ == "__main__":
+    import sys
     import tempfile
     with tempfile.TemporaryDirectory() as d:
-        print(json.dumps({name: case(Path(d) / name) for name, case in CASES.items()},
-                         indent=1))
+        got = {name: case(Path(d) / name) for name, case in CASES.items()}
+        if "--diff" in sys.argv[1:]:
+            for name, record in got.items():
+                print(f"{name}: {_audit(record, GOLDEN[name])}")
+        else:
+            print(json.dumps(got, indent=1))

@@ -121,3 +121,26 @@ def test_bruteforce_refinement_matches_exhaustive():
         exact = np.linalg.norm(min_norm_point(pts).point)
         assert fine <= coarse + 1e-9
         assert fine >= exact - 1e-12
+
+
+def test_scale_guard_solves_extreme_bundles():
+    """Bundles with coordinates far outside [1e-100, 1e100] are solved at a
+    power-of-two scale, so the Gram matrix neither overflows nor
+    underflows, and the point comes back in the caller's units."""
+    for s in (1e160, 1e300, 1e-200):
+        res = min_norm_point([np.array([s, 0.0]), np.array([0.0, s])])
+        np.testing.assert_allclose(res.point, [s / 2, s / 2], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.weights, [0.5, 0.5], rtol=1e-12)
+
+
+def test_scale_guard_is_exact():
+    """Scaling by a power of two commutes with the solve: the point scales
+    by 2**k and the gap, a squared quantity, by 2**(2k), bit for bit."""
+    pts = [np.array([0.5, 0.25, -0.125]), np.array([-0.375, 0.5, 0.0625]),
+           np.array([0.125, -0.25, 0.5])]
+    base = min_norm_point(pts)
+    big = min_norm_point([np.ldexp(p, 400) for p in pts])
+    np.testing.assert_array_equal(big.point, np.ldexp(base.point, 400))
+    np.testing.assert_array_equal(big.weights, base.weights)
+    assert big.gap == np.ldexp(base.gap, 800)
+    assert big.iterations == base.iterations
