@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 from enum import Enum
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,12 @@ class ProblemOracle:
     - ``inner_max(x)``: an exact maximizer of theta -> F(x, theta).
     - ``in_D(x)``: membership in D.
 
+    ``sample_gradients(points)`` is what the solver asks of a bundle; the
+    default walks the points with the methods above, and an oracle may
+    override it with a faster evaluation that returns the same arrays, as
+    the coverage oracle does for a large bundle by evaluating its points in
+    NumPy blocks.
+
     All methods must be pure (identical inputs give identical outputs) and
     safe to call concurrently.
     """
@@ -62,6 +68,22 @@ class ProblemOracle:
 
     def in_D(self, x: np.ndarray) -> bool:
         raise NotImplementedError
+
+    def sample_gradients(self, points: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """grad_x_F(p, inner_max(p)) for the points at the front of the list
+        that lie in D, stopping before the first point outside D.
+
+        Each point is tested for D and then evaluated before the next one
+        is tested, so an oracle that keeps its last point answers the three
+        calls from one evaluation.  The result is shorter than ``points``
+        exactly when a point misses D.
+        """
+        out = []
+        for p in points:
+            if not self.in_D(p):
+                break
+            out.append(np.asarray(self.grad_x_F(p, self.inner_max(p)), dtype=float))
+        return out
 
     def objective(self, x: np.ndarray) -> float:
         """f(x) = F(x, inner_max(x))."""

@@ -112,21 +112,11 @@ def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,
         t *= p.gamma
 
 
-def _sample_gradient(oracle: ProblemOracle, s: np.ndarray) -> np.ndarray:
-    return np.asarray(oracle.grad_x_F(s, oracle.inner_max(s)), dtype=float)
-
-
-def build_bundle(oracle: ProblemOracle,
-                 samples: List[np.ndarray]) -> List[np.ndarray]:
-    """Gradients of the inner maximum at the sampled points.
-
-    For each sample, the gradient of F is evaluated at the inner
-    maximizer.  All samples must lie in D; membership is not tested
-    here.  ``step`` does not call this list helper: it evaluates each sample
-    right after that sample's own D test, so an oracle that keeps its last
-    point serves the test, inner_max and grad_x_F from one evaluation.
-    """
-    return [_sample_gradient(oracle, s) for s in samples]
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm as np.linalg.norm gives it, and where that
+    overflows (entries above about 1e154), the scaled norm of math.hypot."""
+    n = float(np.linalg.norm(v))
+    return n if math.isfinite(n) else math.hypot(*v.tolist())
 
 
 def line_search(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray,
@@ -154,15 +144,15 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
          rng: Rng) -> Tuple[GsState, IterationRecord]:
     """One full iteration: sample, bundle, min-norm direction, line search.
 
-    All m ball samples are drawn first.  Then each sample in index order is
-    tested for D, redrawn while it misses (under 'resample'), and evaluated
-    at once: inner maximizer and gradient, so an oracle that keeps its last
-    point answers all three from one evaluation.  Raises
-    NonsmoothSampleError when a sample leaves D under the 'stop' policy;
-    under 'resample', only the offending points are redrawn, and it is
-    raised once one point misses D on _MAX_REDRAWS redraws in a row.  Either
-    way the gradients of the samples before the offending one have been
-    computed by then.
+    All m ball samples are drawn first and handed to
+    ``oracle.sample_gradients``, which evaluates them in index order up to
+    the first one outside D.  That sample is redrawn while it misses (under
+    'resample'), the redraw is evaluated the same way, and the rest follow.
+    Raises NonsmoothSampleError when a sample leaves D under the 'stop'
+    policy; under 'resample', only the offending points are redrawn, and it
+    is raised once one point misses D on _MAX_REDRAWS redraws in a row.
+    Either way the gradients of the samples before the offending one have
+    been computed by then.
     """
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
@@ -171,21 +161,22 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
 
     samples = sample_ball(x, state.eps, m, rng)
     draws = m
-    grads = []
-    for s in samples:
-        redraws = 0
-        while not oracle.in_D(s):
+    grads = oracle.sample_gradients(samples)
+    while len(grads) < m:  # samples[len(grads)] missed D
+        got, redraws = [], 0
+        while not got:
             if policy is NonsmoothPolicy.STOP or redraws == _MAX_REDRAWS:
                 raise NonsmoothSampleError(f"sample left the smooth set D at "
                                            f"iteration {state.k} ({redraws} redraws)")
-            s = sample_ball(x, state.eps, 1, rng)[0]
+            got = oracle.sample_gradients(sample_ball(x, state.eps, 1, rng))
             draws += 1
             redraws += 1
-        grads.append(_sample_gradient(oracle, s))
+        grads += got
+        grads += oracle.sample_gradients(samples[len(grads):])
 
     res = min_norm_point(grads)
     g = res.point
-    g_norm = float(np.linalg.norm(g))
+    g_norm = _norm(g)
 
     if g_norm <= state.nu:
         f_x = oracle.objective(x)
@@ -306,7 +297,7 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
             break
         theta = oracle.inner_max(x)
         grad = np.asarray(oracle.grad_x_F(x, theta), dtype=float)
-        g_norm = float(np.linalg.norm(grad))
+        g_norm = _norm(grad)
         f_here = oracle.eval_F(x, theta)
         if g_norm == 0.0:
             t = 0.0

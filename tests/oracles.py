@@ -7,6 +7,8 @@
 - ``excluded_hyperplanes``: the coverage smooth-set D's defining
   hyperplanes that a point lies on, in exact rational arithmetic (checks
   ``in_D_coverage``).
+- ``theta_feasible``: box membership and the total-mass equality of a
+  coverage density (checks the greedy inner LP's answers).
 - ``reference_c_vector``, ``reference_c_jacobian``, ``reference_grad_x``
   and ``reference_lp_max``: the coverage cost, its Jacobian, the gradient
   and the greedy inner LP as first written, with the partition found by
@@ -152,6 +154,19 @@ def excluded_hyperplanes(prob: CoverageProblem, x: np.ndarray) -> set:
     return kinds
 
 
+def theta_feasible(prob: CoverageProblem, theta: np.ndarray,
+                   tol: float = 1e-9) -> bool:
+    """Box membership plus the total-mass equality, within tol."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (prob.n_bins,):
+        return False
+    lo = np.asarray(prob.theta_lower)
+    hi = np.asarray(prob.theta_upper)
+    if np.any(theta < lo - tol) or np.any(theta > hi + tol):
+        return False
+    return abs(float(theta @ prob.widths) - prob.total_mass) <= tol
+
+
 def _reference_partition(prob: CoverageProblem, x: np.ndarray):
     # Segments (k, alpha, beta, owner, a_idx, b_idx) as in the library: the
     # midpoints strictly inside each bin cut it, and the owner is the
@@ -177,7 +192,7 @@ def reference_c_vector(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     c = [0.0] * prob.n_bins
     for k, alpha, beta, owner, _a, _b in segments:
         s = xs[owner]
-        ha, hb = (alpha - s) ** 2, (beta - s) ** 2
+        ha, hb = (alpha - s) * (alpha - s), (beta - s) * (beta - s)
         c[k] += hb - ha if s <= alpha else ha - hb if s >= beta else hb + ha
     return np.asarray(c)
 

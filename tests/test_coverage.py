@@ -20,15 +20,15 @@ from gradsamp import (
     make_coverage_oracle,
     penalty,
 )
-from gradsamp import coverage
-from gradsamp.coverage import coverage_c_jacobian, theta_feasible
-from gradsamp.driver import build_bundle
+from gradsamp import ProblemOracle, coverage
+from gradsamp.coverage import coverage_c_jacobian
 from oracles import (
     excluded_hyperplanes,
     reference_c_jacobian,
     reference_c_vector,
     reference_grad_x,
     reference_lp_max,
+    theta_feasible,
     two_agent_cost,
 )
 
@@ -286,6 +286,24 @@ def test_penalty_examples():
     assert penalty(one, np.array([-3.0])) == 3.0
 
 
+def test_penalty_slope_one_pass_matches_two_masks():
+    """The hinge slope, for a point and for a block of rows, equals byte
+    for byte the sum of a mask below the support and one above it, on the
+    support's ends, one float either side of them, and far away."""
+    prob = CoverageProblem(n_agents=3, bin_edges=(-0.5, 2.0, 4.0),
+                           theta_lower=(0.0,) * 2, theta_upper=(1.0,) * 2)
+    lo, hi = -0.5, 4.0
+    values = [v for e in (lo, hi) for v in (np.nextafter(e, -np.inf), e,
+                                            np.nextafter(e, np.inf))]
+    values += [-np.inf, -1e300, -0.0, 0.0, 1.0, 1e300, np.inf]
+    X = np.array(values).reshape(-1, 1) + np.zeros(3)
+    X[:, 1] = X[::-1, 0]
+    want = np.where(X < lo, -1.0, 0.0) + np.where(X > hi, 1.0, 0.0)
+    assert coverage._penalty_grad(prob, X).tobytes() == want.tobytes()
+    for x, w in zip(X, want):
+        assert coverage._penalty_grad(prob, x).tobytes() == w.tobytes()
+
+
 # -- inner LP ----------------------------------------------------------------
 
 def test_lp_greedy_example():
@@ -448,6 +466,91 @@ def test_coverage_matches_bisect_reference_bytewise():
     assert inside >= 1000 and outside >= 1000 and repeated >= 500
 
 
+def _per_point(oracle, points):
+    return [g.tobytes() for g in ProblemOracle.sample_gradients(oracle, points)]
+
+
+def test_block_path_matches_per_point_path_bytewise(monkeypatch):
+    """A coverage bundle evaluated as one block gives, byte for byte, the
+    gradients of the point-by-point walk, and stops before the same first
+    point outside D.  Each bundle holds a _reference_cases() point and
+    copies of it moved by half units, by 1e-15 and by a few ulps, so it
+    repeats agents, puts midpoints on edges and clusters cuts; bundle sizes
+    fall on both sides of the selection threshold.  Then at N = 50, in
+    several chunks, with a miss of D in a middle chunk."""
+    blocks = []
+    block = coverage._block_gradients
+
+    def counted(prob, X):
+        blocks.append(len(X))
+        return block(prob, X)
+
+    monkeypatch.setattr(coverage, "_block_gradients", counted)
+    gen = np.random.Generator(np.random.Philox(28))
+    sizes = {False: 0, True: 0}
+    partial = 0
+    for prob, x, _ in _reference_cases():
+        moves = gen.choice([0.0, 0.5, -0.5, 1e-15, -1e-15], size=(23, len(x)))
+        ulps = gen.integers(-2, 3, size=(23, len(x))) * np.spacing(np.abs(x) + 1.0)
+        points = [x] + list(x + np.where(gen.random((23, 1)) < 0.3, ulps, moves))
+        points = points[:int(gen.integers(1, 25))]
+        gen.shuffle(points)
+        oracle = make_coverage_oracle(prob)
+        before = len(blocks)
+        got = [g.tobytes() for g in oracle.sample_gradients(points)]
+        want = _per_point(oracle, points)
+        case = (prob.bin_edges, prob.penalty_enabled, [p.tolist() for p in points])
+        assert got == want, case
+        is_block = len(blocks) > before
+        assert is_block == (len(points) * (prob.n_agents + prob.n_bins)
+                            >= coverage._BLOCK_MIN)
+        sizes[is_block] += 1
+        partial += is_block and 0 < len(want) < len(points)
+    assert sizes[True] >= 1000 and sizes[False] >= 1000 and partial >= 100
+
+    # Every reference point in D on its own, repeated past the threshold:
+    # among them, segments whose centre rounds onto alpha.  And a pair whose
+    # midpoint rounds onto an edge though their sum is not twice the edge,
+    # next to a bin so narrow that its theta makes subnormal cells show.
+    corner = CoverageProblem(n_agents=2, bin_edges=(0.0, 1e-300, 1.0),
+                             theta_lower=(0.5e300, 0.0), theta_upper=(1e300, 1.0))
+    tiny = np.array([-1.0, 2.0]) * np.nextafter(0.0, 1.0)
+    assert (tiny[0] + tiny[1]) / 2.0 == 0.0 and in_D_coverage(corner, tiny)
+    alone = [(prob, x) for prob, x, _ in _reference_cases() if in_D_coverage(prob, x)]
+    # The LP with no mass to fill above the lower bounds, and with rooms
+    # without bound.
+    lps = [CoverageProblem(n_agents=3, bin_edges=(0.0, 1.0, 2.0, 4.0),
+                           theta_lower=lower, theta_upper=upper)
+           for lower, upper in (((0.25,) * 3, (0.25,) * 3),
+                                ((0.0, 0.1, 0.0), (np.inf, np.inf, 0.3)))]
+    for prob, x in alone + [(corner, tiny)] + [(p, np.array([0.3, 1.6, 3.1])) for p in lps]:
+        oracle = make_coverage_oracle(prob)
+        points = [x] * -(-coverage._BLOCK_MIN // (prob.n_agents + prob.n_bins))
+        blocks.clear()
+        got = [g.tobytes() for g in oracle.sample_gradients(points)]
+        assert got == _per_point(oracle, points), (prob.bin_edges, x.tolist())
+        assert blocks and len(got) == len(points)
+    assert len(alone) >= 1000
+
+    K = 100
+    prob = CoverageProblem(n_agents=50, bin_edges=tuple(float(e) for e in range(K + 1)),
+                           theta_lower=tuple(gen.uniform(0.0, 0.5, K) / K),
+                           theta_upper=tuple(gen.uniform(1.5, 3.0, K) / K),
+                           penalty_enabled=True)
+    oracle = make_coverage_oracle(prob)
+    x = np.sort(gen.uniform(-5.0, 105.0, 50))
+    points = [x + gen.normal(0.0, 0.3, 50) for _ in range(52)]
+    blocks.clear()
+    assert [g.tobytes() for g in oracle.sample_gradients(points)] == _per_point(oracle, points)
+    chunks = len(blocks)
+    assert chunks > 2 and sum(blocks) == 52
+    points[30][7] = 31.0  # an agent on an edge
+    blocks.clear()
+    got = [g.tobytes() for g in oracle.sample_gradients(points)]
+    assert got == _per_point(oracle, points) and len(got) == 30
+    assert len(blocks) < chunks  # no chunk after the miss is evaluated
+
+
 # -- the oracle's last-point memo --------------------------------------------
 
 def _memo_problem():
@@ -506,7 +609,7 @@ def test_one_partition_per_bundle_sample_and_per_objective(monkeypatch):
 
     monkeypatch.setattr(coverage, "_partition", counted)
     samples = [gen.uniform(-0.5, 8.5, size=6) for _ in range(5)]
-    build_bundle(oracle, samples)
+    assert len(oracle.sample_gradients(samples)) == len(samples)
     assert len(built) == len(samples)
     for y, got in zip(samples, built):
         np.testing.assert_array_equal(got, y)

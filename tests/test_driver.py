@@ -25,7 +25,7 @@ from gradsamp import (
 )
 from gradsamp import driver
 from gradsamp.core import GsState
-from gradsamp.driver import build_bundle, line_search, sample_ball, step
+from gradsamp.driver import line_search, sample_ball, step
 from gradsamp.testfns import FiniteMaxOracle
 
 
@@ -77,13 +77,13 @@ def test_sample_ball_validation():
         sample_ball(np.zeros(2), 1.0, 0, Rng(0))
 
 
-# -- build_bundle ------------------------------------------------------------
+# -- sample_gradients --------------------------------------------------------
 
 def test_bundle_abs_value_signs():
     oracle = finite_max_oracle(abs_value_problem())
-    g = build_bundle(oracle, [np.array([0.3]), np.array([0.7])])
+    g = oracle.sample_gradients([np.array([0.3]), np.array([0.7])])
     np.testing.assert_allclose(g, [[1.0], [1.0]])
-    g = build_bundle(oracle, [np.array([-0.3]), np.array([0.7])])
+    g = oracle.sample_gradients([np.array([-0.3]), np.array([0.7])])
     np.testing.assert_allclose(g, [[-1.0], [1.0]])
 
 
@@ -401,6 +401,33 @@ def test_run_rejects_misshapen_start():
             run(oracle, GsParams(), bad, Rng(17))
         with pytest.raises(ValueError, match=expected):
             gradient_descent_baseline(oracle, GsParams(max_iters=3), bad)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_huge_gradients_end_with_a_termination():
+    """|a| x with a = 1e308 or 1e200: the gradient norm overflows a plain
+    np.linalg.norm, yet both solvers take unit directions and end with a
+    termination reason rather than a traceback."""
+    for a in (1e308, 1e200):
+        oracle = finite_max_oracle(FiniteMaxProblem(pieces=(
+            MaxPiece(a=(a,)), MaxPiece(a=(-a,)))))
+        tr = run(oracle, GsParams(max_iters=200), np.array([3.0]), Rng(18))
+        assert isinstance(tr.termination, Termination)
+        assert any(r.step_kind == StepKind.DESCENT for r in tr.records)
+        assert all(math.isfinite(r.g_norm) for r in tr.records)
+        gd = gradient_descent_baseline(oracle, GsParams(max_iters=20), np.array([3.0]))
+        assert isinstance(gd.termination, Termination)
+        assert gd.records[0].g_norm == a
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm_keeps_in_range_bytes_and_scales_overflow():
+    gen = np.random.Generator(np.random.Philox(19))
+    for _ in range(200):
+        v = gen.standard_normal(int(gen.integers(1, 20))) * 10.0 ** gen.uniform(-100, 100)
+        assert driver._norm(v) == float(np.linalg.norm(v))
+    assert driver._norm(np.ldexp([3.0, 4.0], 700)) == math.ldexp(5.0, 700)
+    assert driver._norm(np.array([-1e308])) == 1e308
 
 
 # -- gradient_descent_baseline ----------------------------------------------
