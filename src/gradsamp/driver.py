@@ -114,8 +114,10 @@ def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,
 
 def _norm(v: np.ndarray) -> float:
     """The Euclidean norm as np.linalg.norm gives it, and where that
-    overflows (entries above about 1e154), the scaled norm of math.hypot."""
-    n = float(np.linalg.norm(v))
+    overflows (entries above about 1e154), the scaled norm of math.hypot.
+    That overflow is recovered from, so NumPy does not warn of it."""
+    with np.errstate(over="ignore"):
+        n = math.sqrt(v.dot(v))  # the same operations as np.linalg.norm
     return n if math.isfinite(n) else math.hypot(*v.tolist())
 
 

@@ -203,6 +203,7 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
     gap = float(max(0.0, np.max(gsq - dots)))
     if shift:
         g = np.ldexp(g, shift)
-        gap = float(np.ldexp(gap, 2 * shift))
+        with np.errstate(over="ignore"):  # a gap past the float range is inf
+            gap = float(np.ldexp(gap, 2 * shift))
     return MinNormResult(point=g, weights=weights, gap=gap, iterations=it,
                          capped=capped)

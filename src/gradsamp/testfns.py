@@ -72,10 +72,12 @@ class _MemberMaxOracle(ProblemOracle):
     member is rejected.  The inner maximizer names the first maximal member;
     x is outside D only where maximal members disagree on the gradient.
     Subclasses pass each member's family index, in member order, and supply
-    ``_value(x, i)`` and ``_grad(x, i)`` of member i.
+    either ``_value(x, i)`` and ``_grad(x, i)`` of member i, or
+    ``_members(x)``, which returns the values and the gradients of every
+    member at once.
 
-    The member values of the last point asked about are kept, so a bundle
-    sample's in_D, inner_max and grad_x_F, or a line-search trial's
+    What ``_members`` returns for the last point asked about is kept, so a
+    bundle sample's in_D, inner_max and grad_x_F, or a line-search trial's
     inner_max and eval_F, evaluate each member once."""
 
     theta_dim = 1
@@ -85,17 +87,27 @@ class _MemberMaxOracle(ProblemOracle):
         self._named = {}
         for i, t in enumerate(self._indices):
             self._named.setdefault(t, []).append(i)
-        self._last = (None, ())  # (x bytes, member values)
+        self._last = (None, (), None)  # (x bytes, member values, gradients)
 
-    def _values(self, x: np.ndarray) -> Tuple[float, ...]:
+    def _members(self, x: np.ndarray):
+        """The member values at x, in member order, and their gradients by
+        member, or None for ``_grad`` to compute them."""
+        return tuple(self._value(x, i) for i in range(len(self._indices))), None
+
+    def _grad(self, x: np.ndarray, i: int) -> np.ndarray:
+        return self._evaluated(x)[2][i].copy()
+
+    def _evaluated(self, x: np.ndarray):
         # One read and one write of the memo, so concurrent callers never
         # get the values of another caller's point.
         key = x.tobytes()
         last = self._last
         if last[0] != key:
-            last = self._last = (key, tuple(self._value(x, i)
-                                            for i in range(len(self._indices))))
-        return last[1]
+            last = self._last = (key, *self._members(x))
+        return last
+
+    def _values(self, x: np.ndarray) -> Tuple[float, ...]:
+        return self._evaluated(x)[1]
 
     def _member(self, x: np.ndarray, theta) -> int:
         named = self._named.get(float(theta[0]))
@@ -129,28 +141,71 @@ class _MemberMaxOracle(ProblemOracle):
 
 
 class FiniteMaxOracle(_MemberMaxOracle):
-    """Exact enumeration oracle; theta is the (1-d) piece index."""
+    """Exact enumeration oracle; theta is the (1-d) piece index.
+
+    Every piece is evaluated in one stacked pass (``_block``), at the one
+    point behind in_D, inner_max, grad_x_F and eval_F, and at all the points
+    of a bundle in ``sample_gradients``.  The pass makes, for each point and
+    piece, the BLAS calls of the per-piece formulas, so a point's values and
+    gradients have the same bytes whichever block it is evaluated in."""
 
     def __init__(self, prob: FiniteMaxProblem):
         super().__init__(range(len(prob.pieces)))
         self.prob = prob
         self.dim = prob.dim
-        self._a = [np.asarray(p.a, dtype=float) for p in prob.pieces]
-        self._b = [float(p.b) for p in prob.pieces]
-        self._Q = [None if p.Q is None else np.asarray(p.Q, dtype=float)
-                   for p in prob.pieces]
+        pieces = prob.pieces
+        self._A = np.array([p.a for p in pieces], dtype=float)
+        self._b = np.array([p.b for p in pieces], dtype=float)
+        quad = [i for i, p in enumerate(pieces) if p.Q is not None]
+        self._Qs = np.array([pieces[i].Q for i in quad], dtype=float) if quad else None
+        # A slice when every piece has Q, so the updates in _block are views.
+        self._quad = slice(None) if len(quad) == len(pieces) else quad
 
-    def _value(self, x: np.ndarray, i: int) -> float:
-        v = float(self._a[i] @ x) + self._b[i]
-        if self._Q[i] is not None:
-            v += 0.5 * float(x @ (self._Q[i] @ x))
-        return v
+    def _block(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Values (R x P) and gradients (R x P x n) of the P pieces at the R
+        rows of X.
 
-    def _grad(self, x: np.ndarray, i: int) -> np.ndarray:
-        g = self._a[i].copy()
-        if self._Q[i] is not None:
-            g = g + self._Q[i] @ x
-        return g
+        Each batched matmul makes one BLAS call per (row, piece), the call
+        of the per-piece formula: a ddot for a_i'x, a dgemv for Q_i x and a
+        ddot for x'(Q_i x).  A piece without Q gets a_i'x + b_i and a_i
+        with nothing added: a zero Q would add NaN at an infinite
+        coordinate."""
+        Xc = X[:, None, :, None]
+        vals = np.matmul(self._A[:, None, :], Xc)[..., 0, 0] + self._b
+        grads = self._A[None].repeat(len(X), axis=0)
+        if self._Qs is not None:
+            QX = np.matmul(self._Qs, Xc)
+            q = self._quad
+            vals[:, q] += 0.5 * np.matmul(X[:, None, None, :], QX)[..., 0, 0]
+            grads[:, q] += QX[..., 0]
+        return vals, grads
+
+    def _members(self, x):
+        vals, grads = self._block(x[None])
+        return tuple(vals[0].tolist()), grads[0]
+
+    def sample_gradients(self, points):
+        """The base walk's gradients, from one ``_block`` pass over all the
+        points.  Each row takes its first maximal piece, as ``inner_max``
+        does, and the walk stops at the first row where another maximal
+        piece has a different gradient, as ``in_D`` does.  From the first
+        row with a NaN value on, the base walk takes over, so NaN keeps
+        the meaning ``in_D`` and ``inner_max`` give it."""
+        if len(points) == 0:
+            return []
+        vals, grads = self._block(np.array(points, dtype=float))
+        rows = np.arange(len(vals))
+        first = vals.argmax(axis=1)
+        out = grads[rows, first]
+        tied = vals == vals[rows, first][:, None]
+        # 0 where one piece is maximal, more on a tie, -1 on a NaN.
+        extra = tied.sum(axis=1) - 1
+        for r in np.flatnonzero(extra).tolist():
+            if extra[r] < 0:
+                return list(out[:r]) + super().sample_gradients(points[r:])
+            if (grads[r, tied[r]] != out[r]).any():
+                return list(out[:r])
+        return list(out)
 
 
 def finite_max_oracle(prob: FiniteMaxProblem) -> FiniteMaxOracle:

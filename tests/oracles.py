@@ -15,6 +15,9 @@
   bisection per bin and per segment, the Jacobian filled as a list of
   lists, and the LP on NumPy scalars (checks, byte for byte, the
   library's single-walk partition, scattered Jacobian and list-based LP).
+- ``reference_piece``: the value and gradient of one finite-max piece by
+  its formula, one NumPy call per term (checks, byte for byte, the stacked
+  pass over all pieces).
 """
 
 import math
@@ -24,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from gradsamp import CoverageProblem, coverage_c_vector, in_D_coverage
+from gradsamp import CoverageProblem, MaxPiece, coverage_c_vector, in_D_coverage
 
 
 def _compositions(total: int, parts: int):
@@ -245,3 +248,16 @@ def reference_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
         masses[k] += add
         resid -= add
     return masses / w
+
+
+def reference_piece(piece: MaxPiece, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    """(a'x + b + x'Qx / 2, a + Qx) of one piece, the quadratic terms only
+    where the piece has Q."""
+    a = np.asarray(piece.a, dtype=float)
+    v = float(a @ x) + float(piece.b)
+    g = a.copy()
+    if piece.Q is not None:
+        Q = np.asarray(piece.Q, dtype=float)
+        v += 0.5 * float(x @ (Q @ x))
+        g = g + Q @ x
+    return v, g

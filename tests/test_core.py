@@ -133,7 +133,7 @@ def _concurrency_case(family):
             for _ in range(5)))
         return (lambda: finite_max_oracle(prob),
                 [gen.uniform(-2.0, 2.0, size=3) for _ in range(3)],
-                (testfns.FiniteMaxOracle, "_value"))
+                (testfns.FiniteMaxOracle, "_block"))
     if family == "cantor":
         prob = CantorStressProblem(depth=4)
         levels = cantor_stress_oracle(prob)

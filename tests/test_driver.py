@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,8 @@ def test_step_descent_branch_decreases_f():
 
 def test_step_stop_policy_raises_on_nonsmooth_sample():
     class AlwaysOutside(type(finite_max_oracle(abs_value_problem()))):
+        sample_gradients = ProblemOracle.sample_gradients  # asks in_D
+
         def in_D(self, x):
             return False
 
@@ -179,6 +182,8 @@ def test_step_resample_policy_redraws_offenders():
     base = finite_max_oracle(abs_value_problem())
 
     class FlakyD(type(base)):
+        sample_gradients = ProblemOracle.sample_gradients  # asks in_D
+
         def __init__(self, prob):
             super().__init__(prob)
             self.calls = 0
@@ -199,6 +204,7 @@ def test_resample_policy_gives_up_after_capped_redraws():
     after a bounded number of redraws instead of looping for ever."""
 
     class NeverInD(FiniteMaxOracle):
+        sample_gradients = ProblemOracle.sample_gradients  # asks in_D
         calls = 0
 
         def in_D(self, x):
@@ -403,7 +409,10 @@ def test_run_rejects_misshapen_start():
             gradient_descent_baseline(oracle, GsParams(max_iters=3), bad)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# The topmost mark wins: the oracle's own a*x overflow is ignored, and any
+# other RuntimeWarning fails the test.
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_gradients_end_with_a_termination():
     """|a| x with a = 1e308 or 1e200: the gradient norm overflows a plain
     np.linalg.norm, yet both solvers take unit directions and end with a
@@ -420,14 +429,55 @@ def test_huge_gradients_end_with_a_termination():
         assert gd.records[0].g_norm == a
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_norm_keeps_in_range_bytes_and_scales_overflow():
+    """In range, the norm has np.linalg.norm's bytes; past it, the scaled
+    norm, without NumPy's overflow warning, since it is recovered from."""
     gen = np.random.Generator(np.random.Philox(19))
     for _ in range(200):
         v = gen.standard_normal(int(gen.integers(1, 20))) * 10.0 ** gen.uniform(-100, 100)
         assert driver._norm(v) == float(np.linalg.norm(v))
-    assert driver._norm(np.ldexp([3.0, 4.0], 700)) == math.ldexp(5.0, 700)
-    assert driver._norm(np.array([-1e308])) == 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert driver._norm(np.ldexp([3.0, 4.0], 700)) == math.ldexp(5.0, 700)
+        assert driver._norm(np.array([-1e308])) == 1e308
+
+
+class _Walked(FiniteMaxOracle):
+    """The finite max with the base per-point walk over a bundle."""
+
+    sample_gradients = ProblemOracle.sample_gradients
+
+
+def _replay(tr):
+    return ([(r.k, r.x.tobytes(), repr(r.f_approx), r.eps, r.nu, repr(r.g_norm),
+              r.t, r.step_kind, r.sample_count) for r in tr.records],
+            tr.termination, tr.final_x.tobytes(), repr(tr.final_f))
+
+
+def test_random_finite_max_runs_end_with_a_termination():
+    """Seeded random finite maxima, 1 to 4 pieces in 1 to 4 dimensions,
+    each piece quadratic with probability 1/2 and its coefficients scaled
+    by 10**u, u in [-300, 300]: 50 iterations under 'resample' end with a
+    termination reason, and every record has the bytes of the same run
+    with the bundles walked point by point."""
+    gen = np.random.Generator(np.random.Philox(23))
+    p = GsParams(max_iters=50, on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
+    for _ in range(40):
+        n = int(gen.integers(1, 5))
+        pieces = []
+        for _ in range(int(gen.integers(1, 5))):
+            scale = 10.0 ** gen.uniform(-300, 300)
+            Q = None
+            if gen.random() < 0.5:
+                B = gen.standard_normal((n, n)) * scale
+                Q = tuple(map(tuple, B + B.T))
+            pieces.append(MaxPiece(a=tuple(gen.standard_normal(n) * scale),
+                                   b=float(gen.standard_normal() * scale), Q=Q))
+        prob = FiniteMaxProblem(pieces=tuple(pieces))
+        x1, seed = gen.standard_normal(n), int(gen.integers(2**31))
+        tr = run(FiniteMaxOracle(prob), p, x1, Rng(seed))
+        assert isinstance(tr.termination, Termination)
+        assert _replay(tr) == _replay(run(_Walked(prob), p, x1, Rng(seed)))
 
 
 # -- gradient_descent_baseline ----------------------------------------------

@@ -11,6 +11,7 @@ from gradsamp import (
     FiniteMaxProblem,
     GsParams,
     MaxPiece,
+    ProblemOracle,
     Rng,
     abs_value_problem,
     cantor_stress_oracle,
@@ -25,6 +26,8 @@ from gradsamp.testfns import (
     bump_d2,
     bump_derivative_bound,
 )
+
+from oracles import reference_piece
 
 
 # -- finite-max family -------------------------------------------------------
@@ -83,8 +86,9 @@ def _asked(oracle, x):
 
 def test_each_piece_evaluated_once_per_bundle_sample_and_per_objective(monkeypatch):
     """The member values of the last point are kept: a bundle sample's
-    in_D, inner_max and grad_x_F, and one objective, evaluate each piece
-    once, and give what a fresh oracle gives."""
+    in_D, inner_max and grad_x_F, and one objective, make one stacked
+    pass over the pieces, and give what a fresh oracle gives.  A bundle's
+    sample_gradients makes one pass over all its points."""
     prob, gen = _quadratic_pieces()
     oracle = finite_max_oracle(prob)
     cases = []
@@ -93,23 +97,26 @@ def test_each_piece_evaluated_once_per_bundle_sample_and_per_objective(monkeypat
         cases.append((s, y, _asked(finite_max_oracle(prob), s),
                       finite_max_oracle(prob).objective(y)))
     evaluated = []
-    value = FiniteMaxOracle._value
+    block = FiniteMaxOracle._block
 
-    def counted(self, x, i):
-        evaluated.append(i)
-        return value(self, x, i)
+    def counted(self, X):
+        evaluated.append(len(X))
+        return block(self, X)
 
-    monkeypatch.setattr(FiniteMaxOracle, "_value", counted)
+    monkeypatch.setattr(FiniteMaxOracle, "_block", counted)
     for s, y, asked, f in cases:
         in_d = oracle.in_D(s)
         theta = oracle.inner_max(s)
         grad = oracle.grad_x_F(s, theta)
-        assert sorted(evaluated) == [0, 1, 2, 3]
+        assert evaluated == [1]
         assert (in_d, theta.tobytes(), grad.tobytes()) == (asked[0], asked[1], asked[3])
         evaluated.clear()
         assert oracle.objective(y) == f
-        assert sorted(evaluated) == [0, 1, 2, 3]
+        assert evaluated == [1]
         evaluated.clear()
+    got = oracle.sample_gradients([s for s, _, _, _ in cases])
+    assert evaluated == [3]
+    assert [g.tobytes() for g in got] == [asked[3] for _, _, asked, _ in cases]
 
 
 def test_member_memo_not_poisoned_by_in_place_change():
@@ -135,6 +142,85 @@ def test_in_D_tie_detection():
     oracle = finite_max_oracle(abs_value_problem())
     assert oracle.in_D(np.array([0.5]))
     assert not oracle.in_D(np.array([0.0]))  # both pieces tie, gradients differ
+
+
+def _block_case(gen, kind):
+    """A finite max with n in [1, 12] and a bundle of 1 to 20 points.
+
+    Besides random pieces of the given kind ("affine", "quadratic" or
+    "mixed", with b drawn from -0.0, 0.0 and N(0, 1)), it has a twin pair
+    that ties everywhere with gradients equal under == (a zero coordinate
+    of either sign, so an affine pair's gradients differ in bytes), and a
+    kink pair c'x + t, -c'x + t
+    that is maximal near 0 with unequal gradients.  The points are scaled
+    by 10**u, u in [-2, 2] or, for about a third, in [-300, 300]; some are
+    0 (a miss of D) and some have an infinite coordinate."""
+    n = int(gen.integers(1, 13))
+    pieces = []
+    for _ in range(int(gen.integers(1, 5))):
+        Q = None
+        if kind == "quadratic" or (kind == "mixed" and gen.random() < 0.5):
+            B = gen.standard_normal((n, n))
+            Q = tuple(map(tuple, B + B.T))
+        b = (-0.0, 0.0, float(gen.standard_normal()))[int(gen.integers(3))]
+        pieces.append(MaxPiece(a=tuple(gen.standard_normal(n) * 10.0 ** gen.uniform(-3, 3)),
+                               b=b, Q=Q))
+    j, k = int(gen.integers(len(pieces))), int(gen.integers(n))
+    for zero in (0.0, -0.0):
+        a = list(pieces[j].a)
+        a[k] = zero
+        pieces.append(MaxPiece(a=tuple(a), b=pieces[j].b, Q=pieces[j].Q))
+    del pieces[j]
+    c, top = gen.standard_normal(n), max(p.b for p in pieces) + 1.0
+    pieces += [MaxPiece(a=tuple(c), b=top), MaxPiece(a=tuple(-c), b=top)]
+    pieces = [pieces[i] for i in gen.permutation(len(pieces))]
+    points = []
+    for _ in range(int(gen.integers(1, 21))):
+        x = gen.standard_normal(n) * 10.0 ** gen.uniform(*(
+            (-300, 300) if gen.random() < 0.3 else (-2, 2)))
+        u = gen.random()
+        if u < 0.05:
+            x = np.zeros(n)
+        elif u < 0.1:
+            x[int(gen.integers(n))] = math.inf * gen.choice([-1.0, 1.0])
+        points.append(x)
+    return FiniteMaxProblem(pieces=tuple(pieces)), points
+
+
+def _outcome(fn):
+    try:
+        return [g.tobytes() for g in fn()]
+    except Exception as e:
+        return type(e).__name__
+
+
+def test_block_path_matches_per_point_path_bytewise():
+    """One stacked pass gives every piece's value and gradient with the
+    bytes of its own formula, and the bundle's gradients are those of the
+    base walk (in_D, inner_max, grad_x_F point by point, stopping before
+    the first miss of D): with affine, quadratic and mixed pieces, ties
+    with equal and unequal gradients, and values at +-inf and NaN."""
+    gen = np.random.Generator(np.random.Philox(47))
+    seen = {"miss": 0, "nan": 0, "inf": 0, "twin": 0}
+    with np.errstate(all="ignore"):
+        for case in range(300):
+            prob, points = _block_case(gen, ("affine", "quadratic", "mixed")[case % 3])
+            oracle = finite_max_oracle(prob)
+            vals, grads = oracle._block(np.array(points))
+            for x, vrow, grow in zip(points, vals, grads):
+                ref = [reference_piece(p, x) for p in prob.pieces]
+                assert vrow.tobytes() == np.array([v for v, _ in ref]).tobytes()
+                assert grow.tobytes() == np.array([g for _, g in ref]).tobytes()
+            got = _outcome(lambda: oracle.sample_gradients(points))
+            want = _outcome(lambda: ProblemOracle.sample_gradients(
+                finite_max_oracle(prob), points))
+            assert got == want
+            seen["miss"] += isinstance(want, list) and len(want) < len(points)
+            seen["nan"] += bool(np.isnan(vals).any())
+            seen["inf"] += bool(np.isinf(vals).any())
+            tied = vals == vals.max(axis=1, keepdims=True)
+            seen["twin"] += bool((tied.sum(axis=1) > 1).any())
+    assert min(seen.values()) >= 20, seen
 
 
 def test_solver_minimizes_abs_value():
