@@ -23,9 +23,6 @@ from .core import (
 )
 from .coverage import (
     CoverageProblem,
-    coverage_c_vector,
-    coverage_grad_x,
-    in_D_coverage,
     inner_lp_max,
     make_coverage_oracle,
     penalty,
@@ -36,7 +33,6 @@ from .testfns import (
     CantorStressProblem,
     FiniteMaxProblem,
     MaxPiece,
-    abs_value_problem,
     cantor_stress_oracle,
     finite_max_oracle,
 )

@@ -46,8 +46,8 @@ class ProblemOracle:
     default walks the points with the methods above, and an oracle may
     override it with a faster evaluation that returns the same arrays, as
     the coverage oracle does for a large bundle by evaluating its points in
-    NumPy blocks, and the finite-max oracle does for every bundle with one
-    stacked pass over all its points and pieces.
+    NumPy blocks, and the finite-max and stress oracles do for every
+    bundle with one stacked pass over all its points and members.
 
     All methods must be pure (identical inputs give identical outputs) and
     safe to call concurrently.

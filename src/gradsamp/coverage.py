@@ -141,8 +141,9 @@ def _partition(prob: CoverageProblem, x: np.ndarray):
 
 
 def _cost(xs, segments, n_bins: int) -> np.ndarray:
-    # c_k sums, over the segments of bin k, the integral of 2|s - y| over
-    # [alpha, beta], by position of the owner s.
+    # The per-bin cost c, with F(x, theta) = <c, theta>: c_k sums, over the
+    # segments of bin k, the integral of 2|s - y| over [alpha, beta], by
+    # position of the owner s.
     c = [0.0] * n_bins
     for k, alpha, beta, owner, _a, _b in segments:
         s = xs[owner]
@@ -153,7 +154,13 @@ def _cost(xs, segments, n_bins: int) -> np.ndarray:
 
 
 def _smooth(prob: CoverageProblem, xs) -> bool:
-    # Membership in D of the sorted positions xs; see in_D_coverage.
+    """Membership of the sorted positions xs in the open smooth set D, by
+    exact comparison.
+
+    Excluded (measure-zero) hyperplanes: coinciding agents, an agent at a
+    bin edge, a midpoint of sorted-adjacent agents at a bin edge, and --
+    with the penalty on -- an agent at a support endpoint (already a bin
+    edge)."""
     edges, doubled = prob._edge_sets
     pairs = list(zip(xs, xs[1:]))
     return (edges.isdisjoint(xs) and all(u != v for u, v in pairs)
@@ -193,18 +200,6 @@ def _jacobian(prob: CoverageProblem, order, xs, segments) -> np.ndarray:
     return J.reshape(prob.n_bins, N)
 
 
-def coverage_c_vector(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
-    """Per-bin coverage cost c(x): c_k = integral over bin k of twice the
-    distance to the nearest agent.  F(x, theta) = <c(x), theta>."""
-    _, xs, segments = _partition(prob, x)
-    return _cost(xs, segments, prob.n_bins)
-
-
-def coverage_c_jacobian(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
-    """Jacobian dc/dx (n_bins x n_agents), valid on D."""
-    return _jacobian(prob, *_partition(prob, x))
-
-
 def penalty(prob: CoverageProblem, x: np.ndarray) -> float:
     """Hinge distance of each agent to the support [first edge, last edge]."""
     x = np.asarray(x, dtype=float)
@@ -220,36 +215,6 @@ def _penalty_grad(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     # -1 below the support, +1 above it and 0 on it, from one search among
     # the first edge and the float just above the last.
     return _SLOPES[np.searchsorted(prob._support_cuts, x, side="right")]
-
-
-def _gradient(prob: CoverageProblem, x: np.ndarray, theta, order, xs,
-              segments, smooth: bool) -> np.ndarray:
-    # The gradient of <c, theta> (+ weighted penalty) from x's partition
-    # and its membership in D.
-    if not smooth:
-        raise ValueError("gradient undefined: x lies on an excluded hyperplane")
-    g = _jacobian(prob, order, xs, segments).T @ np.asarray(theta, dtype=float)
-    if prob.penalty_enabled:
-        g = g + prob.penalty_weight * _penalty_grad(prob, x)
-    return g
-
-
-def coverage_grad_x(prob: CoverageProblem, x: np.ndarray,
-                    theta: np.ndarray) -> np.ndarray:
-    """Analytic gradient of <c(x), theta> (+ weighted penalty), on D."""
-    x = np.asarray(x, dtype=float)
-    order, xs, segments = _partition(prob, x)
-    return _gradient(prob, x, theta, order, xs, segments, _smooth(prob, xs))
-
-
-def in_D_coverage(prob: CoverageProblem, x: np.ndarray) -> bool:
-    """Exact-comparison membership in the open smooth set D.
-
-    Excluded (measure-zero) hyperplanes: coinciding agents, an agent at a
-    bin edge, a midpoint of sorted-adjacent agents at a bin edge, and --
-    with the penalty on -- an agent at a support endpoint (already a bin
-    edge)."""
-    return _smooth(prob, sorted(np.asarray(x, dtype=float).tolist()))
 
 
 def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
@@ -466,9 +431,15 @@ class CoverageOracle(ProblemOracle):
         return v
 
     def grad_x_F(self, x, theta):
+        """The gradient of <c, theta> (+ weighted penalty), on D."""
         x = np.asarray(x, dtype=float)
         order, xs, segments, _, smooth = self._at(x)
-        return _gradient(self.prob, x, theta, order, xs, segments, smooth)
+        if not smooth:
+            raise ValueError("gradient undefined: x lies on an excluded hyperplane")
+        g = _jacobian(self.prob, order, xs, segments).T @ np.asarray(theta, dtype=float)
+        if self.prob.penalty_enabled:
+            g = g + self.prob.penalty_weight * _penalty_grad(self.prob, x)
+        return g
 
     def inner_max(self, x):
         return inner_lp_max(self.prob, self._at(np.asarray(x, dtype=float))[3])

@@ -51,11 +51,6 @@ class FiniteMaxProblem:
         return len(self.pieces[0].a)
 
 
-def abs_value_problem() -> FiniteMaxProblem:
-    """f(x) = |x| = max{x, -x} in one dimension."""
-    return FiniteMaxProblem(pieces=(MaxPiece(a=(1.0,)), MaxPiece(a=(-1.0,))))
-
-
 def _argmax(vals) -> int:
     """The index np.argmax picks: the first NaN, else the first maximum."""
     for i, v in enumerate(vals):
@@ -69,16 +64,17 @@ class _MemberMaxOracle(ProblemOracle):
 
     theta = [t] is a family index naming one or more members; F(x, [t]) is
     the largest of their values, the first on a tie, and a t that names no
-    member is rejected.  The inner maximizer names the first maximal member;
-    x is outside D only where maximal members disagree on the gradient.
-    Subclasses pass each member's family index, in member order, and supply
-    either ``_value(x, i)`` and ``_grad(x, i)`` of member i, or
-    ``_members(x)``, which returns the values and the gradients of every
-    member at once.
+    member is rejected.  The inner maximizer names the first maximal member.
+    x is outside D where some member value is NaN, and where maximal
+    members disagree on the gradient.  Subclasses pass each member's family
+    index, in member order, and supply ``_block(X)``, the values (R x M)
+    and gradients (R x M x n) of the M members at the R rows of X, each
+    row's with the same bytes whatever block it is evaluated in.
 
-    What ``_members`` returns for the last point asked about is kept, so a
-    bundle sample's in_D, inner_max and grad_x_F, or a line-search trial's
-    inner_max and eval_F, evaluate each member once."""
+    The values and gradients of the last point asked about are kept, so a
+    line-search trial's inner_max and eval_F, or a single point's in_D,
+    inner_max and grad_x_F, evaluate each member once; ``sample_gradients``
+    evaluates a whole bundle in one ``_block`` pass."""
 
     theta_dim = 1
 
@@ -89,13 +85,8 @@ class _MemberMaxOracle(ProblemOracle):
             self._named.setdefault(t, []).append(i)
         self._last = (None, (), None)  # (x bytes, member values, gradients)
 
-    def _members(self, x: np.ndarray):
-        """The member values at x, in member order, and their gradients by
-        member, or None for ``_grad`` to compute them."""
-        return tuple(self._value(x, i) for i in range(len(self._indices))), None
-
-    def _grad(self, x: np.ndarray, i: int) -> np.ndarray:
-        return self._evaluated(x)[2][i].copy()
+    def _block(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
 
     def _evaluated(self, x: np.ndarray):
         # One read and one write of the memo, so concurrent callers never
@@ -103,7 +94,8 @@ class _MemberMaxOracle(ProblemOracle):
         key = x.tobytes()
         last = self._last
         if last[0] != key:
-            last = self._last = (key, *self._members(x))
+            vals, grads = self._block(x[None])
+            last = self._last = (key, tuple(vals[0].tolist()), grads[0])
         return last
 
     def _values(self, x: np.ndarray) -> Tuple[float, ...]:
@@ -123,31 +115,47 @@ class _MemberMaxOracle(ProblemOracle):
 
     def grad_x_F(self, x, theta):
         x = np.asarray(x, dtype=float)
-        return self._grad(x, self._member(x, theta))
+        return self._evaluated(x)[2][self._member(x, theta)].copy()
 
     def inner_max(self, x):
         i = _argmax(self._values(np.asarray(x, dtype=float)))
         return np.array([self._indices[i]])
 
     def in_D(self, x):
-        x = np.asarray(x, dtype=float)
-        vals = self._values(x)
-        vmax = max(vals)
-        tied = [i for i, v in enumerate(vals) if v == vmax]
-        if len(tied) == 1:
-            return True
-        g0 = self._grad(x, tied[0])
-        return all(np.array_equal(self._grad(x, i), g0) for i in tied[1:])
+        _, vals, grads = self._evaluated(np.asarray(x, dtype=float))
+        i = _argmax(vals)
+        vmax = vals[i]
+        if vmax != vmax:
+            return False
+        return all(np.array_equal(grads[j], grads[i])
+                   for j in range(i + 1, len(vals)) if vals[j] == vmax)
+
+    def sample_gradients(self, points):
+        """The base walk's gradients, from one ``_block`` pass over all the
+        points.  Each row takes its first maximal member, as ``inner_max``
+        does, and the walk stops at the first row with a NaN value or with
+        another maximal member of a different gradient, as ``in_D`` does."""
+        if len(points) == 0:
+            return []
+        vals, grads = self._block(np.array(points, dtype=float))
+        rows = np.arange(len(vals))
+        first = vals.argmax(axis=1)  # a row's first NaN, if it has one
+        out = grads[rows, first]
+        tied = vals == vals[rows, first][:, None]
+        # 0 where one member is maximal, more on a tie, -1 on a NaN.
+        extra = tied.sum(axis=1) - 1
+        for r in np.flatnonzero(extra).tolist():
+            if extra[r] < 0 or (grads[r, tied[r]] != out[r]).any():
+                return list(out[:r])
+        return list(out)
 
 
 class FiniteMaxOracle(_MemberMaxOracle):
     """Exact enumeration oracle; theta is the (1-d) piece index.
 
-    Every piece is evaluated in one stacked pass (``_block``), at the one
-    point behind in_D, inner_max, grad_x_F and eval_F, and at all the points
-    of a bundle in ``sample_gradients``.  The pass makes, for each point and
-    piece, the BLAS calls of the per-piece formulas, so a point's values and
-    gradients have the same bytes whichever block it is evaluated in."""
+    ``_block`` evaluates every piece in one stacked pass, making for each
+    point and piece the BLAS calls of the per-piece formulas, so a point's
+    values and gradients have the same bytes whichever block it is in."""
 
     def __init__(self, prob: FiniteMaxProblem):
         super().__init__(range(len(prob.pieces)))
@@ -179,33 +187,6 @@ class FiniteMaxOracle(_MemberMaxOracle):
             vals[:, q] += 0.5 * np.matmul(X[:, None, None, :], QX)[..., 0, 0]
             grads[:, q] += QX[..., 0]
         return vals, grads
-
-    def _members(self, x):
-        vals, grads = self._block(x[None])
-        return tuple(vals[0].tolist()), grads[0]
-
-    def sample_gradients(self, points):
-        """The base walk's gradients, from one ``_block`` pass over all the
-        points.  Each row takes its first maximal piece, as ``inner_max``
-        does, and the walk stops at the first row where another maximal
-        piece has a different gradient, as ``in_D`` does.  From the first
-        row with a NaN value on, the base walk takes over, so NaN keeps
-        the meaning ``in_D`` and ``inner_max`` give it."""
-        if len(points) == 0:
-            return []
-        vals, grads = self._block(np.array(points, dtype=float))
-        rows = np.arange(len(vals))
-        first = vals.argmax(axis=1)
-        out = grads[rows, first]
-        tied = vals == vals[rows, first][:, None]
-        # 0 where one piece is maximal, more on a tie, -1 on a NaN.
-        extra = tied.sum(axis=1) - 1
-        for r in np.flatnonzero(extra).tolist():
-            if extra[r] < 0:
-                return list(out[:r]) + super().sample_gradients(points[r:])
-            if (grads[r, tied[r]] != out[r]).any():
-                return list(out[:r])
-        return list(out)
 
 
 def finite_max_oracle(prob: FiniteMaxProblem) -> FiniteMaxOracle:
@@ -323,26 +304,22 @@ class CantorStressOracle(_MemberMaxOracle):
         for k in range(1, prob.depth + 1):
             members += [(1.0 / k, k, 1.0 / (k * j) ** 2) for j in (k + 1, k - 1) if j]
         super().__init__([t for t, _, _ in members])
-        self._formulas = [(k, coef) for _, k, coef in members]
-        self._at = (None, {})  # (x, {level: (g_k(x), g_k'(x))})
+        self._member_level = [k for _, k, _ in members]
+        self._coefs = np.array([[coef] for _, _, coef in members])
 
-    def _g(self, k: int, x: float) -> Tuple[float, float]:
-        """(g_k(x), g_k'(x)) for the level-k bump sum.
-
-        Kept per level for the last x asked about, since a sample's member
-        values and its gradient read the same levels.  x = -0.0 may reuse
-        x = 0.0, and vice versa: no midpoint is 0, so both give the same.
-        The memo is read and replaced as one tuple, and a level dict only
-        ever holds the levels of its own x, so concurrent callers are safe."""
-        at = self._at
-        if x != at[0]:
-            at = self._at = (x, {})
-        got = at[1].get(k)
-        if got is None:
-            got = at[1][k] = self._bump_sum(k, x)
-        return got
+    def _block(self, X):
+        """Each member's coef * g_k and coef * g_k' at the rows of X, from
+        one ``_bump_sum`` per level and row."""
+        levels = range(self.prob.depth + 1)
+        rows = []
+        for x in X[:, 0].tolist():
+            g = [self._bump_sum(k, x) for k in levels]
+            rows.append([g[k] for k in self._member_level])
+        P = self._coefs * np.array(rows)  # R x M x (value, slope)
+        return P[..., 0], P[..., 1:]
 
     def _bump_sum(self, k: int, x: float) -> Tuple[float, float]:
+        """(g_k(x), g_k'(x)) for the level-k bump sum."""
         if k == 0:
             return 0.0, 0.0
         mids, delta, eps_k, _ = self._levels[k]
@@ -353,14 +330,6 @@ class CantorStressOracle(_MemberMaxOracle):
                 return (eps_k * float(bump(np.array([u]))[0]),
                         eps_k / delta * float(bump_d1(np.array([u]))[0]))
         return 0.0, 0.0
-
-    def _value(self, x: np.ndarray, i: int) -> float:
-        k, coef = self._formulas[i]
-        return coef * self._g(k, float(x[0]))[0]
-
-    def _grad(self, x: np.ndarray, i: int) -> np.ndarray:
-        k, coef = self._formulas[i]
-        return np.array([coef * self._g(k, float(x[0]))[1]])
 
     # Exposed for tests of the construction itself.
     def level(self, k: int):

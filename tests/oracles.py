@@ -2,11 +2,13 @@
 
 - ``min_norm_bruteforce``: derivative-free lattice search for the
   minimum-norm point of a convex hull (checks Wolfe's method).
+- ``abs_value_problem``: f(x) = |x| as a finite max of two pieces.
 - ``two_agent_cost``: closed-form worst-case coverage cost of the
-  two-agent, two-bin problem (checks the greedy inner LP).
+  two-agent, two-bin problem (checks the partition, the cost and the
+  greedy inner LP).
 - ``excluded_hyperplanes``: the coverage smooth-set D's defining
   hyperplanes that a point lies on, in exact rational arithmetic (checks
-  ``in_D_coverage``).
+  ``CoverageOracle.in_D``).
 - ``theta_feasible``: box membership and the total-mass equality of a
   coverage density (checks the greedy inner LP's answers).
 - ``reference_c_vector``, ``reference_c_jacobian``, ``reference_grad_x``
@@ -27,7 +29,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from gradsamp import CoverageProblem, MaxPiece, coverage_c_vector, in_D_coverage
+from gradsamp import CoverageProblem, FiniteMaxProblem, MaxPiece, make_coverage_oracle
 
 
 def _compositions(total: int, parts: int):
@@ -109,13 +111,25 @@ def min_norm_bruteforce(points: Sequence[np.ndarray],
     return best @ P
 
 
+def abs_value_problem() -> FiniteMaxProblem:
+    """f(x) = |x| = max{x, -x} in one dimension."""
+    return FiniteMaxProblem(pieces=(MaxPiece(a=(1.0,)), MaxPiece(a=(-1.0,))))
+
+
+def _segment_cost(a: float, b: float, s: float) -> float:
+    # The integral of 2|y - s| over [a, b].
+    return (b - s) * abs(b - s) - (a - s) * abs(a - s)
+
+
 def two_agent_cost(theta1_bounds: Tuple[float, float],
                    theta2_bounds: Tuple[float, float],
                    x: np.ndarray) -> float:
     """Closed-form worst-case cost for two agents on [0,4] with two
     width-2 bins (bin heights sum to 1/2).
 
-    Valid for x in [0,2] x [2,4]; agrees with the generic LP pipeline."""
+    Valid for x in [0,2] x [2,4], where agent 1 is nearest left of the
+    midpoint (x1 + x2)/2 and agent 2 right of it; agrees with the generic
+    LP pipeline."""
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise ValueError("x must have two coordinates")
@@ -123,9 +137,10 @@ def two_agent_cost(theta1_bounds: Tuple[float, float],
         raise ValueError("x must lie in [0,2] x [2,4]")
     t1lo, t1hi = theta1_bounds
     t2lo, t2hi = theta2_bounds
-    prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 2.0, 4.0),
-                           theta_lower=(t1lo, t2lo), theta_upper=(t1hi, t2hi))
-    p1, p2 = coverage_c_vector(prob, x)
+    x1, x2 = float(x[0]), float(x[1])
+    cut = (x1 + x2) / 2.0  # in [1, 3]
+    p1 = _segment_cost(0.0, min(cut, 2.0), x1) + _segment_cost(min(cut, 2.0), 2.0, x2)
+    p2 = _segment_cost(2.0, max(cut, 2.0), x1) + _segment_cost(max(cut, 2.0), 4.0, x2)
     if p1 <= p2:
         th1 = max(t1lo, 0.5 - t2hi)
     else:
@@ -221,7 +236,7 @@ def reference_grad_x(prob: CoverageProblem, x: np.ndarray,
                      theta: np.ndarray) -> np.ndarray:
     """Gradient of <c, theta> (+ weighted penalty); ValueError off D."""
     x = np.asarray(x, dtype=float)
-    if not in_D_coverage(prob, x):
+    if not make_coverage_oracle(prob).in_D(x):
         raise ValueError("gradient undefined: x lies on an excluded hyperplane")
     g = reference_c_jacobian(prob, x).T @ np.asarray(theta, dtype=float)
     if prob.penalty_enabled:

@@ -20,9 +20,7 @@ from gradsamp import (
     Rng,
     StepKind,
     Termination,
-    abs_value_problem,
     cantor_stress_oracle,
-    coverage_c_vector,
     finite_max_oracle,
     gradient_descent_baseline,
     inner_lp_max,
@@ -31,8 +29,7 @@ from gradsamp import (
     run,
 )
 from gradsamp.cli import run_experiment
-from gradsamp.coverage import in_D_coverage, coverage_grad_x
-from oracles import min_norm_bruteforce, two_agent_cost
+from oracles import abs_value_problem, min_norm_bruteforce, two_agent_cost
 
 SEED = 42
 CENTER = np.array([1.0, 3.0])
@@ -180,7 +177,7 @@ def test_criterion_07_gradient_correctness():
         resid = 1.0 - float(lo @ prob.widths)
         theta = np.asarray(lo) + resid / float((hi - lo) @ prob.widths) * (hi - lo)
         oracle = make_coverage_oracle(prob)
-        g = coverage_grad_x(prob, x, theta)
+        g = oracle.grad_x_F(x, theta)
         fd = np.zeros(N)
         for i in range(N):
             e = np.zeros(N)
@@ -205,7 +202,7 @@ def _well_inside_D(prob, x, margin):
         mids = (xs[:-1] + xs[1:]) / 2.0
         if np.any(np.abs(mids[:, None] - edges[None, :]) < margin):
             return False
-    return in_D_coverage(prob, x)
+    return make_coverage_oracle(prob).in_D(x)
 
 
 def _random_feasible_thetas(gen, lo, hi, w, mass, count):
@@ -266,13 +263,10 @@ def test_criterion_08_inner_lp_exactness():
 
 def test_criterion_09_two_agent_closed_form(two_agent_oracle):
     gen = np.random.Generator(np.random.Philox(SEED))
-    prob = two_agent_oracle.prob
     for _ in range(1000):
         x = np.array([gen.uniform(0.0, 2.0), gen.uniform(2.0, 4.0)])
-        c = coverage_c_vector(prob, x)
-        lp_val = float(c @ inner_lp_max(prob, c))
         cf = two_agent_cost((0.0, 0.45), (0.0, 0.45), x)
-        assert abs(cf - lp_val) <= 1e-10
+        assert abs(cf - two_agent_oracle.objective(x)) <= 1e-10
     _report(9, "closed-form two-agent cost equals the LP pipeline at "
                "1000 points")
 

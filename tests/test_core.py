@@ -142,7 +142,7 @@ def _concurrency_case(family):
             mids, delta, _, _ = levels.level(k)
             points.append(np.array([mids[1] + delta / 3.0]))
         return (lambda: cantor_stress_oracle(prob), points,
-                (testfns.CantorStressOracle, "_bump_sum"))
+                (testfns.CantorStressOracle, "_block"))
     prob = CoverageProblem(n_agents=6, bin_edges=tuple(float(v) for v in range(9)),
                            theta_lower=(0.05,) * 8, theta_upper=(0.3,) * 8,
                            penalty_enabled=True)
@@ -215,7 +215,7 @@ def test_state_fields():
 def test_public_api_exports_no_submodules():
     assert not [n for n in gradsamp.__all__
                 if isinstance(getattr(gradsamp, n), ModuleType)]
-    assert len(gradsamp.__all__) == 29
+    assert len(gradsamp.__all__) == 25
 
 
 def test_public_api_is_pinned():
@@ -226,9 +226,8 @@ def test_public_api_is_pinned():
         "FiniteMaxProblem", "GsParams", "IterationRecord", "MaxPiece",
         "MinNormResult", "NonsmoothPolicy", "NonsmoothSampleError", "ParamError",
         "ProblemOracle", "Rng", "StepKind", "Termination", "Trace",
-        "abs_value_problem", "cantor_stress_oracle",
-        "coverage_c_vector", "coverage_grad_x", "finite_max_oracle",
-        "gradient_descent_baseline", "in_D_coverage", "inner_lp_max",
+        "cantor_stress_oracle", "finite_max_oracle",
+        "gradient_descent_baseline", "inner_lp_max",
         "make_coverage_oracle", "min_norm_point", "penalty", "run",
         "validate_params",
     }

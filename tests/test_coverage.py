@@ -13,15 +13,11 @@ from scipy.integrate import quad
 
 from gradsamp import (
     CoverageProblem,
-    coverage_c_vector,
-    coverage_grad_x,
-    in_D_coverage,
     inner_lp_max,
     make_coverage_oracle,
     penalty,
 )
 from gradsamp import ProblemOracle, coverage
-from gradsamp.coverage import coverage_c_jacobian
 from oracles import (
     excluded_hyperplanes,
     reference_c_jacobian,
@@ -31,6 +27,26 @@ from oracles import (
     theta_feasible,
     two_agent_cost,
 )
+
+
+def _c(prob, x):
+    """The per-bin cost c(x), from a fresh partition."""
+    _, xs, segments = coverage._partition(prob, x)
+    return coverage._cost(xs, segments, prob.n_bins)
+
+
+def _jacobian(prob, x):
+    """dc/dx (n_bins x n_agents), from a fresh partition."""
+    return coverage._jacobian(prob, *coverage._partition(prob, x))
+
+
+def _in_D(prob, x):
+    return make_coverage_oracle(prob).in_D(x)
+
+
+def _grad(prob, x, theta):
+    """The gradient of <c(x), theta> (+ weighted penalty), from a fresh oracle."""
+    return make_coverage_oracle(prob).grad_x_F(x, theta)
 
 
 def _c_quadrature(prob, x):
@@ -48,19 +64,19 @@ def _c_quadrature(prob, x):
     return np.array(out)
 
 
-# -- coverage_c_vector -------------------------------------------------------
+# -- the per-bin cost c ------------------------------------------------------
 
 def test_c_single_agent_centered():
     prob = CoverageProblem(n_agents=1, bin_edges=(0.0, 1.0),
                            theta_lower=(0.0,), theta_upper=(1.0,))
-    np.testing.assert_allclose(coverage_c_vector(prob, np.array([0.5])), [0.5])
-    np.testing.assert_allclose(coverage_c_vector(prob, np.array([0.0])), [1.0])
+    np.testing.assert_allclose(_c(prob, np.array([0.5])), [0.5])
+    np.testing.assert_allclose(_c(prob, np.array([0.0])), [1.0])
 
 
 def test_c_two_agents_symmetric():
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 2.0, 4.0),
                            theta_lower=(0.0, 0.0), theta_upper=(0.45, 0.45))
-    np.testing.assert_allclose(coverage_c_vector(prob, np.array([1.0, 3.0])),
+    np.testing.assert_allclose(_c(prob, np.array([1.0, 3.0])),
                                [2.0, 2.0])
 
 
@@ -75,7 +91,7 @@ def test_c_matches_quadrature_random():
                                theta_lower=(0.0,) * K,
                                theta_upper=(2.0,) * K)
         x = gen.uniform(-1.0, edges[-1] + 1.0, size=N)
-        np.testing.assert_allclose(coverage_c_vector(prob, x),
+        np.testing.assert_allclose(_c(prob, x),
                                    _c_quadrature(prob, x),
                                    rtol=1e-9, atol=1e-9)
 
@@ -84,9 +100,9 @@ def test_c_permutation_symmetric():
     prob = CoverageProblem(n_agents=3, bin_edges=(0.0, 1.0, 2.0, 3.0),
                            theta_lower=(0.0,) * 3, theta_upper=(1.0,) * 3)
     x = np.array([0.4, 2.6, 1.1])
-    base = coverage_c_vector(prob, x)
+    base = _c(prob, x)
     for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
-        np.testing.assert_array_equal(coverage_c_vector(prob, x[perm]), base)
+        np.testing.assert_array_equal(_c(prob, x[perm]), base)
 
 
 def test_linearity_recovers_c():
@@ -100,7 +116,7 @@ def test_linearity_recovers_c():
     T = gen.uniform(0.0, 1.0, size=(2, 2))
     vals = np.array([oracle.eval_F(x, t) for t in T])
     c_solved = np.linalg.solve(T, vals)
-    np.testing.assert_allclose(c_solved, coverage_c_vector(prob, x),
+    np.testing.assert_allclose(c_solved, _c(prob, x),
                                atol=1e-10)
 
 
@@ -109,13 +125,13 @@ def test_linearity_recovers_c():
 def test_grad_single_agent_examples():
     prob = CoverageProblem(n_agents=1, bin_edges=(0.0, 1.0),
                            theta_lower=(1.0,), theta_upper=(1.0,))
-    g = coverage_grad_x(prob, np.array([0.5]), np.array([1.0]))
+    g = _grad(prob, np.array([0.5]), np.array([1.0]))
     np.testing.assert_allclose(g, [0.0], atol=1e-12)
 
     pen = CoverageProblem(n_agents=1, bin_edges=(0.0, 1.0),
                           theta_lower=(1.0,), theta_upper=(1.0,),
                           penalty_enabled=True, penalty_weight=1.0)
-    g = coverage_grad_x(pen, np.array([-0.5]), np.array([1.0]))
+    g = _grad(pen, np.array([-0.5]), np.array([1.0]))
     np.testing.assert_allclose(g, [-3.0], atol=1e-12)  # cost -2, penalty -1
 
 
@@ -125,19 +141,19 @@ def test_grad_symmetric_two_agent_zero():
     # excluded hyperplane (midpoint 2 equals the interior edge).
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 4.0),
                            theta_lower=(0.25,), theta_upper=(0.25,))
-    g = coverage_grad_x(prob, np.array([1.0, 3.0]), np.array([0.25]))
+    g = _grad(prob, np.array([1.0, 3.0]), np.array([0.25]))
     np.testing.assert_allclose(g, [0.0, 0.0], atol=1e-12)
     # The two-bin symmetric point is correctly excluded from D.
     two = CoverageProblem(n_agents=2, bin_edges=(0.0, 2.0, 4.0),
                           theta_lower=(0.0, 0.0), theta_upper=(0.45, 0.45))
-    assert not in_D_coverage(two, np.array([1.0, 3.0]))
+    assert not _in_D(two, np.array([1.0, 3.0]))
 
 
 def test_grad_rejects_x_outside_D():
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 2.0, 4.0),
                            theta_lower=(0.0, 0.0), theta_upper=(0.45, 0.45))
     with pytest.raises(ValueError):
-        coverage_grad_x(prob, np.array([1.0, 1.0]), np.array([0.25, 0.25]))
+        _grad(prob, np.array([1.0, 1.0]), np.array([0.25, 0.25]))
 
 
 def _margin(prob, x):
@@ -172,15 +188,15 @@ def test_jacobian_matches_finite_differences():
         x = gen.uniform(-1.0, edges[-1] + 1.0, size=N)
         while _margin(prob, x) < 1e3 * h:
             x = gen.uniform(-1.0, edges[-1] + 1.0, size=N)
-        assert in_D_coverage(prob, x)
+        assert _in_D(prob, x)
         theta = gen.uniform(0.0, 1.0, size=K)
-        J = coverage_c_jacobian(prob, x)
-        g = coverage_grad_x(prob, x, theta)
+        J = _jacobian(prob, x)
+        g = _grad(prob, x, theta)
         for i in range(N):
             e = np.zeros(N)
             e[i] = h
-            fd = (coverage_c_vector(prob, x + e)
-                  - coverage_c_vector(prob, x - e)) / (2 * h)
+            fd = (_c(prob, x + e)
+                  - _c(prob, x - e)) / (2 * h)
             np.testing.assert_allclose(J[:, i], fd, atol=1e-6,
                                        err_msg=f"seed {seed}, agent {i}")
             fd_F = (oracle.eval_F(x + e, theta)
@@ -197,10 +213,10 @@ def test_cone_property_with_penalty():
     checked = 0
     while checked < 50:
         x = np.array([gen.uniform(-2.0, -0.1), gen.uniform(6.1, 8.0)])
-        if not in_D_coverage(prob, x):
+        if not _in_D(prob, x):
             continue
-        theta = inner_lp_max(prob, coverage_c_vector(prob, x))
-        g = coverage_grad_x(prob, x, theta)
+        theta = inner_lp_max(prob, _c(prob, x))
+        g = _grad(prob, x, theta)
         assert g[0] < 0.0  # x_0 below the support
         assert g[1] > 0.0  # x_1 above the support
         checked += 1
@@ -231,30 +247,30 @@ def test_continuity_across_excluded_hyperplanes():
 def test_in_D_midpoint_on_edge_excluded():
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 1.0, 2.0, 3.0, 4.0),
                            theta_lower=(0.0,) * 4, theta_upper=(1.0,) * 4)
-    assert not in_D_coverage(prob, np.array([1.3, 2.7]))  # midpoint 2.0
+    assert not _in_D(prob, np.array([1.3, 2.7]))  # midpoint 2.0
 
 
 def test_in_D_coincident_agents_excluded():
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 1.0),
                            theta_lower=(0.0,), theta_upper=(2.0,))
-    assert not in_D_coverage(prob, np.array([0.5, 0.5]))
+    assert not _in_D(prob, np.array([0.5, 0.5]))
 
 
 def test_in_D_agent_on_edge_excluded():
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 1.0, 2.0),
                            theta_lower=(0.0, 0.0), theta_upper=(1.0, 1.0))
-    assert not in_D_coverage(prob, np.array([1.0, 1.7]))
+    assert not _in_D(prob, np.array([1.0, 1.7]))
 
 
 def test_in_D_interior_point_accepted():
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 1.0, 2.0),
                            theta_lower=(0.0, 0.0), theta_upper=(1.0, 1.0))
-    assert in_D_coverage(prob, np.array([0.31, 1.77]))
+    assert _in_D(prob, np.array([0.31, 1.77]))
 
 
 def test_in_D_matches_definition_on_half_unit_grid():
     """Agents on a half-unit grid over integer bin edges hit every kind of
-    excluded hyperplane; in_D_coverage must agree with the definition."""
+    excluded hyperplane; the oracle's in_D must agree with the definition."""
     gen = np.random.Generator(np.random.Philox(25))
     seen = set()
     inside = 0
@@ -267,7 +283,7 @@ def test_in_D_matches_definition_on_half_unit_grid():
                                theta_lower=(0.0,) * K, theta_upper=(1.0,) * K)
         x = gen.integers(-2, 2 * int(edges[-1]) + 3, size=N) / 2.0
         kinds = excluded_hyperplanes(prob, x)
-        assert in_D_coverage(prob, x) == (not kinds), (edges, x, kinds)
+        assert _in_D(prob, x) == (not kinds), (edges, x, kinds)
         seen |= kinds
         inside += not kinds
     assert seen == {"coincident", "agent_on_edge", "midpoint_on_edge"}
@@ -358,7 +374,7 @@ def test_two_agent_degenerate_bounds():
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 2.0, 4.0),
                            theta_lower=(0.25, 0.25), theta_upper=(0.25, 0.25))
     x = np.array([0.6, 3.3])
-    c = coverage_c_vector(prob, x)
+    c = _c(prob, x)
     assert two_agent_cost((0.25, 0.25), (0.25, 0.25), x) == pytest.approx(
         0.25 * float(c.sum()))
 
@@ -441,11 +457,11 @@ def test_coverage_matches_bisect_reference_bytewise():
     for prob, x, theta in _reference_cases():
         case = (prob.bin_edges, prob.penalty_enabled, x.tolist())
         c = reference_c_vector(prob, x)
-        assert coverage_c_vector(prob, x).tobytes() == c.tobytes(), case
-        assert (coverage_c_jacobian(prob, x).tobytes()
+        assert _c(prob, x).tobytes() == c.tobytes(), case
+        assert (_jacobian(prob, x).tobytes()
                 == reference_c_jacobian(prob, x).tobytes()), case
         grad = _grad_or_error(reference_grad_x, prob, x, theta)
-        assert _grad_or_error(coverage_grad_x, prob, x, theta) == grad, case
+        assert _grad_or_error(_grad, prob, x, theta) == grad, case
 
         oracle = make_coverage_oracle(prob)
         lp = reference_lp_max(prob, c)
@@ -515,8 +531,8 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
     corner = CoverageProblem(n_agents=2, bin_edges=(0.0, 1e-300, 1.0),
                              theta_lower=(0.5e300, 0.0), theta_upper=(1e300, 1.0))
     tiny = np.array([-1.0, 2.0]) * np.nextafter(0.0, 1.0)
-    assert (tiny[0] + tiny[1]) / 2.0 == 0.0 and in_D_coverage(corner, tiny)
-    alone = [(prob, x) for prob, x, _ in _reference_cases() if in_D_coverage(prob, x)]
+    assert (tiny[0] + tiny[1]) / 2.0 == 0.0 and _in_D(corner, tiny)
+    alone = [(prob, x) for prob, x, _ in _reference_cases() if _in_D(prob, x)]
     # The LP with no mass to fill above the lower bounds, and with rooms
     # without bound.
     lps = [CoverageProblem(n_agents=3, bin_edges=(0.0, 1.0, 2.0, 4.0),
@@ -562,11 +578,11 @@ def _memo_problem():
 
 
 def _fresh(prob, x, theta):
-    # Module-level answers, which build their own partition every time.
-    c = coverage_c_vector(prob, x)
+    # Answers from a fresh partition and a fresh oracle every time.
+    c = _c(prob, x)
     F = float(c @ theta) + prob.penalty_weight * penalty(prob, x)
     return (inner_lp_max(prob, c).tobytes(), repr(F),
-            coverage_grad_x(prob, x, theta).tobytes())
+            _grad(prob, x, theta).tobytes())
 
 
 def _asked(oracle, x, theta):
@@ -581,7 +597,7 @@ def test_oracle_memo_interleaved_points_match_fresh_results():
     x1, x2 = gen.uniform(-0.5, 8.5, size=6), gen.uniform(-0.5, 8.5, size=6)
     theta = gen.uniform(0.05, 0.3, size=8)
     for x in (x1, x2, x1, x1, x2):
-        assert in_D_coverage(prob, x)
+        assert _in_D(prob, x)
         assert _asked(oracle, x, theta) == _fresh(prob, x, theta)
 
 

@@ -18,7 +18,6 @@ from gradsamp import (
     Rng,
     StepKind,
     Termination,
-    abs_value_problem,
     finite_max_oracle,
     gradient_descent_baseline,
     make_coverage_oracle,
@@ -28,6 +27,8 @@ from gradsamp import driver
 from gradsamp.core import GsState
 from gradsamp.driver import line_search, sample_ball, step
 from gradsamp.testfns import FiniteMaxOracle
+
+from oracles import abs_value_problem
 
 
 def test_rng_repeatable():

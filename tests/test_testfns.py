@@ -13,7 +13,7 @@ from gradsamp import (
     MaxPiece,
     ProblemOracle,
     Rng,
-    abs_value_problem,
+    Termination,
     cantor_stress_oracle,
     finite_max_oracle,
     run,
@@ -27,7 +27,7 @@ from gradsamp.testfns import (
     bump_derivative_bound,
 )
 
-from oracles import reference_piece
+from oracles import abs_value_problem, reference_piece
 
 
 # -- finite-max family -------------------------------------------------------
@@ -142,6 +142,30 @@ def test_in_D_tie_detection():
     oracle = finite_max_oracle(abs_value_problem())
     assert oracle.in_D(np.array([0.5]))
     assert not oracle.in_D(np.array([0.0]))  # both pieces tie, gradients differ
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+def test_nan_member_value_is_outside_D():
+    """A point where some member value is NaN lies outside D, whichever
+    member it is: in_D says so, a bundle stops before it, and a run from it
+    ends at NonsmoothSampleStop under either policy, not in a traceback."""
+    nan_piece = MaxPiece(a=(-1e308,), Q=((1e308,),))  # -inf + inf at x = 3
+    for pieces in ((nan_piece, MaxPiece(a=(1.0,))), (MaxPiece(a=(1.0,)), nan_piece)):
+        prob = FiniteMaxProblem(pieces=pieces)
+        oracle = finite_max_oracle(prob)
+        x = np.array([3.0])
+        vals = oracle._block(x[None])[0][0]
+        assert np.isnan(vals).tolist() == [p is nan_piece for p in pieces]
+        assert vals[~np.isnan(vals)].tolist() == [3.0]
+        assert not oracle.in_D(x)
+        inside = np.array([1.0])
+        assert oracle.in_D(inside)
+        got = oracle.sample_gradients([inside, x, inside])
+        assert [g.tolist() for g in got] == [[1.0]]
+        for policy in ("stop", "resample"):
+            tr = run(finite_max_oracle(prob), GsParams(on_nonsmooth_sample=policy), x, Rng(1))
+            assert tr.termination == Termination.NONSMOOTH_SAMPLE_STOP
 
 
 def _block_case(gen, kind):
@@ -333,6 +357,40 @@ def test_nondifferentiability_witness_at_midpoints():
         left = (f(x0) - f(x0 - h)) / h
         witness = eps_k * abs(math.pi / math.e) / (2.0 * delta) * coef
         assert abs(right - left) >= witness
+
+
+def test_stress_block_path_matches_per_point_path_bytewise():
+    """The stress oracle's stacked pass gives each member coef * g_k and
+    coef * g_k' with the bytes of the scalar formula, and its bundles the
+    gradients of the base walk, stopping before the same first miss of D:
+    a bump's midpoint, where every member is 0 and the slopes differ."""
+    gen = np.random.Generator(np.random.Philox(53))
+    misses = 0
+    for depth in (1, 3, 6):
+        prob = CantorStressProblem(depth=depth)
+        oracle = cantor_stress_oracle(prob)
+        on_bumps = []
+        for k in range(1, depth + 1):
+            mids, delta, _, _ = oracle.level(k)
+            on_bumps += [m + delta * u for m in mids for u in (0.0, -0.5, 1 / 3)]
+        coefs = [0.0] + [1.0 / (k * j) ** 2 for k in range(1, depth + 1)
+                         for j in (k + 1, k - 1) if j]
+        levels = [0] + [k for k in range(1, depth + 1) for j in (k + 1, k - 1) if j]
+        for _ in range(40):
+            xs = [float(v) for v in gen.uniform(-0.1, 1.1, int(gen.integers(1, 8)))]
+            xs += list(gen.choice(on_bumps, int(gen.integers(0, 5))))
+            points = [np.array([v]) for v in gen.permutation(xs)]
+            vals, grads = oracle._block(np.array(points))
+            for p, vrow, grow in zip(points, vals, grads):
+                g = [oracle._bump_sum(k, float(p[0])) for k in levels]
+                assert vrow.tobytes() == np.array([c * gk[0] for c, gk in zip(coefs, g)]).tobytes()
+                assert grow.tobytes() == np.array([[c * gk[1]] for c, gk in zip(coefs, g)]).tobytes()
+            got = [g.tobytes() for g in oracle.sample_gradients(points)]
+            want = [g.tobytes() for g in ProblemOracle.sample_gradients(
+                cantor_stress_oracle(prob), points)]
+            assert got == want
+            misses += len(want) < len(points)
+    assert misses >= 30
 
 
 def test_bump_evaluated_once_per_point(monkeypatch):
