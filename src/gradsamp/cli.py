@@ -19,10 +19,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (GsParams, NonsmoothPolicy, ParamError, Termination, Trace, _is_count,
-                   validate_params)
+from .core import GsParams, ParamError, Termination, Trace, validate_params
 from .coverage import CoverageProblem, make_coverage_oracle
-from .driver import Rng, gradient_descent_baseline, run
+from .driver import Rng, _start_point, gradient_descent_baseline, run
 from .testfns import (
     CantorStressProblem,
     FiniteMaxProblem,
@@ -82,8 +81,6 @@ def build_params(d: dict) -> GsParams:
     for key, val in d.items():
         if key not in allowed:
             raise ConfigError(f"unknown params field '{key}'")
-        if key == "on_nonsmooth_sample":
-            val = NonsmoothPolicy(val)
         setattr(p, key, val)
     return p
 
@@ -160,15 +157,8 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         params = build_params(cfg.get("params", {}))
         if max_iters is not None:
             params.max_iters = max_iters
-        x1 = np.asarray(_require(cfg, "x1", "config"), dtype=float)
-        if x1.shape != (oracle.dim,):
-            raise ConfigError(
-                f"x1 has dimension {x1.shape}, problem needs {oracle.dim}")
-        if not np.all(np.isfinite(x1)):
-            raise ConfigError("x1 must be finite")
-        run_seed = cfg.get("seed", 0) if seed is None else seed
-        if not (_is_count(run_seed) and run_seed >= 0):
-            raise ConfigError(f"seed must be a nonnegative integer: {run_seed!r}")
+        x1 = _start_point(oracle, _require(cfg, "x1", "config"))
+        rng = Rng(cfg.get("seed", 0) if seed is None else seed)
         validate_params(params, oracle.dim)
         out = Path(out_dir if out_dir is not None
                    else _require(cfg, "output_dir", "config"))
@@ -191,14 +181,14 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
     out.mkdir(parents=True, exist_ok=True)
     log.info("running experiment: %s -> %s", config_path, out)
     t0 = time.perf_counter()
-    trace = run(oracle, params, x1, Rng(run_seed))
+    trace = run(oracle, params, x1, rng)
     wall = time.perf_counter() - t0
     if "csv" in formats:
         write_trace_csv(trace, out / "trace.csv")
     if "json" in formats:
         write_trace_json(trace, out / "trace.json")
 
-    summary = {"seed": run_seed, "sampling": _summary_block(trace, wall)}
+    summary = {"seed": rng.seed, "sampling": _summary_block(trace, wall)}
     if run_gd:
         t0 = time.perf_counter()
         gd = gradient_descent_baseline(oracle, params, x1)

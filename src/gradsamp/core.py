@@ -109,7 +109,8 @@ class Termination(str, Enum):
     MAX_ITERS = "MaxIters"
     TOLERANCES_REACHED = "TolerancesReached"
     NONSMOOTH_SAMPLE_STOP = "NonsmoothSampleStop"
-    # Extra reasons used by the plain gradient-descent baseline only.
+    # Stalled: the GD baseline's line searches kept failing, or a sampling
+    # run's radius underflowed to 0.  LeftDomain: the GD baseline left D.
     STALLED = "Stalled"
     LEFT_DOMAIN = "LeftDomain"
 

@@ -46,18 +46,21 @@ class CoverageProblem:
         if not isinstance(self.penalty_enabled, bool):
             raise ValueError(f"penalty_enabled must be a bool: {self.penalty_enabled!r}")
         if (len(edges) < 2 or not all(map(math.isfinite, edges))
-                or any(b <= a for a, b in zip(edges, edges[1:]))):
-            raise ValueError("bin_edges must be finite and strictly increasing")
+                or not all(0.0 < b - a < math.inf for a, b in zip(edges, edges[1:]))):
+            raise ValueError("bin_edges must be finite and strictly increasing, "
+                             "with finite widths")
         K = len(edges) - 1
         if len(lower) != K or len(upper) != K:
             raise ValueError("theta bounds must have one entry per bin")
-        if not all(0.0 <= lo <= hi for lo, hi in zip(lower, upper)):
-            raise ValueError("need 0 <= theta_lower <= theta_upper")
+        if not all(0.0 <= lo <= hi and lo < math.inf for lo, hi in zip(lower, upper)):
+            raise ValueError("need 0 <= theta_lower <= theta_upper, theta_lower finite")
         if not 0.0 < self.total_mass < math.inf:
             raise ValueError("total_mass must be positive and finite")
-        w = self.widths
-        if (np.dot(lower, w) > self.total_mass + 1e-12
-                or np.dot(upper, w) < self.total_mass - 1e-12):
+        # On the sums the LP fills from, so a problem built here never makes
+        # it fail; within the slack it returns theta_lower or theta_upper.
+        lo_sum, hi_sum = self._mass_bounds[3:]
+        slack = 1e-12 * max(1.0, self.total_mass)
+        if not lo_sum - slack <= self.total_mass <= hi_sum + slack:
             raise ValueError("mass constraint infeasible for the given bounds")
         if not 0.0 < self.penalty_weight < math.inf:
             raise ValueError("penalty_weight must be positive and finite")
@@ -89,9 +92,9 @@ class CoverageProblem:
 
     @cached_property
     def _mass_bounds(self):
-        # For inner_lp_max: the widths (read-only, as every call shares
-        # them), the lower bin masses and the room above them as lists, and
-        # the sums of the lower and upper bin masses.
+        # For the LPs: the widths (read-only, as every call shares them),
+        # the lower bin masses and the room above them as lists, and the
+        # sums of the lower and upper bin masses, which __post_init__ checks.
         w = self.widths
         w.flags.writeable = False
         lo_m = np.asarray(self.theta_lower) * w
@@ -225,10 +228,8 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     greedy fill by decreasing rate c_k / width_k is exact (ties broken at
     the lowest index)."""
     c = np.asarray(c, dtype=float)
-    w, lo_m, room, lo_sum, hi_sum = prob._mass_bounds
+    w, lo_m, room, lo_sum, _ = prob._mass_bounds
     resid = prob.total_mass - lo_sum
-    if resid < -1e-9 or prob.total_mass > hi_sum + 1e-9:
-        raise ValueError("infeasible mass bounds")
     masses = list(lo_m)
     for k in np.argsort(-(c / w), kind="stable").tolist():
         if resid <= 0.0:
@@ -309,10 +310,8 @@ def _block_lp(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     of the rooms: a step adds its whole room while some mass is left after
     it, the step that exhausts it adds what was left, and later steps add
     nothing."""
-    w, lo_m, room, lo_sum, hi_sum = prob._mass_bounds
+    w, lo_m, room, lo_sum, _ = prob._mass_bounds
     resid = prob.total_mass - lo_sum
-    if resid < -1e-9 or prob.total_mass > hi_sum + 1e-9:
-        raise ValueError("infeasible mass bounds")
     R, K = c.shape
     fill = np.argsort(-(c / w), axis=1, kind="stable")
     room_f = np.asarray(room)[fill]

@@ -11,6 +11,7 @@ step-size limits is included for comparison.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -113,12 +114,14 @@ def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,
 
 
 def _norm(v: np.ndarray) -> float:
-    """The Euclidean norm as np.linalg.norm gives it, and where that
-    overflows (entries above about 1e154), the scaled norm of math.hypot.
-    That overflow is recovered from, so NumPy does not warn of it."""
+    """The Euclidean norm as np.linalg.norm gives it, and the scaled norm of
+    math.hypot where v.v overflows (entries above about 1e154) or falls
+    below the smallest normal double (entries below about 1e-154), whose
+    square root has lost digits.  That overflow is recovered from, so NumPy
+    does not warn of it."""
     with np.errstate(over="ignore"):
-        n = math.sqrt(v.dot(v))  # the same operations as np.linalg.norm
-    return n if math.isfinite(n) else math.hypot(*v.tolist())
+        s = v.dot(v)  # the same operations as np.linalg.norm
+    return math.sqrt(s) if sys.float_info.min <= s < math.inf else math.hypot(*v.tolist())
 
 
 def line_search(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray,
@@ -222,7 +225,7 @@ def _start_point(oracle: ProblemOracle, x1) -> np.ndarray:
     x1 = np.asarray(x1, dtype=float)
     if x1.shape != (oracle.dim,):
         raise ValueError(f"x1 has shape {x1.shape}, the problem needs shape "
-                         f"({oracle.dim},)")
+                         f"({oracle.dim},) for its dimension {oracle.dim}")
     if not np.all(np.isfinite(x1)):
         raise ValueError("x1 must be finite")
     return x1
@@ -233,8 +236,9 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
 
     Stops at max_iters, or when both tolerances drop to their configured
     floors, or when a sample leaves D under the 'stop' policy or cannot be
-    redrawn into D under 'resample'.  The recorded objective decreases by at
-    least alpha * beta * t_k * ||g^k|| on every accepted step; this is
+    redrawn into D under 'resample', or (as Stalled) before a step whose
+    radius eps has underflowed to 0.  The recorded objective decreases by
+    at least alpha * beta * t_k * ||g^k|| on every accepted step; this is
     asserted at the end of the run.  Raises ValueError, before the oracle
     is called, unless x1 is a finite vector of shape (oracle.dim,).
     """
@@ -245,6 +249,9 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     state = GsState(k=1, x=x1, eps=p.eps1, nu=p.nu1)
     termination = Termination.MAX_ITERS
     for _ in range(p.max_iters):
+        if state.eps == 0.0:  # the radius underflowed: no ball to sample
+            termination = Termination.STALLED
+            break
         try:
             state, rec = step(oracle, state, p, rng)
         except NonsmoothSampleError:

@@ -59,6 +59,22 @@ def _argmax(vals) -> int:
     return vals.index(max(vals))
 
 
+def _first_max(vals: np.ndarray, grads: np.ndarray) -> Tuple[np.ndarray, int]:
+    """From member values (R x M) and gradients (R x M x n): each row's
+    first maximal member's gradient, and how many leading rows lie in D,
+    which a row with a NaN value or a tie of unequal gradients is not."""
+    rows = np.arange(len(vals))
+    first = vals.argmax(axis=1)  # a row's first NaN, if it has one
+    out = grads[rows, first]
+    tied = vals == vals[rows, first][:, None]
+    # 0 where one member is maximal, more on a tie, -1 on a NaN.
+    extra = tied.sum(axis=1) - 1
+    for r in np.flatnonzero(extra).tolist():
+        if extra[r] < 0 or (grads[r, tied[r]] != out[r]).any():
+            return out, r
+    return out, len(vals)
+
+
 class _MemberMaxOracle(ProblemOracle):
     """Exact oracle for f(x) = max_i f_i(x) over finitely many smooth members.
 
@@ -123,31 +139,16 @@ class _MemberMaxOracle(ProblemOracle):
 
     def in_D(self, x):
         _, vals, grads = self._evaluated(np.asarray(x, dtype=float))
-        i = _argmax(vals)
-        vmax = vals[i]
-        if vmax != vmax:
-            return False
-        return all(np.array_equal(grads[j], grads[i])
-                   for j in range(i + 1, len(vals)) if vals[j] == vmax)
+        return _first_max(np.array([vals]), grads[None])[1] == 1
 
     def sample_gradients(self, points):
         """The base walk's gradients, from one ``_block`` pass over all the
-        points.  Each row takes its first maximal member, as ``inner_max``
-        does, and the walk stops at the first row with a NaN value or with
-        another maximal member of a different gradient, as ``in_D`` does."""
+        points: each row's first maximal member's, as ``inner_max`` picks
+        it, up to the first row outside D."""
         if len(points) == 0:
             return []
-        vals, grads = self._block(np.array(points, dtype=float))
-        rows = np.arange(len(vals))
-        first = vals.argmax(axis=1)  # a row's first NaN, if it has one
-        out = grads[rows, first]
-        tied = vals == vals[rows, first][:, None]
-        # 0 where one member is maximal, more on a tie, -1 on a NaN.
-        extra = tied.sum(axis=1) - 1
-        for r in np.flatnonzero(extra).tolist():
-            if extra[r] < 0 or (grads[r, tied[r]] != out[r]).any():
-                return list(out[:r])
-        return list(out)
+        out, n_in_D = _first_max(*self._block(np.array(points, dtype=float)))
+        return list(out[:n_in_D])
 
 
 class FiniteMaxOracle(_MemberMaxOracle):

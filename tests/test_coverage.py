@@ -13,9 +13,13 @@ from scipy.integrate import quad
 
 from gradsamp import (
     CoverageProblem,
+    GsParams,
+    Rng,
+    Termination,
     inner_lp_max,
     make_coverage_oracle,
     penalty,
+    run,
 )
 from gradsamp import ProblemOracle, coverage
 from oracles import (
@@ -663,3 +667,44 @@ def test_problem_validation_errors():
                          ("penalty_enabled", "false"), ("penalty_enabled", 1)):
         with pytest.raises(ValueError):
             CoverageProblem(**{**ok, field: value})
+
+
+def test_lower_masses_that_use_up_the_total_construct_and_solve():
+    """A total mass equal to the lower masses as np.dot sums them, which the
+    LP's own sum puts 2 ulps above it: the problem constructs, both LP paths
+    return theta_lower, and a run ends with a termination.  Then a seeded
+    search over such problems, where every one constructs and both LP paths
+    agree byte for byte on a feasible theta."""
+    prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 0.9, 1.2), theta_lower=(1e7, 2e7),
+                           theta_upper=(2e7, 3e7), total_mass=14999999.999999998)
+    lower = np.array(prob.theta_lower)
+    c = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for row in c:
+        assert np.array_equal(inner_lp_max(prob, row), lower)
+    assert np.array_equal(coverage._block_lp(prob, c), [lower, lower])
+    tr = run(make_coverage_oracle(prob), GsParams(max_iters=5), np.array([0.3, 1.0]), Rng(0))
+    assert isinstance(tr.termination, Termination)
+
+    gen = np.random.Generator(np.random.Philox(31))
+    for _ in range(2000):
+        K = int(gen.integers(1, 9))
+        edges = np.cumsum(np.concatenate([[gen.uniform(-5.0, 5.0)], gen.uniform(0.1, 2.0, K)]))
+        lower = gen.uniform(0.0, 1.0, K) * 10.0 ** gen.uniform(-8.0, 8.0)
+        upper = lower * np.where(gen.random(K) < 0.5, 1.0, gen.uniform(1.0, 3.0, K))
+        prob = CoverageProblem(n_agents=1, bin_edges=tuple(edges), theta_lower=tuple(lower),
+                               theta_upper=tuple(upper),
+                               total_mass=float(np.dot(lower, np.diff(edges))))
+        c = gen.standard_normal((3, K))
+        block = coverage._block_lp(prob, c)
+        for row, theta in zip(c, block):
+            assert inner_lp_max(prob, row).tobytes() == theta.tobytes()
+            assert theta_feasible(prob, theta, tol=1e-12 * prob.total_mass)
+
+    # A lower bound without end, or a bin too wide for a double, has no
+    # finite mass, and is refused as such rather than with a NumPy warning.
+    with pytest.raises(ValueError, match="theta_lower finite"):
+        CoverageProblem(n_agents=1, bin_edges=(0.0, 1.0, 2.0), theta_lower=(math.inf, 0.0),
+                        theta_upper=(math.inf, 1.0))
+    with pytest.raises(ValueError, match="finite widths"):
+        CoverageProblem(n_agents=1, bin_edges=(-1e308, 1e308), theta_lower=(0.0,),
+                        theta_upper=(1.0,))

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/, with
+warnings turned into errors as in the test suite."""
 
 import os
 import subprocess
@@ -13,6 +14,6 @@ REPO = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run([sys.executable, str(REPO / "demos" / demo)], cwd=REPO, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error", str(REPO / "demos" / demo)],
+                          cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

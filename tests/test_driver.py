@@ -430,6 +430,36 @@ def test_huge_gradients_end_with_a_termination():
         assert gd.records[0].g_norm == a
 
 
+def test_tiny_gradients_end_with_a_termination():
+    """|a| x with a = 3e-162: g.g underflows into the subnormals, whose
+    square root has lost digits, yet both solvers take unit directions and
+    end with a termination reason rather than a traceback."""
+    oracle = finite_max_oracle(FiniteMaxProblem(pieces=(
+        MaxPiece(a=(3e-162,)), MaxPiece(a=(-3e-162,)))))
+    p = GsParams(nu1=1e-300, max_iters=50)
+    tr = run(oracle, p, np.array([3.0]), Rng(1))
+    assert isinstance(tr.termination, Termination)
+    assert any(r.step_kind == StepKind.DESCENT for r in tr.records)
+    assert driver._norm(np.array([3e-162])) == 3e-162
+    gd = gradient_descent_baseline(oracle, p, np.array([3.0]))
+    assert isinstance(gd.termination, Termination)
+    assert gd.records[0].g_norm == 3e-162
+
+
+def test_underflowed_radius_stalls_with_the_partial_trace():
+    """f = x^2 / 2 from its minimizer: NullTolerance steps with mu = 0.1
+    drive eps to 0.0 while nu = 0.1 * 0.9**323 is still above nu_min = 0.
+    The run stops before the step that would sample a ball of radius 0,
+    as Stalled, and keeps the trace so far."""
+    oracle = finite_max_oracle(FiniteMaxProblem(pieces=(MaxPiece(a=(0.0,), Q=((1.0,),)),)))
+    tr = run(oracle, GsParams(mu=0.1, vartheta=0.9, max_iters=2000), np.array([0.0]), Rng(1))
+    assert tr.termination == Termination.STALLED
+    assert tr.final_eps == 0.0 and tr.final_nu > 0.0
+    assert len(tr.records) == 323
+    assert all(r.eps > 0.0 for r in tr.records)
+    assert all(r.step_kind == StepKind.NULL_TOLERANCE for r in tr.records)
+
+
 def test_norm_keeps_in_range_bytes_and_scales_overflow():
     """In range, the norm has np.linalg.norm's bytes; past it, the scaled
     norm, without NumPy's overflow warning, since it is recovered from."""
