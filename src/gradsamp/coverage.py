@@ -170,37 +170,29 @@ def _smooth(prob: CoverageProblem, xs) -> bool:
             and doubled.isdisjoint([u + v for u, v in pairs]))
 
 
-def _jacobian(prob: CoverageProblem, order, xs, segments) -> np.ndarray:
-    # Each segment integral of 2|s - y| over [alpha, beta] has partials
-    # 2|beta - s| in beta and -2|alpha - s| in alpha, and, being shift
-    # invariant, their negated sum in the owner s.  A midpoint endpoint
-    # moves half with each of its two neighbouring agents.  Only O(N + K)
-    # cells are nonzero: each is summed in segment order under its flat
-    # index k*N + i, then scattered into the dense matrix.
-    N = len(xs)
-    cells = {}
-    get = cells.get
+def _gradient(order, xs, segments, theta) -> np.ndarray:
+    # The gradient of <c, theta> in the agents.  Each segment integral of
+    # 2|s - y| over [alpha, beta] has partials 2|beta - s| in beta and
+    # -2|alpha - s| in alpha, and, being shift invariant, their negated sum
+    # in the owner s.  A midpoint endpoint moves half with each of its two
+    # neighbouring agents.  Each part times theta_k is added to its agent in
+    # segment order: the owner, the two agents of a midpoint alpha, then
+    # those of a midpoint beta.
+    th = np.asarray(theta, dtype=float).tolist()
+    g = [0.0] * len(xs)
     for k, alpha, beta, owner, a_idx, b_idx in segments:
-        s = xs[owner]
+        s, t = xs[owner], th[k]
         pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
-        row = k * N
-        i = row + order[owner]
-        cells[i] = get(i, 0.0) + (pa - pb)
+        g[order[owner]] += (pa - pb) * t
         if a_idx >= 0:
-            d = 0.5 * -pa
-            i = row + order[a_idx]
-            cells[i] = get(i, 0.0) + d
-            i = row + order[a_idx + 1]
-            cells[i] = get(i, 0.0) + d
+            d = (0.5 * -pa) * t
+            g[order[a_idx]] += d
+            g[order[a_idx + 1]] += d
         if b_idx >= 0:
-            d = 0.5 * pb
-            i = row + order[b_idx]
-            cells[i] = get(i, 0.0) + d
-            i = row + order[b_idx + 1]
-            cells[i] = get(i, 0.0) + d
-    J = np.zeros(prob.n_bins * N)
-    J[list(cells)] = list(cells.values())
-    return J.reshape(prob.n_bins, N)
+            d = (0.5 * pb) * t
+            g[order[b_idx]] += d
+            g[order[b_idx + 1]] += d
+    return np.asarray(g)
 
 
 def penalty(prob: CoverageProblem, x: np.ndarray) -> float:
@@ -241,14 +233,12 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
 
 
 # CoverageOracle.sample_gradients takes the block path once len(points) *
-# (N + K) reaches _BLOCK_MIN, and feeds it chunks of rows of about
-# _BLOCK_SEGMENTS segments (a row has at most N + K - 1), which bounds its
-# memory.  Against the per-point path, on seeded bundles of m = N + 2
-# points on a shared 2-core x86 box, the block path took 2.0x the time at
-# a size of 16, 0.85-1.0x at 77 to 84, 0.7-0.9x at 128 to 144 and about
-# 0.3x at N = 20 and N = 50.
+# (N + K) reaches _BLOCK_MIN.  Against the per-point path, on seeded
+# bundles of m = N + 2 points on a shared 2-core x86 box with BLAS on one
+# thread, the block path took 2.2-2.3x the time at a size of 16,
+# 0.8-1.15x at 72 to 108, 0.6-0.8x at 128 to 144 and 0.25-0.3x at N = 20
+# and N = 50.
 _BLOCK_MIN = 120
-_BLOCK_SEGMENTS = 2000
 
 
 def _block_segments(prob: CoverageProblem, mids: np.ndarray):
@@ -356,23 +346,21 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> list:
     v = np.where(s <= alpha, hb - ha, np.where(s >= beta, ha - hb, hb + ha))
     theta = _block_lp(prob, np.bincount(row * K + k, weights=v, minlength=R * K).reshape(R, K))
 
-    # The Jacobian cells of each segment in _jacobian's order: the owner,
-    # the two agents of a midpoint alpha, then those of a midpoint beta.  A
-    # missing midpoint adds +0.0, which leaves every cell as it is, as no
-    # cell sum is ever -0.0.
+    # The parts of each segment times theta_k, added to their agents in
+    # _gradient's order.  A missing midpoint adds +0.0, which leaves every
+    # sum as it is, as no sum is ever -0.0.
+    t = theta.ravel()[row * K + k]
     pa, pb = 2.0 * np.abs(da), 2.0 * np.abs(db)
-    half_a = np.where(a_idx >= 0, 0.5 * -pa, 0.0)
-    half_b = np.where(b_idx >= 0, 0.5 * pb, 0.0)
-    agent, base, cell = order.ravel(), row * N, (row * K + k) * N
+    half_a = np.where(a_idx >= 0, (0.5 * -pa) * t, 0.0)
+    half_b = np.where(b_idx >= 0, (0.5 * pb) * t, 0.0)
+    agent, base = order.ravel(), row * N
     cells = np.empty((len(row), 5), dtype=np.intp)
     parts = np.empty((len(row), 5))
-    for col, (i, part) in enumerate(((owner, pa - pb), (a_idx, half_a), (a_idx + 1, half_a),
+    for col, (i, part) in enumerate(((owner, (pa - pb) * t), (a_idx, half_a), (a_idx + 1, half_a),
                                      (b_idx, half_b), (b_idx + 1, half_b))):
-        cells[:, col] = cell + agent[base + i]
+        cells[:, col] = base + agent[base + i]
         parts[:, col] = part
-    J = np.bincount(cells.ravel(), weights=parts.ravel(), minlength=R * K * N)
-    # One BLAS gemv per row, the same call as J_r.T @ theta_r.
-    G = np.matmul(J.reshape(R, K, N).transpose(0, 2, 1), theta[:, :, None])[:, :, 0]
+    G = np.bincount(cells.ravel(), weights=parts.ravel(), minlength=R * N).reshape(R, N)
     if prob.penalty_enabled:
         G = G + prob.penalty_weight * _penalty_grad(prob, X)
     return list(G)
@@ -388,9 +376,9 @@ class CoverageOracle(ProblemOracle):
     The memo is read and replaced as one tuple, so concurrent callers never
     get another caller's point.
 
-    ``sample_gradients`` evaluates a large bundle in chunks of rows with
-    NumPy (see _BLOCK_MIN), with the per-point path's bytes, and a small
-    one point by point."""
+    ``sample_gradients`` evaluates a large bundle as one NumPy block (see
+    _BLOCK_MIN), with the per-point path's bytes, and a small one point by
+    point."""
 
     def __init__(self, prob: CoverageProblem):
         self.prob = prob
@@ -409,18 +397,9 @@ class CoverageOracle(ProblemOracle):
         return last[1:]
 
     def sample_gradients(self, points):
-        width = self.dim + self.theta_dim
-        if len(points) * width < _BLOCK_MIN:
+        if len(points) * (self.dim + self.theta_dim) < _BLOCK_MIN:
             return super().sample_gradients(points)
-        rows = max(1, _BLOCK_SEGMENTS // width)
-        out = []
-        for i in range(0, len(points), rows):
-            chunk = points[i:i + rows]
-            got = _block_gradients(self.prob, np.array(chunk, dtype=float))
-            out += got
-            if len(got) < len(chunk):
-                break
-        return out
+        return _block_gradients(self.prob, np.array(points, dtype=float))
 
     def eval_F(self, x, theta):
         x = np.asarray(x, dtype=float)
@@ -435,7 +414,7 @@ class CoverageOracle(ProblemOracle):
         order, xs, segments, _, smooth = self._at(x)
         if not smooth:
             raise ValueError("gradient undefined: x lies on an excluded hyperplane")
-        g = _jacobian(self.prob, order, xs, segments).T @ np.asarray(theta, dtype=float)
+        g = _gradient(order, xs, segments, theta)
         if self.prob.penalty_enabled:
             g = g + self.prob.penalty_weight * _penalty_grad(self.prob, x)
         return g

@@ -42,8 +42,9 @@ class Rng:
     """Seedable counter-based random stream with a documented draw order.
 
     Backed by the Philox bit generator, so identical seeds give identical
-    streams across runs and platforms.  Draw-order contract: a ball sample
-    consumes dim Gaussians followed by one uniform, and nothing else draws.
+    streams across runs and platforms.  Draw-order contract: only
+    ``ball_draws`` reads the stream, once per ``sample_ball`` call, so a
+    step's m samples are one call and each redraw of a sample one more.
     """
 
     def __init__(self, seed: int):
@@ -52,11 +53,11 @@ class Rng:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
-    def gaussians(self, n: int) -> np.ndarray:
-        return self._gen.standard_normal(n)
-
-    def uniform(self) -> float:
-        return float(self._gen.random())
+    def ball_draws(self, count: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """A (count, n) block of standard Gaussians, row by row, and then
+        count uniforms on [0, 1): the draws of count ball samples in n
+        dimensions."""
+        return self._gen.standard_normal((count, n)), self._gen.random(count)
 
 
 @dataclass
@@ -71,8 +72,10 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
                 rng: Rng) -> List[np.ndarray]:
     """Uniform samples from the closed Euclidean ball B(center, radius).
 
-    Point i consumes n Gaussian draws followed by one uniform draw, in
-    index order.  The radial factor is u**(1/n) for u uniform on [0,1].
+    One ``rng.ball_draws(count, n)`` call: row i of the Gaussian block
+    gives point i's direction z / ||z||, and uniform i its radial factor
+    u**(1/n).  A zero row gives the centre, and an offset that rounds past
+    the radius is scaled back onto the sphere.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
@@ -80,20 +83,14 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
         raise ValueError("count must be at least 1")
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
-    out = []
-    for _ in range(count):
-        z = rng.gaussians(n)
-        u = rng.uniform()
-        nz = math.sqrt(z.dot(z))  # the same operations as np.linalg.norm
-        if nz == 0.0:
-            out.append(center.copy())
-            continue
-        offset = (radius * u ** (1.0 / n)) * (z / nz)
-        d = math.sqrt(offset.dot(offset))
-        if d > radius:
-            offset *= radius / d
-        out.append(center + offset)
-    return out
+    z, u = rng.ball_draws(count, n)
+    nz = np.sqrt(np.einsum("ij,ij->i", z, z))
+    nz[nz == 0.0] = 1.0  # z is 0 there, and so is its offset
+    offset = (radius * u ** (1.0 / n))[:, None] * (z / nz[:, None])
+    d = np.sqrt(np.einsum("ij,ij->i", offset, offset))
+    over = d > radius
+    offset[over] *= (radius / d[over])[:, None]
+    return list(center + offset)
 
 
 def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,

@@ -147,6 +147,11 @@ def _wolfe(G: np.ndarray, max_iter: int):
     return active, lam, it, False
 
 
+def _gap(Q: np.ndarray, g: np.ndarray) -> float:
+    # The Wolfe certificate of g against the points: max_i max(0, -<g, p_i - g>).
+    return float(max(0.0, np.max(float(g @ g) - Q @ g)))
+
+
 def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
     """Minimum-norm point of conv(points) with a simplex-weight certificate.
 
@@ -156,11 +161,13 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
     <g, p_i - g> >= -_TOL * (1 + ||g||^2) for every input point, unless the
     method stalls numerically or hits its cap of 64 * m major cycles;
     ``gap`` reports the worst violation before clipping at zero, so a
-    stall shows there.  A bundle with a coordinate of magnitude outside
-    [1e-100, 1e100] is solved divided by a power of two, and the point and
-    gap are scaled back exactly; the criterion then holds in the scaled
-    units.  Deterministic for a fixed input order; vertex selection breaks
-    ties at the lowest index.
+    stall shows there.  A point that misses the criterion gets one step of
+    iterative refinement on its active set, kept if it shrinks the gap.  A
+    bundle with a coordinate of magnitude outside [1e-100, 1e100] is solved
+    divided by a power of two, and the point and gap are scaled back
+    exactly; the criterion then holds in the scaled units.  Deterministic
+    for a fixed input order; vertex selection breaks ties at the lowest
+    index.
     """
     if len(points) == 0:
         raise ValueError("empty point set")
@@ -193,14 +200,25 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
     lam = np.clip(lam, 0.0, None)
     lam = lam / lam.sum()
     g = lam @ Q[active]
+    gap = _gap(Q, g)
+    if gap > _TOL * (1.0 + float(g @ g)):
+        # The rounding of each weight, times a long point, can put g past
+        # the test.  Refine once: the weight change delta, summing to 0,
+        # that makes <p_i, g> equal over S solves (G_S + 1 1^T) delta =
+        # c 1 - Q_S g for the constant c that makes it sum to 0.
+        S = Q[active]
+        rhs = np.column_stack([np.ones(len(active)), S @ g])
+        a1, ar = np.linalg.lstsq(S @ S.T + 1.0, rhs, rcond=None)[0].T
+        delta = a1 * (ar.sum() / a1.sum()) - ar
+        g2 = g + delta @ S
+        gap2 = _gap(Q, g2)
+        if gap2 < gap and np.all(lam + delta >= 0.0):
+            lam, g, gap = lam + delta, g2, gap2
 
     weights = np.zeros(m)
     for a, w in zip(active, lam):
         weights[first_idx[a]] = w
 
-    dots = Q @ g
-    gsq = float(g @ g)
-    gap = float(max(0.0, np.max(gsq - dots)))
     if shift:
         g = np.ldexp(g, shift)
         with np.errstate(over="ignore"):  # a gap past the float range is inf

@@ -11,12 +11,13 @@
   ``CoverageOracle.in_D``).
 - ``theta_feasible``: box membership and the total-mass equality of a
   coverage density (checks the greedy inner LP's answers).
-- ``reference_c_vector``, ``reference_c_jacobian``, ``reference_grad_x``
-  and ``reference_lp_max``: the coverage cost, its Jacobian, the gradient
-  and the greedy inner LP as first written, with the partition found by
-  bisection per bin and per segment, the Jacobian filled as a list of
-  lists, and the LP on NumPy scalars (checks, byte for byte, the
-  library's single-walk partition, scattered Jacobian and list-based LP).
+- ``reference_c_vector``, ``reference_grad_x`` and ``reference_lp_max``:
+  the coverage cost, the gradient and the greedy inner LP, with the
+  partition found by bisection per bin and per segment, the gradient
+  summed per segment on NumPy scalars, and the LP on NumPy scalars with
+  no feasibility check of its own (``CoverageProblem`` refuses infeasible
+  mass bounds); they check, byte for byte, the library's single-walk
+  partition, Python-float gradient sum and list-based LP.
 - ``reference_piece``: the value and gradient of one finite-max piece by
   its formula, one NumPy call per term (checks, byte for byte, the stacked
   pass over all pieces).
@@ -215,30 +216,24 @@ def reference_c_vector(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     return np.asarray(c)
 
 
-def reference_c_jacobian(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
-    order, xs, segments = _reference_partition(prob, x)
-    J = [[0.0] * prob.n_agents for _ in range(prob.n_bins)]
-    for k, alpha, beta, owner, a_idx, b_idx in segments:
-        s = xs[owner]
-        pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
-        row = J[k]
-        row[order[owner]] += pa - pb
-        if a_idx >= 0:
-            row[order[a_idx]] += 0.5 * -pa
-            row[order[a_idx + 1]] += 0.5 * -pa
-        if b_idx >= 0:
-            row[order[b_idx]] += 0.5 * pb
-            row[order[b_idx + 1]] += 0.5 * pb
-    return np.array(J)
-
-
 def reference_grad_x(prob: CoverageProblem, x: np.ndarray,
                      theta: np.ndarray) -> np.ndarray:
     """Gradient of <c, theta> (+ weighted penalty); ValueError off D."""
     x = np.asarray(x, dtype=float)
     if not make_coverage_oracle(prob).in_D(x):
         raise ValueError("gradient undefined: x lies on an excluded hyperplane")
-    g = reference_c_jacobian(prob, x).T @ np.asarray(theta, dtype=float)
+    order, xs, segments = _reference_partition(prob, x)
+    theta = np.asarray(theta, dtype=float)
+    g = [0.0] * prob.n_agents
+    for k, alpha, beta, owner, a_idx, b_idx in segments:
+        s = xs[owner]
+        pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
+        g[order[owner]] += float((pa - pb) * theta[k])
+        for idx, part in ((a_idx, 0.5 * -pa), (b_idx, 0.5 * pb)):
+            if idx >= 0:
+                g[order[idx]] += float(part * theta[k])
+                g[order[idx + 1]] += float(part * theta[k])
+    g = np.array(g)
     if prob.penalty_enabled:
         lo, hi = prob.bin_edges[0], prob.bin_edges[-1]
         g = g + prob.penalty_weight * (np.where(x < lo, -1.0, 0.0)
@@ -253,8 +248,6 @@ def reference_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     lo_m = np.asarray(prob.theta_lower) * w
     hi_m = np.asarray(prob.theta_upper) * w
     resid = prob.total_mass - float(lo_m.sum())
-    if resid < -1e-9 or prob.total_mass > float(hi_m.sum()) + 1e-9:
-        raise ValueError("infeasible mass bounds")
     masses = lo_m.copy()
     for k in np.argsort(-(c / w), kind="stable"):
         if resid <= 0.0:

@@ -5,6 +5,7 @@ defining integral, and the analytic gradient against central finite
 differences, so the closed-form segment algebra never certifies itself.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from gradsamp import (
 from gradsamp import ProblemOracle, coverage
 from oracles import (
     excluded_hyperplanes,
-    reference_c_jacobian,
     reference_c_vector,
     reference_grad_x,
     reference_lp_max,
@@ -37,11 +37,6 @@ def _c(prob, x):
     """The per-bin cost c(x), from a fresh partition."""
     _, xs, segments = coverage._partition(prob, x)
     return coverage._cost(xs, segments, prob.n_bins)
-
-
-def _jacobian(prob, x):
-    """dc/dx (n_bins x n_agents), from a fresh partition."""
-    return coverage._jacobian(prob, *coverage._partition(prob, x))
 
 
 def _in_D(prob, x):
@@ -174,10 +169,12 @@ def _margin(prob, x):
 
 
 def test_jacobian_matches_finite_differences():
-    """dc/dx and the penalized gradient against central differences, at
-    seeded points of D with up to 6 agents and 6 bins, penalty on and off.
-    Central differences are exact on a quadratic piece, so the points keep
-    a margin of 1e3 steps from every excluded hyperplane."""
+    """dc/dx, as the gradients of <c, e_k> at each unit theta e_k with the
+    penalty off, and the penalized gradient at a random theta, against
+    central differences, at seeded points of D with up to 6 agents and 6
+    bins, penalty on and off.  Central differences are exact on a quadratic
+    piece, so the points keep a margin of 1e3 steps from every excluded
+    hyperplane."""
     h = 1e-6
     for seed in range(12):
         gen = np.random.Generator(np.random.Philox(300 + seed))
@@ -194,7 +191,8 @@ def test_jacobian_matches_finite_differences():
             x = gen.uniform(-1.0, edges[-1] + 1.0, size=N)
         assert _in_D(prob, x)
         theta = gen.uniform(0.0, 1.0, size=K)
-        J = _jacobian(prob, x)
+        plain = dataclasses.replace(prob, penalty_enabled=False)
+        J = np.array([_grad(plain, x, e_k) for e_k in np.eye(K)])
         g = _grad(prob, x, theta)
         for i in range(N):
             e = np.zeros(N)
@@ -454,16 +452,14 @@ def _reference_cases():
 
 
 def test_coverage_matches_bisect_reference_bytewise():
-    """c, J, the gradient and the oracle's answers equal, byte for byte, the
-    per-bin bisect partition with a list-of-lists Jacobian, and the
-    gradient raises on exactly the same points."""
+    """c, the gradient and the oracle's answers equal, byte for byte, those
+    of the per-bin bisect partition, and the gradient raises on exactly the
+    same points."""
     inside = outside = repeated = 0
     for prob, x, theta in _reference_cases():
         case = (prob.bin_edges, prob.penalty_enabled, x.tolist())
         c = reference_c_vector(prob, x)
         assert _c(prob, x).tobytes() == c.tobytes(), case
-        assert (_jacobian(prob, x).tobytes()
-                == reference_c_jacobian(prob, x).tobytes()), case
         grad = _grad_or_error(reference_grad_x, prob, x, theta)
         assert _grad_or_error(_grad, prob, x, theta) == grad, case
 
@@ -496,8 +492,9 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
     point outside D.  Each bundle holds a _reference_cases() point and
     copies of it moved by half units, by 1e-15 and by a few ulps, so it
     repeats agents, puts midpoints on edges and clusters cuts; bundle sizes
-    fall on both sides of the selection threshold.  Then at N = 50, in
-    several chunks, with a miss of D in a middle chunk."""
+    fall on both sides of the selection threshold.  Then bundles of N + 2
+    rows at N = 50 and N = 400, each one block, whole and with a miss of D
+    at row 30."""
     blocks = []
     block = coverage._block_gradients
 
@@ -552,23 +549,24 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
         assert blocks and len(got) == len(points)
     assert len(alone) >= 1000
 
-    K = 100
-    prob = CoverageProblem(n_agents=50, bin_edges=tuple(float(e) for e in range(K + 1)),
-                           theta_lower=tuple(gen.uniform(0.0, 0.5, K) / K),
-                           theta_upper=tuple(gen.uniform(1.5, 3.0, K) / K),
-                           penalty_enabled=True)
-    oracle = make_coverage_oracle(prob)
-    x = np.sort(gen.uniform(-5.0, 105.0, 50))
-    points = [x + gen.normal(0.0, 0.3, 50) for _ in range(52)]
-    blocks.clear()
-    assert [g.tobytes() for g in oracle.sample_gradients(points)] == _per_point(oracle, points)
-    chunks = len(blocks)
-    assert chunks > 2 and sum(blocks) == 52
-    points[30][7] = 31.0  # an agent on an edge
-    blocks.clear()
-    got = [g.tobytes() for g in oracle.sample_gradients(points)]
-    assert got == _per_point(oracle, points) and len(got) == 30
-    assert len(blocks) < chunks  # no chunk after the miss is evaluated
+    # A bundle of N + 2 rows at N = 50 and at N = 400 is one block, and an
+    # agent on an edge at row 30 stops it there.
+    for N in (50, 400):
+        K = 2 * N
+        prob = CoverageProblem(n_agents=N, bin_edges=tuple(float(e) for e in range(K + 1)),
+                               theta_lower=tuple(gen.uniform(0.0, 0.5, K) / K),
+                               theta_upper=tuple(gen.uniform(1.5, 3.0, K) / K),
+                               penalty_enabled=True)
+        oracle = make_coverage_oracle(prob)
+        x = np.sort(gen.uniform(-5.0, K + 5.0, N))
+        points = [x + gen.normal(0.0, 0.3, N) for _ in range(N + 2)]
+        blocks.clear()
+        got = [g.tobytes() for g in oracle.sample_gradients(points)]
+        assert got == _per_point(oracle, points) and len(got) == N + 2 and blocks == [N + 2]
+        points[30][7] = 31.0
+        blocks.clear()
+        got = [g.tobytes() for g in oracle.sample_gradients(points)]
+        assert got == _per_point(oracle, points) and len(got) == 30 and blocks == [N + 2]
 
 
 # -- the oracle's last-point memo --------------------------------------------
@@ -672,15 +670,16 @@ def test_problem_validation_errors():
 def test_lower_masses_that_use_up_the_total_construct_and_solve():
     """A total mass equal to the lower masses as np.dot sums them, which the
     LP's own sum puts 2 ulps above it: the problem constructs, both LP paths
-    return theta_lower, and a run ends with a termination.  Then a seeded
-    search over such problems, where every one constructs and both LP paths
-    agree byte for byte on a feasible theta."""
+    and the reference LP return theta_lower, and a run ends with a
+    termination.  Then a seeded search over such problems, where every one
+    constructs and both LP paths and the reference agree byte for byte."""
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 0.9, 1.2), theta_lower=(1e7, 2e7),
                            theta_upper=(2e7, 3e7), total_mass=14999999.999999998)
     lower = np.array(prob.theta_lower)
     c = np.array([[1.0, 2.0], [2.0, 1.0]])
     for row in c:
         assert np.array_equal(inner_lp_max(prob, row), lower)
+        assert np.array_equal(reference_lp_max(prob, row), lower)
     assert np.array_equal(coverage._block_lp(prob, c), [lower, lower])
     tr = run(make_coverage_oracle(prob), GsParams(max_iters=5), np.array([0.3, 1.0]), Rng(0))
     assert isinstance(tr.termination, Termination)
@@ -698,6 +697,7 @@ def test_lower_masses_that_use_up_the_total_construct_and_solve():
         block = coverage._block_lp(prob, c)
         for row, theta in zip(c, block):
             assert inner_lp_max(prob, row).tobytes() == theta.tobytes()
+            assert reference_lp_max(prob, row).tobytes() == theta.tobytes()
             assert theta_feasible(prob, theta, tol=1e-12 * prob.total_mass)
 
     # A lower bound without end, or a bin too wide for a double, has no

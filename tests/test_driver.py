@@ -34,8 +34,8 @@ from oracles import abs_value_problem
 def test_rng_repeatable():
     a = Rng(99)
     b = Rng(99)
-    np.testing.assert_array_equal(a.gaussians(8), b.gaussians(8))
-    assert a.uniform() == b.uniform()
+    for got, want in zip(a.ball_draws(3, 8), b.ball_draws(3, 8)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_rng_rejects_a_seed_that_is_not_a_count():
@@ -45,7 +45,8 @@ def test_rng_rejects_a_seed_that_is_not_a_count():
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             Rng(seed)
     assert Rng(np.int64(5)).seed == 5
-    np.testing.assert_array_equal(Rng(np.uint32(5)).gaussians(4), Rng(5).gaussians(4))
+    np.testing.assert_array_equal(Rng(np.uint32(5)).ball_draws(2, 4)[0],
+                                  Rng(5).ball_draws(2, 4)[0])
 
 
 # -- sample_ball -------------------------------------------------------------
@@ -70,6 +71,18 @@ def test_sample_ball_radial_distribution_2d():
     pts = np.array(sample_ball(np.zeros(2), 1.0, 100_000, rng))
     frac = np.mean(np.linalg.norm(pts, axis=1) <= 0.5)
     assert abs(frac - 0.25) <= 0.01  # area ratio 0.5^2 in 2-D
+
+
+def test_sample_ball_builds_point_i_from_row_i_of_one_block_draw():
+    """Sample i is center + radius * u_i**(1/n) * z_i / ||z_i||, where z
+    and u are the Gaussian rows and uniforms of one ball_draws(count, n)
+    call, to within rounding."""
+    c = np.array([1.0, -2.0, 0.5])
+    got = sample_ball(c, 0.7, 50, Rng(4))
+    z, u = Rng(4).ball_draws(50, 3)
+    for pt, zi, ui in zip(got, z, u):
+        want = c + 0.7 * ui ** (1.0 / 3.0) * zi / np.linalg.norm(zi)
+        np.testing.assert_allclose(pt, want, rtol=0.0, atol=4e-15)
 
 
 def test_sample_ball_validation():
@@ -307,7 +320,7 @@ def test_step_stop_policy_evaluates_the_samples_before_the_miss(monkeypatch):
 
 def test_step_draws_only_the_ball_samples():
     """Draw-order contract: a step whose samples all land in D consumes
-    exactly the m ball samples (n Gaussians, then one uniform, each)."""
+    exactly one (m, n) block of Gaussians and then m uniforms."""
     oracle = finite_max_oracle(FiniteMaxProblem(pieces=(
         MaxPiece(a=(1.0, 0.0, 0.0)), MaxPiece(a=(-1.0, 0.0, 0.0)))))
     p = GsParams()
@@ -317,9 +330,12 @@ def test_step_draws_only_the_ball_samples():
     _, rec = step(oracle, state, p, stepped)
     m = p.effective_m(3)
     assert rec.step_kind == StepKind.DESCENT and rec.sample_count == m
-    fresh = Rng(12)
-    sample_ball(x, state.eps, m, fresh)
-    np.testing.assert_array_equal(stepped.gaussians(3), fresh.gaussians(3))
+    fresh = np.random.Generator(np.random.Philox(12))
+    fresh.standard_normal((m, 3))
+    fresh.random(m)
+    z, u = stepped.ball_draws(2, 3)
+    np.testing.assert_array_equal(z, fresh.standard_normal((2, 3)))
+    np.testing.assert_array_equal(u, fresh.random(2))
 
 
 # -- run ---------------------------------------------------------------------

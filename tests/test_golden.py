@@ -6,8 +6,9 @@ T = NullTolerance) and the final iterate and objective to 17 significant
 digits.  A change that alters these values on purpose says why, and
 takes the new ones from ``PYTHONPATH=src python3 tests/test_golden.py``;
 with ``--diff`` it prints instead, per case, whether the iteration count,
-termination and step kinds match ``GOLDEN`` and the largest relative
-change of the final iterate and objective.
+termination and step kinds match ``GOLDEN``, the count of each step kind
+old -> new where they do not, and the largest relative change of the
+final iterate and objective.
 """
 
 import json
@@ -139,78 +140,75 @@ GOLDEN = {
     "two_agent": {
         "iterations": 38,
         "termination": "TolerancesReached",
-        "kinds": "DDDDDDDDDDTDDDDDDTDDTDDTDDDTDTDDDDDDTT",
-        "final_x": ["0.99906740998641996", "3.0004155954812228"],
-        "final_f": "1.0000007398849273",
+        "kinds": "DDDDDDDDDDDDDTTDDDTDDDTTDDDDDDTTDDDDDT",
+        "final_x": ["0.99883429782643718", "3.0003647605289783"],
+        "final_f": "1.0000010919412345",
         "gd_termination": "Stalled",
         "gd_final_f": "1.0033766276749507",
     },
     "five_agent": {
-        "iterations": 152,
+        "iterations": 164,
         "termination": "TolerancesReached",
         "kinds": (
-            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDTDDDDDDDDDTDDDDDDDDDLDDDDD"
-            "DDDDDDDDDDLLLDLLTLDDDDLDDDDDLDLLDLLDLLDDDDDLTDLLLLDLDTDDDLLL"
-            "LLDDLLLLLLLTDLTLDDDDDDLLLLLLLDLT"
+            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDTDDDDDDDDDDDTDDDDDDDDDDDDDD"
+            "DDDDDDDLDLDDTDDDLLLLLDDLLLDDDDLLLLLDDLLDLTLLLLDLLLLDLDDDLDLL"
+            "TDLLDLDDLLLLLLLLLLLLLLLLLLLLLLLTLTLLDDDLLLLT"
         ),
         "final_x": [
-            "0.73143145088028927", "1.8859217314417163", "2.9996883954355442",
-            "4.114187943465951", "5.2686228272381594",
+            "0.73124912336343073", "1.8860389012738092", "2.999614373628321",
+            "4.1143427270963597", "5.2686453839769207",
         ],
-        "final_f": "0.60740343124862717",
+        "final_f": "0.60742222447043592",
     },
     "abs_value": {
-        "iterations": 28,
+        "iterations": 34,
         "termination": "TolerancesReached",
-        "kinds": "DDDDDDDDDDDDDTDDTDDDTDDTTTTT",
-        "final_x": ["2.1510571102112408e-16"],
-        "final_f": "2.1510571102112408e-16",
+        "kinds": "DDDDDDDDDDDDDDLTTDDTDDTDDTDDTDDDTT",
+        "final_x": ["0.0010416666666668744"],
+        "final_f": "0.0010416666666668744",
     },
     "coverage_n20": {
         "iterations": 20,
         "termination": "MaxIters",
         "kinds": "DDDDDDDDDDDDDDDDDDDD",
         "final_x": [
-            "0.04194498902272488", "0.99268680397876552", "4.2508178900498201",
-            "4.4975924463866406", "5.945089321438358", "8.3143461308672553",
-            "11.261541562040462", "18.259718658028905", "22.656021823312823",
-            "25.256417997034134", "25.779534384469649", "26.217965113762023",
-            "27.374836783860104", "29.577034806275616", "34.633712379380079",
-            "35.257323954835464", "35.577416257393345", "35.71511528682602",
-            "38.8755762139306", "40.021209649299429",
+            "0.041388673363023869", "0.99253738393999535", "4.250812956138394",
+            "4.4977993968721606", "5.9451359241150055", "8.3147046233052091",
+            "11.26288478624091", "18.265028494790446", "22.657089870916337",
+            "25.254232100019401", "25.779576627667918", "26.217985379046869",
+            "27.37252238609338", "29.578651424419082", "34.632458767978626",
+            "35.257313879720421", "35.577681208217683", "35.72095190907384",
+            "38.876248602737576", "40.021071292424111",
         ],
-        "final_f": "2.9862484091318358",
+        "final_f": "2.9862093084658921",
     },
     "quad_max": {
-        "iterations": 88,
+        "iterations": 87,
         "termination": "TolerancesReached",
         "kinds": (
-            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDLDLDTDDDDDTTDLD"
-            "DDLDDLDLTDTDDDDDDDTDDDTDDDDT"
+            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDTDDDDDTDDDDLTD"
+            "DDDLDTTDDDDDTDDDDDTDDDDDDDT"
         ),
-        "final_x": [
-            "0.39253357754817314", "0.37699419881319635", "0.18982249115349453",
-        ],
-        "final_f": "0.65715313421698696",
+        "final_x": ["0.39230982222640481", "0.37774331582944087", "0.1897549739498868"],
+        "final_f": "0.65713431418583002",
     },
     "maxquad": {
-        "iterations": 259,
+        "iterations": 246,
         "termination": "TolerancesReached",
         "kinds": (
-            "DDDDDDDDDDDDDDDDDDDDDTDDDDDDDDDDDTDDDDDDDTDDDDDDDDDTDDDDDDDD"
-            "DLDDDDDTDDDDDDDDTDDDDDDDDDDDDTDDDDDDDDDDDDDDDLDTDDDDDDDDDDDD"
-            "LDDLDDDDTDDDDDDDDDLDDDDTDDDDDDDDDDDDDDDDDDTLDDDDDDDDLLDLLLDD"
-            "DDLDLDLDLDLDDLLLLTDDDDLDDDDDLLLDLLLDDDLLDLLLDDDDLLLLTDDDLLDD"
-            "DDDDDLLDDDLDLDDLLLT"
+            "DDDDDDDDDDDDDDDDDDDDDLTDDDDDDDDDDTDDDDDDDTDDDDDLDDDDLDDDLDTD"
+            "LLLDDDDDDDDDTDDDDDDDDDDLDTDDDDDLDDDLDDDDDTDDDDLDDDDDDDDLDDTD"
+            "DDDDDDDLDLDDDDLLLDTDDDDDDDDDDDDDDDLLLDLLDTDDDDLDDDDDDDDDDDDD"
+            "TDDDDDDDDDDDDDDDDDDDTDDDDDDLDDDDLDDDDLDDDDLTDDDDDLDDDDDDLDDL"
+            "DDDDDT"
         ),
         "final_x": [
-            "-0.12620818094799216", "-0.034463757795843021",
-            "-0.0069190792196406753", "0.026329201970226982",
-            "0.06728025181865932", "-0.27843397503061967",
-            "0.074245320717514121", "0.13855661937418007",
-            "0.084049179045732947", "0.038590055290555057",
+            "-0.12620363541236213", "-0.034469436885060337", "-0.0069244037002473644",
+            "0.026324567723344183", "0.067286152776549341", "-0.27843711901277213",
+            "0.074246042960577505", "0.13855915705957675", "0.084047121947481679",
+            "0.03858730110349104",
         ],
-        "final_f": "-0.84139843182158736",
+        "final_f": "-0.84139079154765883",
     },
     "cantor_depth4": {
         "iterations": 300,
@@ -248,19 +246,27 @@ def test_audit_line_flags_changes():
     want = GOLDEN["two_agent"]
     assert _audit(want, want) == ("iterations=same termination=same kinds=same "
                                   "gd_termination=same max_rel_change=0")
-    got = dict(want, kinds="D" + want["kinds"][1:-1] + "D", final_f="1.0000007398859273")
+    got = dict(want, kinds="D" + want["kinds"][1:-1] + "D", final_f="1.0000010919422345")
     assert "kinds=DIFFERS" in _audit(got, want)
     assert "max_rel_change=1e-12" in _audit(got, want)
+    want, got = dict(want, kinds="DDLT"), dict(want, kinds="DLLD")
+    assert ("kinds=DIFFERS Descent=2->2 NullLineSearch=1->2 NullTolerance=1->0 "
+            "gd_termination=same") in _audit(got, want)
 
 
 def _audit(got, want):
     """One line comparing a case with its golden record: whether each
-    discrete field matches, and the largest relative change of the final
+    discrete field matches, the count of each step kind, old -> new, when
+    the step kinds differ, and the largest relative change of the final
     iterate and objective values."""
     fields = [k for k in ("iterations", "termination", "kinds", "gd_termination")
               if k in want or k in got]
     marks = " ".join(f"{k}={'same' if got.get(k) == want.get(k) else 'DIFFERS'}"
                      for k in fields)
+    if got["kinds"] != want["kinds"]:
+        counts = " ".join(f"{kind}={want['kinds'].count(c)}->{got['kinds'].count(c)}"
+                          for kind, c in LETTER.items())
+        marks = marks.replace("kinds=DIFFERS", f"kinds=DIFFERS {counts}")
     keys = [k for k in ("final_f", "gd_final_f") if k in want and k in got]
     old = [float(v) for v in want["final_x"]] + [float(want[k]) for k in keys]
     new = [float(v) for v in got["final_x"]] + [float(got[k]) for k in keys]
