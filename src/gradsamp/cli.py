@@ -114,6 +114,7 @@ def write_trace_json(trace: Trace, path: Path) -> None:
                 "t": r.t,
                 "step_kind": r.step_kind.value,
                 "sample_count": r.sample_count,
+                "carried": r.carried,
                 "wall_time_us": r.wall_time_us,
             }
             for r in trace.records
@@ -139,8 +140,9 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
                    max_iters: Optional[int] = None) -> int:
     """Execute one configured run; returns the process exit code.
 
-    0 on completion, 2 when sampling stopped on a nonsmooth point, 1 on
-    any config error (diagnostics on stderr)."""
+    0 on completion, 2 when sampling stopped on a nonsmooth point, 3 when
+    it ended at a NaN f or a non-finite bundle gradient (the artifacts are
+    written either way), 1 on any config error (diagnostics on stderr)."""
     try:
         raw = Path(config_path).read_text()
     except OSError as e:
@@ -203,6 +205,8 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
 
     if trace.termination == Termination.NONSMOOTH_SAMPLE_STOP:
         return 2
+    if trace.termination == Termination.NUMERICAL_FAILURE:
+        return 3
     return 0
 
 

@@ -239,6 +239,15 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
 # 0.8-1.15x at 72 to 108, 0.6-0.8x at 128 to 144 and 0.25-0.3x at N = 20
 # and N = 50.
 _BLOCK_MIN = 120
+# A block holds about 15 arrays of R * (N + K) segments, so the rows of a
+# large bundle go in chunks of at most _CHUNK_SEGMENTS segments.  For one
+# seeded bundle of N + 2 rows with K = 2N (same box), the tracemalloc peak
+# of one block is 2.1, 8.3, 33 and 132 MiB at N = 50, 100, 200 and 400;
+# with this cap it is 2.1, 4.4, 4.7 and 5.5 MiB, and N = 400 takes 103-107
+# ms against 160-240 ms as one block (8 192: 3.2 MiB and 114-116 ms;
+# 32 768: 10 MiB and 107-119 ms).  An N = 50 bundle, 7 800 segments, is
+# still one block.
+_CHUNK_SEGMENTS = 16384
 
 
 def _block_segments(prob: CoverageProblem, mids: np.ndarray):
@@ -376,9 +385,9 @@ class CoverageOracle(ProblemOracle):
     The memo is read and replaced as one tuple, so concurrent callers never
     get another caller's point.
 
-    ``sample_gradients`` evaluates a large bundle as one NumPy block (see
-    _BLOCK_MIN), with the per-point path's bytes, and a small one point by
-    point."""
+    ``sample_gradients`` evaluates a large bundle as NumPy blocks (see
+    _BLOCK_MIN and _CHUNK_SEGMENTS), with the per-point path's bytes, and a
+    small one point by point."""
 
     def __init__(self, prob: CoverageProblem):
         self.prob = prob
@@ -397,9 +406,18 @@ class CoverageOracle(ProblemOracle):
         return last[1:]
 
     def sample_gradients(self, points):
-        if len(points) * (self.dim + self.theta_dim) < _BLOCK_MIN:
+        width = self.dim + self.theta_dim
+        if len(points) * width < _BLOCK_MIN:
             return super().sample_gradients(points)
-        return _block_gradients(self.prob, np.array(points, dtype=float))
+        rows = max(1, _CHUNK_SEGMENTS // width)
+        out = []
+        for i in range(0, len(points), rows):  # rows are independent
+            chunk = points[i:i + rows]
+            got = _block_gradients(self.prob, np.array(chunk, dtype=float))
+            out += got
+            if len(got) < len(chunk):  # it met a point outside D
+                break
+        return out
 
     def eval_F(self, x, theta):
         x = np.asarray(x, dtype=float)

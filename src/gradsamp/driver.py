@@ -32,10 +32,15 @@ from .core import (
     _is_count,
     validate_params,
 )
-from .minnorm import min_norm_point
+from .minnorm import _NonFinitePoints, min_norm_point
 
 _MAX_REDRAWS = 100  # in a row, per sample; a miss of D has probability 0
 _MAX_STALL = 25     # failed line searches in a row that stop the GD baseline
+
+
+class _NumericalFailure(ArithmeticError):
+    """A NaN f at the iterate, or a non-finite bundle gradient.  An infinite
+    f still orders the line search's trials, so a run can descend from it."""
 
 
 class Rng:
@@ -154,7 +159,11 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     policy; under 'resample', only the offending points are redrawn, and it
     is raised once one point misses D on _MAX_REDRAWS redraws in a row.
     Either way the gradients of the samples before the offending one have
-    been computed by then.
+    been computed by then.  The min-norm QP takes ``state.kept`` and then
+    the m fresh gradients; a NullLineSearch step under
+    ``p.reuse_null_bundle`` keeps its fresh ones for the next step, and
+    every other step keeps none.  Raises _NumericalFailure on a non-finite
+    fresh gradient or a NaN f(x).
     """
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
@@ -176,7 +185,10 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
         grads += got
         grads += oracle.sample_gradients(samples[len(grads):])
 
-    res = min_norm_point(grads)
+    try:
+        res = min_norm_point([*state.kept, *grads])
+    except _NonFinitePoints as e:  # a fresh gradient: the kept ones passed before
+        raise _NumericalFailure(f"non-finite bundle gradient at iteration {state.k}") from e
     g = res.point
     g_norm = _norm(g)
 
@@ -192,17 +204,18 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
         f_x = ls.f_x
         t = ls.t
         if t > 0.0:
-            kind = StepKind.DESCENT
-            new_x = x + t * d
-        else:
-            kind = StepKind.NULL_LINESEARCH
-            new_x = x
-        new_state = GsState(k=state.k + 1, x=new_x, eps=state.eps, nu=state.nu)
+            kind, new_x, kept = StepKind.DESCENT, x + t * d, ()
+        else:  # x and eps stay, so the fresh gradients still sample the ball
+            kind, new_x = StepKind.NULL_LINESEARCH, x
+            kept = tuple(grads) if p.reuse_null_bundle else ()
+        new_state = GsState(k=state.k + 1, x=new_x, eps=state.eps, nu=state.nu, kept=kept)
+    if math.isnan(f_x):
+        raise _NumericalFailure(f"f is NaN at iteration {state.k}")
 
     rec = IterationRecord(
         k=state.k, x=x, f_approx=f_x, eps=state.eps, nu=state.nu,
         g_norm=g_norm, t=t, step_kind=kind, sample_count=draws,
-        wall_time_us=(time.perf_counter_ns() - t0) // 1000)
+        wall_time_us=(time.perf_counter_ns() - t0) // 1000, carried=len(state.kept))
     return new_state, rec
 
 
@@ -234,10 +247,12 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     Stops at max_iters, or when both tolerances drop to their configured
     floors, or when a sample leaves D under the 'stop' policy or cannot be
     redrawn into D under 'resample', or (as Stalled) before a step whose
-    radius eps has underflowed to 0.  The recorded objective decreases by
-    at least alpha * beta * t_k * ||g^k|| on every accepted step; this is
-    asserted at the end of the run.  Raises ValueError, before the oracle
-    is called, unless x1 is a finite vector of shape (oracle.dim,).
+    radius eps has underflowed to 0, or (as NumericalFailure) at a NaN f
+    or a non-finite bundle gradient, keeping the records so far.  The
+    recorded objective decreases by at least alpha * beta * t_k * ||g^k||
+    on every accepted step; this is asserted at the end of the run.  Raises
+    ValueError, before the oracle is called, unless x1 is a finite vector
+    of shape (oracle.dim,).
     """
     x1 = _start_point(oracle, x1)
     validate_params(p, x1.shape[0])
@@ -253,6 +268,9 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
             state, rec = step(oracle, state, p, rng)
         except NonsmoothSampleError:
             termination = Termination.NONSMOOTH_SAMPLE_STOP
+            break
+        except _NumericalFailure:
+            termination = Termination.NUMERICAL_FAILURE
             break
         trace.records.append(rec)
         if state.eps <= p.eps_min and state.nu <= p.nu_min:

@@ -38,6 +38,10 @@ _PIVOT = 1e-14      # Cholesky pivot, relative to its diagonal, of a dependent p
 _SAFE = (1e-100, 1e100)  # coordinate magnitudes solved without rescaling
 
 
+class _NonFinitePoints(ValueError):
+    """An input point has a NaN or infinite coordinate."""
+
+
 @dataclass
 class MinNormResult:
     point: np.ndarray       # least-norm element of the hull
@@ -175,7 +179,7 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
     if P.ndim != 2:
         raise ValueError("points must share a common dimension")
     if not np.isfinite(P).all():
-        raise ValueError("non-finite coordinates in input points")
+        raise _NonFinitePoints("non-finite coordinates in input points")
     m = P.shape[0]
 
     # Deduplicate bitwise-equal points; weights flow to the first occurrence.

@@ -7,6 +7,7 @@ differences, so the closed-form segment algebra never certifies itself.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,8 +494,8 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
     copies of it moved by half units, by 1e-15 and by a few ulps, so it
     repeats agents, puts midpoints on edges and clusters cuts; bundle sizes
     fall on both sides of the selection threshold.  Then bundles of N + 2
-    rows at N = 50 and N = 400, each one block, whole and with a miss of D
-    at row 30."""
+    rows at N = 50, one block, and at N = 400, in chunks of 13 rows, whole
+    and with a miss of D at row 30."""
     blocks = []
     block = coverage._block_gradients
 
@@ -549,8 +550,10 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
         assert blocks and len(got) == len(points)
     assert len(alone) >= 1000
 
-    # A bundle of N + 2 rows at N = 50 and at N = 400 is one block, and an
-    # agent on an edge at row 30 stops it there.
+    # A bundle of N + 2 rows is one block at N = 50 and chunks of
+    # _CHUNK_SEGMENTS // (N + K) = 13 rows at N = 400, and an agent on an
+    # edge at row 30 stops it in the chunk that holds that row.
+    chunks = {50: ([52], [52]), 400: ([13] * 30 + [12], [13] * 3)}
     for N in (50, 400):
         K = 2 * N
         prob = CoverageProblem(n_agents=N, bin_edges=tuple(float(e) for e in range(K + 1)),
@@ -562,11 +565,36 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
         points = [x + gen.normal(0.0, 0.3, N) for _ in range(N + 2)]
         blocks.clear()
         got = [g.tobytes() for g in oracle.sample_gradients(points)]
-        assert got == _per_point(oracle, points) and len(got) == N + 2 and blocks == [N + 2]
+        assert got == _per_point(oracle, points) and len(got) == N + 2
+        assert blocks == chunks[N][0]
         points[30][7] = 31.0
         blocks.clear()
         got = [g.tobytes() for g in oracle.sample_gradients(points)]
-        assert got == _per_point(oracle, points) and len(got) == 30 and blocks == [N + 2]
+        assert got == _per_point(oracle, points) and len(got) == 30
+        assert blocks == chunks[N][1]
+
+
+def test_block_path_memory_is_bounded():
+    """One bundle of N + 2 rows at N = 400, K = 800 peaks at a few MiB under
+    tracemalloc, not the 132 MiB of one block over all its 482 400
+    segments."""
+    gen = np.random.Generator(np.random.Philox(400))
+    N, K = 400, 800
+    prob = CoverageProblem(n_agents=N, bin_edges=tuple(float(e) for e in range(K + 1)),
+                           theta_lower=tuple(gen.uniform(0.0, 0.5, K) / K),
+                           theta_upper=tuple(gen.uniform(1.5, 3.0, K) / K),
+                           penalty_enabled=True)
+    oracle = make_coverage_oracle(prob)
+    x = np.sort(gen.uniform(-5.0, K + 5.0, N))
+    points = [x + gen.normal(0.0, 0.3, N) for _ in range(N + 2)]
+    tracemalloc.start()
+    try:
+        got = oracle.sample_gradients(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == N + 2
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- the oracle's last-point memo --------------------------------------------

@@ -1,8 +1,10 @@
 """Sampling, line search, single steps, full runs, and the GD baseline."""
 
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +26,15 @@ from gradsamp import (
     run,
 )
 from gradsamp import driver
+from gradsamp.cli import build_params, build_problem_oracle, run_experiment
 from gradsamp.core import GsState
 from gradsamp.driver import line_search, sample_ball, step
+from gradsamp.minnorm import min_norm_point
 from gradsamp.testfns import FiniteMaxOracle
 
 from oracles import abs_value_problem
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_rng_repeatable():
@@ -338,6 +344,88 @@ def test_step_draws_only_the_ball_samples():
     np.testing.assert_array_equal(u, fresh.random(2))
 
 
+# -- reuse_null_bundle --------------------------------------------------------
+
+def test_kept_gradients_lead_the_bundle_and_leave_the_sampling_alone(monkeypatch):
+    """A state that carries gradients puts them before the fresh ones in the
+    QP, and changes nothing else: the same oracle calls on the same points,
+    with a miss of D redrawn, and the same draws from the stream."""
+    x = np.array([1.0, 0.5])
+    kept = (np.array([3.0, -1.0]), np.array([-2.0, 4.0]))
+    p_on = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE, reuse_null_bundle=True)
+    p_off = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
+    runs = []
+    for p, carried in ((p_on, kept), (p_off, ())):
+        oracle = _Logged([True, False, True, True, True])
+        bundles = _stop_at_min_norm(monkeypatch)
+        rng = Rng(31)
+        with pytest.raises(_Bundled):
+            step(oracle, GsState(k=4, x=x, eps=0.2, nu=0.1, kept=carried), p, rng)
+        runs.append((oracle.calls, bundles[0], rng.ball_draws(2, 2)))
+    (calls_on, bundle_on, next_on), (calls_off, bundle_off, next_off) = runs
+    assert calls_on == calls_off
+    assert [g.tobytes() for g in bundle_on] == [g.tobytes() for g in kept + tuple(bundle_off)]
+    for a, b in zip(next_on, next_off):
+        np.testing.assert_array_equal(a, b)
+
+
+def _five_agent():
+    cfg = json.loads((REPO / "configs" / "five_agent.json").read_text())
+    return (build_problem_oracle(cfg["problem"]), build_params(cfg["params"]),
+            np.array(cfg["x1"]), cfg["seed"])
+
+
+def test_reuse_carries_only_a_null_line_search_steps_fresh_gradients(monkeypatch):
+    """Over the five-agent run from its config, which reuses: the QP after a
+    NullLineSearch gets that step's m fresh gradients and then its own m
+    fresh ones; after a Descent or a NullTolerance, its own m only.  Each
+    step draws exactly m ball samples, and with the flag off no QP gets
+    more than m points."""
+    oracle, p, x1, seed = _five_agent()
+    m = p.effective_m(oracle.dim)
+    assert p.reuse_null_bundle
+    fresh, bundles, draws = [[]], [], [0]
+    sample_gradients, ball_draws = oracle.sample_gradients, Rng.ball_draws
+
+    def logged_gradients(points):
+        got = sample_gradients(points)
+        fresh[-1] += [g.tobytes() for g in got]
+        return got
+
+    def logged_min_norm(points):
+        bundles.append([g.tobytes() for g in points])
+        fresh.append([])
+        draws.append(0)
+        return min_norm_point(points)
+
+    def logged_draws(rng, count, n):
+        draws[-1] += count
+        return ball_draws(rng, count, n)
+
+    monkeypatch.setattr(oracle, "sample_gradients", logged_gradients)
+    monkeypatch.setattr(driver, "min_norm_point", logged_min_norm)
+    monkeypatch.setattr(Rng, "ball_draws", logged_draws)
+    tr = run(oracle, p, x1, Rng(seed))
+    kinds = [r.step_kind for r in tr.records]
+    assert tr.termination == Termination.TOLERANCES_REACHED
+    assert len(bundles) == len(kinds) and draws[:-1] == [m] * len(kinds)
+    follows = set()
+    for i, (rec, bundle) in enumerate(zip(tr.records, bundles)):
+        assert bundle[-m:] == fresh[i] and len(fresh[i]) == m and rec.sample_count == m
+        if i > 0 and kinds[i - 1] == StepKind.NULL_LINESEARCH:
+            assert bundle[:-m] == bundles[i - 1][-m:] and rec.carried == m
+            follows.add(kinds[i])
+        else:
+            assert len(bundle) == m and rec.carried == 0
+    assert follows == set(StepKind)  # each kind of step has followed one
+
+    p.reuse_null_bundle = False
+    bundles.clear()
+    tr = run(oracle, p, x1, Rng(seed))
+    assert [len(b) for b in bundles] == [m] * len(tr.records)
+    assert all(r.carried == 0 for r in tr.records)
+
+
 # -- run ---------------------------------------------------------------------
 
 def test_run_zero_iters_gives_initial_record():
@@ -446,6 +534,37 @@ def test_huge_gradients_end_with_a_termination():
         assert gd.records[0].g_norm == a
 
 
+class _InfBelowHalf(FiniteMaxOracle):
+    """|x|, but a bundle gradient is inf at a sample below 0.5."""
+
+    def sample_gradients(self, points):
+        return [g * math.inf if x[0] < 0.5 else g
+                for x, g in zip(points, super().sample_gradients(points))]
+
+
+class _NanAtOne(FiniteMaxOracle):
+    """|x|, but f is NaN at x = 1."""
+
+    def eval_F(self, x, theta):
+        return math.nan if x.tolist() == [1.0] else super().eval_F(x, theta)
+
+
+def test_numerical_failure_keeps_the_records_so_far():
+    """A non-finite bundle gradient mid-run ends it as NumericalFailure with
+    the records of the steps before it, as the same run without the
+    failure made them; a NaN f at the start ends it with the one initial
+    record."""
+    p = GsParams(max_iters=100)
+    tr = run(_InfBelowHalf(abs_value_problem()), p, np.array([1.0]), Rng(3))
+    ref = run(FiniteMaxOracle(abs_value_problem()), p, np.array([1.0]), Rng(3))
+    assert tr.termination == Termination.NUMERICAL_FAILURE
+    assert 0 < len(tr.records) < len(ref.records)
+    assert _replay(tr)[0] == _replay(ref)[0][:len(tr.records)]
+    tr = run(_NanAtOne(abs_value_problem()), p, np.array([1.0]), Rng(3))
+    assert tr.termination == Termination.NUMERICAL_FAILURE
+    assert len(tr.records) == 1 and tr.records[0].sample_count == 0
+
+
 def test_tiny_gradients_end_with_a_termination():
     """|a| x with a = 3e-162: g.g underflows into the subnormals, whose
     square root has lost digits, yet both solvers take unit directions and
@@ -501,15 +620,12 @@ def _replay(tr):
             tr.termination, tr.final_x.tobytes(), repr(tr.final_f))
 
 
-def test_random_finite_max_runs_end_with_a_termination():
+def _random_finite_maxima(seed, count):
     """Seeded random finite maxima, 1 to 4 pieces in 1 to 4 dimensions,
     each piece quadratic with probability 1/2 and its coefficients scaled
-    by 10**u, u in [-300, 300]: 50 iterations under 'resample' end with a
-    termination reason, and every record has the bytes of the same run
-    with the bundles walked point by point."""
-    gen = np.random.Generator(np.random.Philox(23))
-    p = GsParams(max_iters=50, on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
-    for _ in range(40):
+    by 10**u, u in [-300, 300], each with a start and a run seed."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    for _ in range(count):
         n = int(gen.integers(1, 5))
         pieces = []
         for _ in range(int(gen.integers(1, 5))):
@@ -520,11 +636,51 @@ def test_random_finite_max_runs_end_with_a_termination():
                 Q = tuple(map(tuple, B + B.T))
             pieces.append(MaxPiece(a=tuple(gen.standard_normal(n) * scale),
                                    b=float(gen.standard_normal() * scale), Q=Q))
+        yield pieces, gen.standard_normal(n), int(gen.integers(2**31))
+
+
+def test_random_finite_max_runs_end_with_a_termination():
+    """_random_finite_maxima: 50 iterations under 'resample' end with a
+    termination reason, and every record has the bytes of the same run
+    with the bundles walked point by point."""
+    p = GsParams(max_iters=50, on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
+    for pieces, x1, seed in _random_finite_maxima(23, 40):
         prob = FiniteMaxProblem(pieces=tuple(pieces))
-        x1, seed = gen.standard_normal(n), int(gen.integers(2**31))
         tr = run(FiniteMaxOracle(prob), p, x1, Rng(seed))
         assert isinstance(tr.termination, Termination)
         assert _replay(tr) == _replay(run(_Walked(prob), p, x1, Rng(seed)))
+
+
+HUGE_Q = ([MaxPiece(a=(0.0,), Q=((1e308,),)), MaxPiece(a=(1.0,))], np.array([3.0]), 1)
+
+
+def test_random_finite_max_configs_end_with_an_exit_code(tmp_path):
+    """_random_finite_maxima as configs through the CLI, with
+    reuse_null_bundle off and on: every run exits 0, 2 or 3 and writes
+    summary.json.  The fixed case, whose Q x overflows at the start (NumPy
+    warns of it), exits 3 as NumericalFailure with its trace written."""
+    codes = {}
+    for i, (pieces, x1, seed) in enumerate([HUGE_Q] + list(_random_finite_maxima(29, 40))):
+        problem = {"type": "finite_max", "pieces": [
+            {"a": list(pc.a), "b": pc.b, "Q": None if pc.Q is None else [list(r) for r in pc.Q]}
+            for pc in pieces]}
+        for reuse in (False, True):
+            out = tmp_path / f"{i}-{reuse}"
+            cfg = {"problem": problem, "x1": x1.tolist(), "seed": seed, "output_dir": str(out),
+                   "params": {"max_iters": 50, "on_nonsmooth_sample": "resample",
+                              "reuse_null_bundle": reuse}}
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(cfg))
+            if i == 0:
+                with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+                    code = run_experiment(str(path))
+            else:
+                code = run_experiment(str(path))
+            assert code in (0, 2, 3), (i, reuse)
+            summary = json.loads((out / "summary.json").read_text())
+            codes[i, reuse] = code, summary["sampling"]["termination"]
+            assert (out / "trace.csv").exists() and (out / "trace.json").exists()
+    assert codes[0, False] == codes[0, True] == (3, "NumericalFailure")
 
 
 # -- gradient_descent_baseline ----------------------------------------------

@@ -31,7 +31,7 @@ from gradsamp import (
     run,
 )
 import gradsamp.driver
-from gradsamp.cli import run_experiment
+from gradsamp.cli import build_params, build_problem_oracle, run_experiment
 from gradsamp.minnorm import _TOL, min_norm_point
 
 REPO = Path(__file__).resolve().parents[1]
@@ -69,6 +69,15 @@ def _trace_case(oracle, p, x1, seed):
             "kinds": "".join(LETTER[r.step_kind.value] for r in trace.records),
             "final_x": [_fmt(v) for v in trace.final_x],
             "final_f": _fmt(trace.final_f)}
+
+
+def _five_agent_no_reuse_case(out):
+    """configs/five_agent.json's problem, parameters, start and seed through
+    run(), without reuse_null_bundle: the paper's algorithm."""
+    cfg = json.loads((REPO / "configs" / "five_agent.json").read_text())
+    oracle = build_problem_oracle(cfg["problem"])
+    p = build_params(dict(cfg["params"], reuse_null_bundle=False))
+    return _trace_case(oracle, p, np.array(cfg["x1"]), cfg["seed"])
 
 
 def _coverage_n20_case(out):
@@ -129,6 +138,7 @@ def _cantor_case(out):
 CASES = {
     "two_agent": lambda out: _config_case("two_agent", out),
     "five_agent": lambda out: _config_case("five_agent", out),
+    "five_agent_no_reuse": _five_agent_no_reuse_case,
     "abs_value": lambda out: _config_case("abs_value", out),
     "coverage_n20": _coverage_n20_case,
     "quad_max": _quad_max_case,
@@ -147,6 +157,19 @@ GOLDEN = {
         "gd_final_f": "1.0033766276749507",
     },
     "five_agent": {
+        "iterations": 120,
+        "termination": "TolerancesReached",
+        "kinds": (
+            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDTDDDDDDDDDDDTDDDDDDDDDDDDDD"
+            "DDDDDDDLDLDDTDDDLDDDLDDLDLDLTDLDLDLDDLDDLDLLTDLLLTDLDDLTDDLT"
+        ),
+        "final_x": [
+            "0.73102249844267098", "1.8861286866081712", "2.9995838083819657",
+            "4.1146053351760692", "5.2687615207633272",
+        ],
+        "final_f": "0.60745073860059673",
+    },
+    "five_agent_no_reuse": {
         "iterations": 164,
         "termination": "TolerancesReached",
         "kinds": (
