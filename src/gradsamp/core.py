@@ -124,15 +124,6 @@ class GsParams:
 
     ``m`` may be left as None, in which case it resolves to n + 2 for the
     problem dimension at hand (the minimum admissible value is n + 1).
-
-    ``reuse_null_bundle`` keeps, after a NullLineSearch step, that step's m
-    fresh gradients and puts them before the next step's m fresh ones in
-    its min-norm QP.  Neither x nor eps moved, so they are still gradients
-    at points of B(x, eps) in D; the sampling itself is unchanged.  The
-    convergence arguments of Kiwiel (2007, gradient sampling) and of
-    Curtis & Que (2013, adaptive gradient sampling, which keeps gradients
-    from the current ball on purpose) still hold when such gradients join
-    the m fresh ones.  The default, False, is the paper's algorithm.
     """
 
     alpha: float = 0.1
@@ -148,7 +139,6 @@ class GsParams:
     eps_min: float = 0.0
     nu_min: float = 0.0
     on_nonsmooth_sample: NonsmoothPolicy = NonsmoothPolicy.STOP
-    reuse_null_bundle: bool = False
 
     def effective_m(self, n: int) -> int:
         return self.m if self.m is not None else n + 2
@@ -192,8 +182,6 @@ def validate_params(p: GsParams, n: int) -> None:
         errs.append(f"max_iters negative: {p.max_iters}")
     if not (0.0 <= p.eps_min < math.inf and 0.0 <= p.nu_min < math.inf):
         errs.append("eps_min/nu_min must be nonnegative and finite")
-    if not isinstance(p.reuse_null_bundle, bool):
-        errs.append(f"reuse_null_bundle not a bool: {p.reuse_null_bundle!r}")
     try:
         NonsmoothPolicy(p.on_nonsmooth_sample)
     except ValueError:
@@ -207,9 +195,15 @@ class GsState:
     """Per-iteration state: iterate, sampling radius and norm tolerance.
 
     The two tolerances are always discounted together, so eps/eps1 = mu**a
-    and nu/nu1 = vartheta**a share the same exponent a.  ``kept`` holds the
-    fresh gradients of a NullLineSearch step under ``reuse_null_bundle``,
-    and is empty otherwise.
+    and nu/nu1 = vartheta**a share the same exponent a.
+
+    ``kept`` holds the m fresh gradients of a NullLineSearch step, and is
+    empty after any other step.  Neither x nor eps moved, so they are still
+    gradients at points of B(x, eps) in D, and the next step's min-norm QP
+    takes them before its own m fresh ones.  The convergence arguments of
+    Kiwiel (2007, gradient sampling) and of Curtis & Que (2013, adaptive
+    gradient sampling, which keeps gradients from the current ball on
+    purpose) still hold when such gradients join the m fresh ones.
     """
 
     k: int
@@ -231,7 +225,6 @@ class IterationRecord:
     step_kind: StepKind
     sample_count: int
     wall_time_us: int
-    carried: int = 0  # kept gradients that joined the fresh ones in the QP
 
 
 @dataclass

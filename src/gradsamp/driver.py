@@ -32,15 +32,10 @@ from .core import (
     _is_count,
     validate_params,
 )
-from .minnorm import _NonFinitePoints, min_norm_point
+from .minnorm import NonFiniteError, min_norm_point
 
 _MAX_REDRAWS = 100  # in a row, per sample; a miss of D has probability 0
 _MAX_STALL = 25     # failed line searches in a row that stop the GD baseline
-
-
-class _NumericalFailure(ArithmeticError):
-    """A NaN f at the iterate, or a non-finite bundle gradient.  An infinite
-    f still orders the line search's trials, so a run can descend from it."""
 
 
 class Rng:
@@ -126,6 +121,15 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(s) if sys.float_info.min <= s < math.inf else math.hypot(*v.tolist())
 
 
+def _f_at(oracle: ProblemOracle, x: np.ndarray) -> float:
+    """f(x), raising NonFiniteError if it is NaN.  An infinite f still
+    orders the line search's trials, so a run can descend from it."""
+    f_x = oracle.objective(x)
+    if math.isnan(f_x):
+        raise NonFiniteError("f is NaN at the iterate")
+    return f_x
+
+
 def line_search(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray,
                 g_norm: float, eps_k: float, p: GsParams) -> LineSearchOutcome:
     """Limited backtracking search along the unit direction d.
@@ -134,14 +138,15 @@ def line_search(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray,
     sufficient-decrease test f(x + t d) <= f(x) - beta * t * g_norm + c_k / 2
     passes, where c_k = gamma * (1 - alpha) * beta * g_norm * eps_k / 3;
     returns t = 0 once the next trial would undercut the floor
-    gamma * eps_k / 3.
+    gamma * eps_k / 3.  Raises NonFiniteError, before any trial, if f(x)
+    is NaN.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if abs(float(np.linalg.norm(d)) - 1.0) > 1e-12:
         raise ValueError("search direction must be a unit vector")
     c_k = p.gamma * (1.0 - p.alpha) * p.beta * g_norm * eps_k / 3.0
-    f_x = oracle.objective(x)
+    f_x = _f_at(oracle, x)
     t, trials = _backtrack(lambda t: oracle.objective(x + t * d), f_x, g_norm,
                            eps_k, p, slack=c_k / 2.0)
     return LineSearchOutcome(t=t, trials=trials, accepted=t > 0.0, f_x=f_x)
@@ -160,10 +165,10 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     is raised once one point misses D on _MAX_REDRAWS redraws in a row.
     Either way the gradients of the samples before the offending one have
     been computed by then.  The min-norm QP takes ``state.kept`` and then
-    the m fresh gradients; a NullLineSearch step under
-    ``p.reuse_null_bundle`` keeps its fresh ones for the next step, and
-    every other step keeps none.  Raises _NumericalFailure on a non-finite
-    fresh gradient or a NaN f(x).
+    the m fresh gradients; a NullLineSearch step keeps its fresh ones for
+    the next step, and every other step keeps none.  Raises NonFiniteError
+    on a non-finite fresh gradient (the kept ones passed the step before)
+    or a NaN f(x).
     """
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
@@ -185,15 +190,12 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
         grads += got
         grads += oracle.sample_gradients(samples[len(grads):])
 
-    try:
-        res = min_norm_point([*state.kept, *grads])
-    except _NonFinitePoints as e:  # a fresh gradient: the kept ones passed before
-        raise _NumericalFailure(f"non-finite bundle gradient at iteration {state.k}") from e
+    res = min_norm_point([*state.kept, *grads])
     g = res.point
     g_norm = _norm(g)
 
     if g_norm <= state.nu:
-        f_x = oracle.objective(x)
+        f_x = _f_at(oracle, x)
         new_state = GsState(k=state.k + 1, x=x, eps=p.mu * state.eps,
                             nu=p.vartheta * state.nu)
         kind = StepKind.NULL_TOLERANCE
@@ -206,16 +208,13 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
         if t > 0.0:
             kind, new_x, kept = StepKind.DESCENT, x + t * d, ()
         else:  # x and eps stay, so the fresh gradients still sample the ball
-            kind, new_x = StepKind.NULL_LINESEARCH, x
-            kept = tuple(grads) if p.reuse_null_bundle else ()
+            kind, new_x, kept = StepKind.NULL_LINESEARCH, x, tuple(grads)
         new_state = GsState(k=state.k + 1, x=new_x, eps=state.eps, nu=state.nu, kept=kept)
-    if math.isnan(f_x):
-        raise _NumericalFailure(f"f is NaN at iteration {state.k}")
 
     rec = IterationRecord(
         k=state.k, x=x, f_approx=f_x, eps=state.eps, nu=state.nu,
         g_norm=g_norm, t=t, step_kind=kind, sample_count=draws,
-        wall_time_us=(time.perf_counter_ns() - t0) // 1000, carried=len(state.kept))
+        wall_time_us=(time.perf_counter_ns() - t0) // 1000)
     return new_state, rec
 
 
@@ -269,7 +268,7 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
         except NonsmoothSampleError:
             termination = Termination.NONSMOOTH_SAMPLE_STOP
             break
-        except _NumericalFailure:
+        except NonFiniteError:
             termination = Termination.NUMERICAL_FAILURE
             break
         trace.records.append(rec)

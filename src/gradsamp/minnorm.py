@@ -38,8 +38,9 @@ _PIVOT = 1e-14      # Cholesky pivot, relative to its diagonal, of a dependent p
 _SAFE = (1e-100, 1e100)  # coordinate magnitudes solved without rescaling
 
 
-class _NonFinitePoints(ValueError):
-    """An input point has a NaN or infinite coordinate."""
+class NonFiniteError(ValueError):
+    """A NaN or infinite coordinate in the input points, or (raised by the
+    driver) a NaN objective value at the iterate."""
 
 
 @dataclass
@@ -179,7 +180,7 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
     if P.ndim != 2:
         raise ValueError("points must share a common dimension")
     if not np.isfinite(P).all():
-        raise _NonFinitePoints("non-finite coordinates in input points")
+        raise NonFiniteError("non-finite coordinates in input points")
     m = P.shape[0]
 
     # Deduplicate bitwise-equal points; weights flow to the first occurrence.

@@ -8,7 +8,6 @@ convergence criteria produced.
 """
 
 import filecmp
-import json
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +28,9 @@ from gradsamp import (
     min_norm_point,
     run,
 )
-from gradsamp.cli import build_params, build_problem_oracle, run_experiment
+from gradsamp.cli import run_experiment
 from oracles import abs_value_problem, min_norm_bruteforce, two_agent_cost
 
-REPO = Path(__file__).resolve().parents[1]
 SEED = 42
 CENTER = np.array([1.0, 3.0])
 
@@ -74,17 +72,6 @@ def five_agent_run():
     return p, x1, run(oracle, p, x1, Rng(7))
 
 
-@pytest.fixture(scope="module")
-def five_agent_reuse_run():
-    """configs/five_agent.json's run, which sets reuse_null_bundle."""
-    cfg = json.loads((REPO / "configs" / "five_agent.json").read_text())
-    oracle = build_problem_oracle(cfg["problem"])
-    p = build_params(cfg["params"])
-    x1 = np.array(cfg["x1"])
-    assert p.reuse_null_bundle
-    return p, x1, run(oracle, p, x1, Rng(cfg["seed"]))
-
-
 def test_criterion_01_two_agent_convergence(two_agent_runs):
     _, _, samp, _ = two_agent_runs
     for tr in samp:
@@ -104,29 +91,28 @@ def test_criterion_02_gd_baseline_stalls(two_agent_runs):
     _report(2, f"plain GD stalls above the sampling solver on {wins}/10 starts")
 
 
-def test_criterion_03_five_agent_attractivity(five_agent_run, five_agent_reuse_run):
-    for p, x1, tr in (five_agent_run, five_agent_reuse_run):
-        final = np.asarray(tr.final_x)
-        assert np.all(final > 0.0) and np.all(final < 6.0)
-        # Every iterate stays in the product of balls around [0,6] of radius
-        # tau* + eps1, where tau* bounds both the step size and the start's
-        # distance to the support.
-        tau_star = max(p.t_init_factor * p.eps1,
-                       float(np.max(np.maximum(0.0, np.maximum(-x1, x1 - 6.0)))))
-        lo, hi = -(tau_star + p.eps1), 6.0 + (tau_star + p.eps1)
-        for r in tr.records:
-            assert np.all(r.x >= lo) and np.all(r.x <= hi)
-        assert np.all(final >= lo) and np.all(final <= hi)
-    _report(3, "five-agent runs, with and without reuse_null_bundle, end strictly "
-               f"inside [0,6] and never leave [{lo:g},{hi:g}]")
+def test_criterion_03_five_agent_attractivity(five_agent_run):
+    p, x1, tr = five_agent_run
+    final = np.asarray(tr.final_x)
+    assert np.all(final > 0.0) and np.all(final < 6.0)
+    # Every iterate stays in the product of balls around [0,6] of radius
+    # tau* + eps1, where tau* bounds both the step size and the start's
+    # distance to the support.
+    tau_star = max(p.t_init_factor * p.eps1,
+                   float(np.max(np.maximum(0.0, np.maximum(-x1, x1 - 6.0)))))
+    lo, hi = -(tau_star + p.eps1), 6.0 + (tau_star + p.eps1)
+    for r in tr.records:
+        assert np.all(r.x >= lo) and np.all(r.x <= hi)
+    assert np.all(final >= lo) and np.all(final <= hi)
+    _report(3, "five-agent run ends strictly inside [0,6] and never "
+               f"leaves [{lo:g},{hi:g}]")
 
 
-def test_criterion_04_descent_inequality(two_agent_runs, five_agent_run,
-                                         five_agent_reuse_run):
+def test_criterion_04_descent_inequality(two_agent_runs, five_agent_run):
     p2, _, samp, _ = two_agent_runs
+    p5, _, tr5 = five_agent_run
     checked = 0
-    five = [(p, tr) for p, _, tr in (five_agent_run, five_agent_reuse_run)]
-    for p, tr in [(p2, t) for t in samp] + five:
+    for p, tr in [(p2, t) for t in samp] + [(p5, tr5)]:
         fs = [r.f_approx for r in tr.records] + [tr.final_f]
         for i, r in enumerate(tr.records):
             if r.t > 0.0:

@@ -77,8 +77,7 @@ def test_bad_params_exit_1(tmp_path, capsys):
     out = tmp_path / "out"
     cases = []
     for field, value in (("alpha", 2.0), ("m", 3.5), ("max_iters", 20.0),
-                         ("eps_min", nan), ("nu_min", nan), ("eps1", inf),
-                         ("reuse_null_bundle", "yes")):
+                         ("eps_min", nan), ("nu_min", nan), ("eps1", inf)):
         cfg = _minimal_config(out)
         cfg["params"][field] = value
         cases.append((cfg, field))
@@ -188,19 +187,6 @@ def test_trace_json_exports_wall_time_us(tmp_path):
         t = r["wall_time_us"]
         assert type(t) is int and t >= 0
     assert "wall_time_us" not in (out / "trace.csv").read_text()
-
-
-def test_trace_json_counts_carried_gradients(tmp_path):
-    """Under reuse_null_bundle, trace.json gives each iteration the number of
-    carried gradients in its QP: m after a NullLineSearch, else 0.
-    trace.csv keeps its columns."""
-    out = tmp_path / "out"
-    assert run_experiment(str(REPO / "configs" / "five_agent.json"), out_dir=str(out)) == 0
-    records = json.loads((out / "trace.json").read_text())["records"]
-    after_null = [0] + [7 if r["step_kind"] == "NullLineSearch" else 0 for r in records[:-1]]
-    assert [r["carried"] for r in records] == after_null and 7 in after_null
-    header = (out / "trace.csv").read_text().splitlines()[0]
-    assert header == "k,x_0,x_1,x_2,x_3,x_4,f,eps,nu,g_norm,t,step_kind"
 
 
 # -- plot data ---------------------------------------------------------------

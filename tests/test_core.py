@@ -68,14 +68,6 @@ def test_non_integer_counts_rejected():
             validate_params(GsParams(**{field: value}), 2)
 
 
-def test_reuse_null_bundle_must_be_a_bool():
-    for value in ("yes", 1, 0, None, np.True_):
-        with pytest.raises(ParamError, match="reuse_null_bundle not a bool"):
-            validate_params(GsParams(reuse_null_bundle=value), 2)
-    for value in (False, True):
-        validate_params(GsParams(reuse_null_bundle=value), 2)
-
-
 def test_t_init_factor_floor():
     with pytest.raises(ParamError, match="t_init_factor"):
         validate_params(GsParams(gamma=0.9, t_init_factor=0.2), 2)
@@ -98,7 +90,6 @@ def test_param_fields_are_pinned():
     assert set(GsParams().snapshot()) == {
         "alpha", "beta", "gamma", "eps1", "nu1", "mu", "vartheta", "m",
         "t_init_factor", "max_iters", "eps_min", "nu_min", "on_nonsmooth_sample",
-        "reuse_null_bundle",
     }
 
 

@@ -29,7 +29,7 @@ from gradsamp import driver
 from gradsamp.cli import build_params, build_problem_oracle, run_experiment
 from gradsamp.core import GsState
 from gradsamp.driver import line_search, sample_ball, step
-from gradsamp.minnorm import min_norm_point
+from gradsamp.minnorm import NonFiniteError, min_norm_point
 from gradsamp.testfns import FiniteMaxOracle
 
 from oracles import abs_value_problem
@@ -344,7 +344,7 @@ def test_step_draws_only_the_ball_samples():
     np.testing.assert_array_equal(u, fresh.random(2))
 
 
-# -- reuse_null_bundle --------------------------------------------------------
+# -- bundle reuse after a NullLineSearch -------------------------------------
 
 def test_kept_gradients_lead_the_bundle_and_leave_the_sampling_alone(monkeypatch):
     """A state that carries gradients puts them before the fresh ones in the
@@ -352,10 +352,9 @@ def test_kept_gradients_lead_the_bundle_and_leave_the_sampling_alone(monkeypatch
     with a miss of D redrawn, and the same draws from the stream."""
     x = np.array([1.0, 0.5])
     kept = (np.array([3.0, -1.0]), np.array([-2.0, 4.0]))
-    p_on = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE, reuse_null_bundle=True)
-    p_off = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
+    p = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
     runs = []
-    for p, carried in ((p_on, kept), (p_off, ())):
+    for carried in (kept, ()):
         oracle = _Logged([True, False, True, True, True])
         bundles = _stop_at_min_norm(monkeypatch)
         rng = Rng(31)
@@ -376,14 +375,12 @@ def _five_agent():
 
 
 def test_reuse_carries_only_a_null_line_search_steps_fresh_gradients(monkeypatch):
-    """Over the five-agent run from its config, which reuses: the QP after a
-    NullLineSearch gets that step's m fresh gradients and then its own m
-    fresh ones; after a Descent or a NullTolerance, its own m only.  Each
-    step draws exactly m ball samples, and with the flag off no QP gets
-    more than m points."""
+    """Over the five-agent run from its config: the QP after a NullLineSearch
+    gets that step's m fresh gradients and then its own m fresh ones;
+    after a Descent or a NullTolerance, its own m only.  Each step draws
+    exactly m ball samples."""
     oracle, p, x1, seed = _five_agent()
     m = p.effective_m(oracle.dim)
-    assert p.reuse_null_bundle
     fresh, bundles, draws = [[]], [], [0]
     sample_gradients, ball_draws = oracle.sample_gradients, Rng.ball_draws
 
@@ -413,17 +410,11 @@ def test_reuse_carries_only_a_null_line_search_steps_fresh_gradients(monkeypatch
     for i, (rec, bundle) in enumerate(zip(tr.records, bundles)):
         assert bundle[-m:] == fresh[i] and len(fresh[i]) == m and rec.sample_count == m
         if i > 0 and kinds[i - 1] == StepKind.NULL_LINESEARCH:
-            assert bundle[:-m] == bundles[i - 1][-m:] and rec.carried == m
+            assert bundle[:-m] == bundles[i - 1][-m:]
             follows.add(kinds[i])
         else:
-            assert len(bundle) == m and rec.carried == 0
+            assert len(bundle) == m
     assert follows == set(StepKind)  # each kind of step has followed one
-
-    p.reuse_null_bundle = False
-    bundles.clear()
-    tr = run(oracle, p, x1, Rng(seed))
-    assert [len(b) for b in bundles] == [m] * len(tr.records)
-    assert all(r.carried == 0 for r in tr.records)
 
 
 # -- run ---------------------------------------------------------------------
@@ -543,9 +534,12 @@ class _InfBelowHalf(FiniteMaxOracle):
 
 
 class _NanAtOne(FiniteMaxOracle):
-    """|x|, but f is NaN at x = 1."""
+    """|x|, but f is NaN at x = 1; ``evals`` counts the evaluations of F."""
+
+    evals = 0
 
     def eval_F(self, x, theta):
+        self.evals += 1
         return math.nan if x.tolist() == [1.0] else super().eval_F(x, theta)
 
 
@@ -563,6 +557,13 @@ def test_numerical_failure_keeps_the_records_so_far():
     tr = run(_NanAtOne(abs_value_problem()), p, np.array([1.0]), Rng(3))
     assert tr.termination == Termination.NUMERICAL_FAILURE
     assert len(tr.records) == 1 and tr.records[0].sample_count == 0
+
+
+def test_a_nan_f_at_x_ends_the_line_search_before_its_trials():
+    oracle = _NanAtOne(abs_value_problem())
+    with pytest.raises(NonFiniteError, match="f is NaN"):
+        line_search(oracle, np.array([1.0]), np.array([-1.0]), 1.0, 0.2, GsParams())
+    assert oracle.evals == 1
 
 
 def test_tiny_gradients_end_with_a_termination():
@@ -655,32 +656,30 @@ HUGE_Q = ([MaxPiece(a=(0.0,), Q=((1e308,),)), MaxPiece(a=(1.0,))], np.array([3.0
 
 
 def test_random_finite_max_configs_end_with_an_exit_code(tmp_path):
-    """_random_finite_maxima as configs through the CLI, with
-    reuse_null_bundle off and on: every run exits 0, 2 or 3 and writes
-    summary.json.  The fixed case, whose Q x overflows at the start (NumPy
-    warns of it), exits 3 as NumericalFailure with its trace written."""
+    """_random_finite_maxima as configs through the CLI: every run exits 0,
+    2 or 3 and writes summary.json.  The fixed case, whose Q x overflows at
+    the start (NumPy warns of it), exits 3 as NumericalFailure with its
+    trace written."""
     codes = {}
     for i, (pieces, x1, seed) in enumerate([HUGE_Q] + list(_random_finite_maxima(29, 40))):
         problem = {"type": "finite_max", "pieces": [
             {"a": list(pc.a), "b": pc.b, "Q": None if pc.Q is None else [list(r) for r in pc.Q]}
             for pc in pieces]}
-        for reuse in (False, True):
-            out = tmp_path / f"{i}-{reuse}"
-            cfg = {"problem": problem, "x1": x1.tolist(), "seed": seed, "output_dir": str(out),
-                   "params": {"max_iters": 50, "on_nonsmooth_sample": "resample",
-                              "reuse_null_bundle": reuse}}
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(cfg))
-            if i == 0:
-                with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
-                    code = run_experiment(str(path))
-            else:
+        out = tmp_path / str(i)
+        cfg = {"problem": problem, "x1": x1.tolist(), "seed": seed, "output_dir": str(out),
+               "params": {"max_iters": 50, "on_nonsmooth_sample": "resample"}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        if i == 0:
+            with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
                 code = run_experiment(str(path))
-            assert code in (0, 2, 3), (i, reuse)
-            summary = json.loads((out / "summary.json").read_text())
-            codes[i, reuse] = code, summary["sampling"]["termination"]
-            assert (out / "trace.csv").exists() and (out / "trace.json").exists()
-    assert codes[0, False] == codes[0, True] == (3, "NumericalFailure")
+        else:
+            code = run_experiment(str(path))
+        assert code in (0, 2, 3), i
+        summary = json.loads((out / "summary.json").read_text())
+        codes[i] = code, summary["sampling"]["termination"]
+        assert (out / "trace.csv").exists() and (out / "trace.json").exists()
+    assert codes[0] == (3, "NumericalFailure")
 
 
 # -- gradient_descent_baseline ----------------------------------------------

@@ -31,7 +31,7 @@ from gradsamp import (
     run,
 )
 import gradsamp.driver
-from gradsamp.cli import build_params, build_problem_oracle, run_experiment
+from gradsamp.cli import run_experiment
 from gradsamp.minnorm import _TOL, min_norm_point
 
 REPO = Path(__file__).resolve().parents[1]
@@ -69,15 +69,6 @@ def _trace_case(oracle, p, x1, seed):
             "kinds": "".join(LETTER[r.step_kind.value] for r in trace.records),
             "final_x": [_fmt(v) for v in trace.final_x],
             "final_f": _fmt(trace.final_f)}
-
-
-def _five_agent_no_reuse_case(out):
-    """configs/five_agent.json's problem, parameters, start and seed through
-    run(), without reuse_null_bundle: the paper's algorithm."""
-    cfg = json.loads((REPO / "configs" / "five_agent.json").read_text())
-    oracle = build_problem_oracle(cfg["problem"])
-    p = build_params(dict(cfg["params"], reuse_null_bundle=False))
-    return _trace_case(oracle, p, np.array(cfg["x1"]), cfg["seed"])
 
 
 def _coverage_n20_case(out):
@@ -138,7 +129,6 @@ def _cantor_case(out):
 CASES = {
     "two_agent": lambda out: _config_case("two_agent", out),
     "five_agent": lambda out: _config_case("five_agent", out),
-    "five_agent_no_reuse": _five_agent_no_reuse_case,
     "abs_value": lambda out: _config_case("abs_value", out),
     "coverage_n20": _coverage_n20_case,
     "quad_max": _quad_max_case,
@@ -169,20 +159,6 @@ GOLDEN = {
         ],
         "final_f": "0.60745073860059673",
     },
-    "five_agent_no_reuse": {
-        "iterations": 164,
-        "termination": "TolerancesReached",
-        "kinds": (
-            "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDTDDDDDDDDDDDTDDDDDDDDDDDDDD"
-            "DDDDDDDLDLDDTDDDLLLLLDDLLLDDDDLLLLLDDLLDLTLLLLDLLLLDLDDDLDLL"
-            "TDLLDLDDLLLLLLLLLLLLLLLLLLLLLLLTLTLLDDDLLLLT"
-        ),
-        "final_x": [
-            "0.73124912336343073", "1.8860389012738092", "2.999614373628321",
-            "4.1143427270963597", "5.2686453839769207",
-        ],
-        "final_f": "0.60742222447043592",
-    },
     "abs_value": {
         "iterations": 34,
         "termination": "TolerancesReached",
@@ -210,28 +186,28 @@ GOLDEN = {
         "termination": "TolerancesReached",
         "kinds": (
             "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDTDDDDDTDDDDLTD"
-            "DDDLDTTDDDDDTDDDDDTDDDDDDDT"
+            "DDDLTDDDTDDDDTDDDDTDDDDDDDT"
         ),
-        "final_x": ["0.39230982222640481", "0.37774331582944087", "0.1897549739498868"],
-        "final_f": "0.65713431418583002",
+        "final_x": ["0.39221044566265167", "0.37786349063588304", "0.1897933404818033"],
+        "final_f": "0.65712591511612295",
     },
     "maxquad": {
-        "iterations": 246,
+        "iterations": 242,
         "termination": "TolerancesReached",
         "kinds": (
             "DDDDDDDDDDDDDDDDDDDDDLTDDDDDDDDDDTDDDDDDDTDDDDDLDDDDLDDDLDTD"
-            "LLLDDDDDDDDDTDDDDDDDDDDLDTDDDDDLDDDLDDDDDTDDDDLDDDDDDDDLDDTD"
-            "DDDDDDDLDLDDDDLLLDTDDDDDDDDDDDDDDDLLLDLLDTDDDDLDDDDDDDDDDDDD"
-            "TDDDDDDDDDDDDDDDDDDDTDDDDDDLDDDDLDDDDLDDDDLTDDDDDLDDDDDDLDDL"
-            "DDDDDT"
+            "LLLDDDDDDDDDTDDDDDDDDDDLDTDDDDDLDDDLLDDDDDLTDDLDDDDDDDDLDDDT"
+            "DDLDDDDLDDDDDDLDLDDDTDDDDDDDDDDDDDDLLDLLDTDDDDDDDDDDDDDDDDDT"
+            "DDDDDDDDDDDDDDLDDDDTDDDDDDDDDDDDDDDDLLDDTDDDDDDDDLDDDDDDDDDL"
+            "DT"
         ),
         "final_x": [
-            "-0.12620363541236213", "-0.034469436885060337", "-0.0069244037002473644",
-            "0.026324567723344183", "0.067286152776549341", "-0.27843711901277213",
-            "0.074246042960577505", "0.13855915705957675", "0.084047121947481679",
-            "0.03858730110349104",
+            "-0.12620371157129395", "-0.034470255828354175", "-0.006922214223047965",
+            "0.026323904035602953", "0.067285691396644073", "-0.27844199929943758",
+            "0.074246009881184724", "0.13855617145923785", "0.084048495516359789",
+            "0.038587084728729203",
         ],
-        "final_f": "-0.84139079154765883",
+        "final_f": "-0.84138913880660771",
     },
     "cantor_depth4": {
         "iterations": 300,
