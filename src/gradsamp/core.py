@@ -113,8 +113,8 @@ class Termination(str, Enum):
     # run's radius underflowed to 0.  LeftDomain: the GD baseline left D.
     STALLED = "Stalled"
     LEFT_DOMAIN = "LeftDomain"
-    # A sampling run met a NaN f at its iterate, or a non-finite gradient
-    # in its bundle.
+    # A sampling run met a NaN f at x1 (a carried f is never NaN), or a
+    # non-finite gradient in its bundle.
     NUMERICAL_FAILURE = "NumericalFailure"
 
 
@@ -204,6 +204,13 @@ class GsState:
     Kiwiel (2007, gradient sampling) and of Curtis & Que (2013, adaptive
     gradient sampling, which keeps gradients from the current ball on
     purpose) still hold when such gradients join the m fresh ones.
+
+    ``f`` is f(x), None only before a run's first step, which evaluates
+    it.  Every later state carries it from the step before: the value the
+    line search accepted at the new x after a Descent step (as Burke, Lewis
+    & Overton (2005) state the iteration), and the unchanged f after a null
+    step.  Since the oracles are pure, it is the value a fresh evaluation
+    at x would give, bit for bit.
     """
 
     k: int
@@ -211,6 +218,7 @@ class GsState:
     eps: float
     nu: float
     kept: Tuple[np.ndarray, ...] = ()
+    f: Optional[float] = None
 
 
 @dataclass

@@ -62,10 +62,14 @@ class Rng:
 
 @dataclass
 class LineSearchOutcome:
+    """Where a line search ended: at its accepted trial x + t d, or at the
+    start point x with t = 0 when no trial passed."""
+
     t: float
     trials: int
     accepted: bool
-    f_x: float  # f(x) at the start point, as the acceptance test used it
+    x: np.ndarray  # x + t d as the accepted trial evaluated it, else x
+    f: float       # f there: the accepted trial's value, else f(x) as given
 
 
 def sample_ball(center: np.ndarray, radius: float, count: int,
@@ -93,20 +97,25 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
     return list(center + offset)
 
 
-def _backtrack(value, f0: float, g_norm: float, eps: float, p: GsParams,
-               slack: float) -> Tuple[float, int]:
-    """Backtracking from t = t_init_factor * eps by factors gamma until
-    value(t) <= f0 - beta * t * g_norm + slack.  Returns (t, trials), with
-    t = 0 once the next trial would undercut the floor gamma * eps / 3."""
+def _backtrack(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray, f0: float,
+               g_norm: float, eps: float, p: GsParams,
+               slack: float) -> Tuple[float, int, np.ndarray, float]:
+    """Backtracking along d from t = t_init_factor * eps by factors gamma
+    until f(x + t d) <= f0 - beta * t * g_norm + slack.  Returns (t, trials,
+    x + t d, f(x + t d)) for the accepted trial, and (0, trials, x, f0)
+    once the next trial would undercut the floor gamma * eps / 3.  A NaN
+    trial value fails the test, so the f returned is NaN only if f0 is."""
     t = p.t_init_factor * eps
     t_min = p.gamma * eps / 3.0
     trials = 0
     while True:
         trials += 1
-        if value(t) <= f0 - p.beta * t * g_norm + slack:
-            return t, trials
+        x_t = x + t * d
+        f_t = oracle.objective(x_t)
+        if f_t <= f0 - p.beta * t * g_norm + slack:
+            return t, trials, x_t, f_t
         if p.gamma * t < t_min:
-            return 0.0, trials
+            return 0.0, trials, x, f0
         t *= p.gamma
 
 
@@ -130,26 +139,28 @@ def _f_at(oracle: ProblemOracle, x: np.ndarray) -> float:
     return f_x
 
 
-def line_search(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray,
+def line_search(oracle: ProblemOracle, x: np.ndarray, f_x: float, d: np.ndarray,
                 g_norm: float, eps_k: float, p: GsParams) -> LineSearchOutcome:
-    """Limited backtracking search along the unit direction d.
+    """Limited backtracking search along the unit direction d from x, where
+    f(x) = f_x.
 
     Starts at t = t_init_factor * eps_k and shrinks by gamma until the
-    sufficient-decrease test f(x + t d) <= f(x) - beta * t * g_norm + c_k / 2
+    sufficient-decrease test f(x + t d) <= f_x - beta * t * g_norm + c_k / 2
     passes, where c_k = gamma * (1 - alpha) * beta * g_norm * eps_k / 3;
     returns t = 0 once the next trial would undercut the floor
-    gamma * eps_k / 3.  Raises NonFiniteError, before any trial, if f(x)
-    is NaN.
+    gamma * eps_k / 3.  Each trial costs one ``oracle.objective`` call, and
+    f_x costs none: the outcome carries the accepted trial's point and
+    value, so the caller never evaluates f there again.  f_x is not checked
+    here; a NaN f_x fails every test, so the search ends at t = 0.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if abs(float(np.linalg.norm(d)) - 1.0) > 1e-12:
         raise ValueError("search direction must be a unit vector")
     c_k = p.gamma * (1.0 - p.alpha) * p.beta * g_norm * eps_k / 3.0
-    f_x = _f_at(oracle, x)
-    t, trials = _backtrack(lambda t: oracle.objective(x + t * d), f_x, g_norm,
-                           eps_k, p, slack=c_k / 2.0)
-    return LineSearchOutcome(t=t, trials=trials, accepted=t > 0.0, f_x=f_x)
+    t, trials, x_t, f_t = _backtrack(oracle, x, d, f_x, g_norm, eps_k, p,
+                                     slack=c_k / 2.0)
+    return LineSearchOutcome(t=t, trials=trials, accepted=t > 0.0, x=x_t, f=f_t)
 
 
 def step(oracle: ProblemOracle, state: GsState, p: GsParams,
@@ -166,9 +177,15 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     Either way the gradients of the samples before the offending one have
     been computed by then.  The min-norm QP takes ``state.kept`` and then
     the m fresh gradients; a NullLineSearch step keeps its fresh ones for
-    the next step, and every other step keeps none.  Raises NonFiniteError
-    on a non-finite fresh gradient (the kept ones passed the step before)
-    or a NaN f(x).
+    the next step, and every other step keeps none.
+
+    f(x) is ``state.f``.  Only when that is None, before a run's first
+    step, is it evaluated, once, after the bundle.  The new state carries
+    f at the new x: the accepted trial's value after a Descent step, the
+    unchanged f after a null step.  Raises NonFiniteError on a non-finite
+    fresh gradient (the kept ones passed the step before) or a NaN f at
+    the first x; a carried f is never NaN, because a NaN trial fails the
+    line search's test and is never accepted.
     """
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
@@ -194,22 +211,22 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     g = res.point
     g_norm = _norm(g)
 
+    f_x = _f_at(oracle, x) if state.f is None else state.f
+
     if g_norm <= state.nu:
-        f_x = _f_at(oracle, x)
         new_state = GsState(k=state.k + 1, x=x, eps=p.mu * state.eps,
-                            nu=p.vartheta * state.nu)
+                            nu=p.vartheta * state.nu, f=f_x)
         kind = StepKind.NULL_TOLERANCE
         t = 0.0
     else:
-        d = -g / g_norm
-        ls = line_search(oracle, x, d, g_norm, state.eps, p)
-        f_x = ls.f_x
+        ls = line_search(oracle, x, f_x, -g / g_norm, g_norm, state.eps, p)
         t = ls.t
         if t > 0.0:
-            kind, new_x, kept = StepKind.DESCENT, x + t * d, ()
+            kind, kept = StepKind.DESCENT, ()
         else:  # x and eps stay, so the fresh gradients still sample the ball
-            kind, new_x, kept = StepKind.NULL_LINESEARCH, x, tuple(grads)
-        new_state = GsState(k=state.k + 1, x=new_x, eps=state.eps, nu=state.nu, kept=kept)
+            kind, kept = StepKind.NULL_LINESEARCH, tuple(grads)
+        new_state = GsState(k=state.k + 1, x=ls.x, eps=state.eps, nu=state.nu,
+                            kept=kept, f=ls.f)
 
     rec = IterationRecord(
         k=state.k, x=x, f_approx=f_x, eps=state.eps, nu=state.nu,
@@ -247,9 +264,13 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     floors, or when a sample leaves D under the 'stop' policy or cannot be
     redrawn into D under 'resample', or (as Stalled) before a step whose
     radius eps has underflowed to 0, or (as NumericalFailure) at a NaN f
-    or a non-finite bundle gradient, keeping the records so far.  The
-    recorded objective decreases by at least alpha * beta * t_k * ||g^k||
-    on every accepted step; this is asserted at the end of the run.  Raises
+    at x1 or a non-finite bundle gradient, keeping the records so far.
+    f is evaluated at x1 only, and the first step tests that one value
+    for NaN; every later value, ``trace.final_f`` included, is one the
+    line search accepted, which is never NaN because a NaN trial fails its
+    test.  So no iterate costs an oracle call of its own.  The recorded
+    objective decreases by at least alpha * beta * t_k * ||g^k|| on every
+    accepted step; this is asserted at the end of the run.  Raises
     ValueError, before the oracle is called, unless x1 is a finite vector
     of shape (oracle.dim,).
     """
@@ -276,9 +297,10 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
             termination = Termination.TOLERANCES_REACHED
             break
 
-    if not trace.records:
+    if not trace.records:  # no step returned, so none carried f at x1
+        state.f = oracle.objective(x1)
         trace.records.append(IterationRecord(
-            k=1, x=x1, f_approx=oracle.objective(x1),
+            k=1, x=x1, f_approx=state.f,
             eps=p.eps1, nu=p.nu1, g_norm=0.0, t=0.0,
             step_kind=StepKind.NULL_TOLERANCE, sample_count=0, wall_time_us=0))
 
@@ -286,7 +308,7 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     trace.final_x = state.x
     trace.final_eps = state.eps
     trace.final_nu = state.nu
-    trace.final_f = oracle.objective(state.x)
+    trace.final_f = state.f
     _check_descent(p, trace.records, trace.final_f)
     return trace
 
@@ -302,8 +324,10 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     not the c_k / 2 slack of ``line_search``: the plain Armijo test
     applies.  Stops after _MAX_STALL
     consecutive failed line searches, when the iterate leaves D, or at
-    max_iters.  Raises ValueError unless x1 is a finite vector of shape
-    (oracle.dim,) in D.
+    max_iters.  As in ``run``, f is evaluated at x1 only, from the first
+    iteration's maximizer, and then carried from the accepted trials.
+    Raises ValueError unless x1 is a finite vector of shape (oracle.dim,)
+    in D.
     """
     x = _start_point(oracle, x1)
     validate_params(p, x.shape[0])
@@ -313,28 +337,28 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     trace = Trace(params_snapshot=p.snapshot(), seed=0)
     termination = Termination.MAX_ITERS
     stall = 0
+    f_here = None
     for k in range(1, p.max_iters + 1):
         t0 = time.perf_counter_ns()
-        if not oracle.in_D(x):
+        if k > 1 and not oracle.in_D(x):  # x1 was tested on entry
             termination = Termination.LEFT_DOMAIN
             break
         theta = oracle.inner_max(x)
         grad = np.asarray(oracle.grad_x_F(x, theta), dtype=float)
         g_norm = _norm(grad)
-        f_here = oracle.eval_F(x, theta)
-        if g_norm == 0.0:
-            t = 0.0
-        else:
-            d = -grad / g_norm
-            t, _ = _backtrack(lambda t: oracle.objective(x + t * d), f_here,
-                              g_norm, p.eps1, p, slack=0.0)
+        if f_here is None:
+            f_here = oracle.eval_F(x, theta)
+        t, x_next, f_next = 0.0, x, f_here
+        if g_norm != 0.0:
+            t, _, x_next, f_next = _backtrack(oracle, x, -grad / g_norm, f_here,
+                                              g_norm, p.eps1, p, slack=0.0)
         kind = StepKind.DESCENT if t > 0.0 else StepKind.NULL_LINESEARCH
         trace.records.append(IterationRecord(
             k=k, x=x, f_approx=f_here, eps=p.eps1, nu=p.nu1, g_norm=g_norm,
             t=t, step_kind=kind, sample_count=0,
             wall_time_us=(time.perf_counter_ns() - t0) // 1000))
+        x, f_here = x_next, f_next
         if t > 0.0:
-            x = x + t * d
             stall = 0
         else:
             stall += 1
@@ -346,5 +370,5 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     trace.final_x = x
     trace.final_eps = p.eps1
     trace.final_nu = p.nu1
-    trace.final_f = oracle.objective(x)
+    trace.final_f = oracle.objective(x) if f_here is None else f_here
     return trace

@@ -40,7 +40,7 @@ _SAFE = (1e-100, 1e100)  # coordinate magnitudes solved without rescaling
 
 class NonFiniteError(ValueError):
     """A NaN or infinite coordinate in the input points, or (raised by the
-    driver) a NaN objective value at the iterate."""
+    driver) a NaN objective value at the start point."""
 
 
 @dataclass

@@ -119,8 +119,8 @@ def test_line_search_accepts_first_trial_on_smooth_descent():
     x = np.array([1.0, 1.0])
     grad = x  # gradient of 0.5||x||^2
     d = -grad / np.linalg.norm(grad)
-    out = line_search(oracle, x, d, float(np.linalg.norm(grad)), 0.01,
-                      GsParams())
+    out = line_search(oracle, x, oracle.objective(x), d, float(np.linalg.norm(grad)),
+                      0.01, GsParams())
     assert out.accepted and out.trials == 1
     assert out.t == pytest.approx(GsParams().t_init_factor * 0.01)
 
@@ -129,7 +129,8 @@ def test_line_search_abs_value_hand_example():
     oracle = finite_max_oracle(abs_value_problem())
     p = GsParams(beta=0.5, t_init_factor=1.0 / 3.0)
     eps_k = 0.9  # t_init = 0.3
-    out = line_search(oracle, np.array([0.5]), np.array([-1.0]), 1.0, eps_k, p)
+    x = np.array([0.5])
+    out = line_search(oracle, x, oracle.objective(x), np.array([-1.0]), 1.0, eps_k, p)
     assert out.accepted and out.t == pytest.approx(0.3)
     # Accepted because f(0.2) = 0.2 <= 0.5 - 0.5*0.3 + c_k/2 with c_k >= 0.
 
@@ -139,7 +140,8 @@ def test_line_search_ascent_direction_exhausts_trials():
     oracle = finite_max_oracle(prob)
     p = GsParams()
     eps_k = 0.2
-    out = line_search(oracle, np.array([0.0]), np.array([1.0]), 1.0, eps_k, p)
+    x = np.array([0.0])
+    out = line_search(oracle, x, oracle.objective(x), np.array([1.0]), 1.0, eps_k, p)
     assert not out.accepted and out.t == 0.0
     # Trial count: replay the backtracking schedule t_init, gamma*t_init,
     # ... until the next trial would undercut the floor gamma*eps_k/3.
@@ -156,7 +158,8 @@ def test_line_search_ascent_direction_exhausts_trials():
 def test_line_search_requires_unit_direction():
     oracle = finite_max_oracle(abs_value_problem())
     with pytest.raises(ValueError):
-        line_search(oracle, np.array([0.5]), np.array([-2.0]), 1.0, 0.1,
+        x = np.array([0.5])
+        line_search(oracle, x, oracle.objective(x), np.array([-2.0]), 1.0, 0.1,
                     GsParams())
 
 
@@ -560,9 +563,12 @@ def test_numerical_failure_keeps_the_records_so_far():
 
 
 def test_a_nan_f_at_x_ends_the_line_search_before_its_trials():
+    """The first step evaluates f at x once, after the bundle, and a NaN
+    there ends the step before any line-search trial is paid for."""
     oracle = _NanAtOne(abs_value_problem())
+    state = GsState(k=1, x=np.array([1.0]), eps=0.2, nu=0.1, f=None)
     with pytest.raises(NonFiniteError, match="f is NaN"):
-        line_search(oracle, np.array([1.0]), np.array([-1.0]), 1.0, 0.2, GsParams())
+        step(oracle, state, GsParams(), Rng(3))
     assert oracle.evals == 1
 
 
