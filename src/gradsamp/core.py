@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -70,14 +70,16 @@ class ProblemOracle:
     def in_D(self, x: np.ndarray) -> bool:
         raise NotImplementedError
 
-    def sample_gradients(self, points: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """grad_x_F(p, inner_max(p)) for the points at the front of the list
+    def sample_gradients(self, points: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
+        """grad_x_F(p, inner_max(p)) for the points at the front of
+        ``points`` (a sequence of points or the rows of an (m, n) array)
         that lie in D, stopping before the first point outside D.
 
-        Each point is tested for D and then evaluated before the next one
-        is tested, so an oracle that keeps its last point answers the three
-        calls from one evaluation.  The result is shorter than ``points``
-        exactly when a point misses D.
+        The result may be a (k, n) array or a list of k rows; the solver
+        accepts either.  Each point is tested for D and then evaluated
+        before the next one is tested, so an oracle that keeps its last
+        point answers the three calls from one evaluation.  The result is
+        shorter than ``points`` exactly when a point misses D.
         """
         out = []
         for p in points:
@@ -197,8 +199,9 @@ class GsState:
     The two tolerances are always discounted together, so eps/eps1 = mu**a
     and nu/nu1 = vartheta**a share the same exponent a.
 
-    ``kept`` holds the m fresh gradients of a NullLineSearch step, and is
-    empty after any other step.  Neither x nor eps moved, so they are still
+    ``kept`` holds the m fresh gradients of a NullLineSearch step, as the
+    rows of an (m, n) array or as a sequence of rows, and is empty after
+    any other step.  Neither x nor eps moved, so they are still
     gradients at points of B(x, eps) in D, and the next step's min-norm QP
     takes them before its own m fresh ones.  The convergence arguments of
     Kiwiel (2007, gradient sampling) and of Curtis & Que (2013, adaptive
@@ -217,7 +220,7 @@ class GsState:
     x: np.ndarray
     eps: float
     nu: float
-    kept: Tuple[np.ndarray, ...] = ()
+    kept: Sequence[np.ndarray] = ()
     f: Optional[float] = None
 
 

@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, ne, neg, truediv
 from typing import Tuple
 
 import numpy as np
@@ -102,6 +103,11 @@ class CoverageProblem:
         return (w, lo_m.tolist(), (hi_m - lo_m).tolist(),
                 float(lo_m.sum()), float(hi_m.sum()))
 
+    @cached_property
+    def _width_list(self):
+        # The widths as a list, for the list LP.
+        return self.widths.tolist()
+
 
 def _partition(prob: CoverageProblem, x: np.ndarray):
     """Nearest-agent partition of the bins, shared by c, dc/dx and the D test.
@@ -143,17 +149,17 @@ def _partition(prob: CoverageProblem, x: np.ndarray):
     return order, xs, segments
 
 
-def _cost(xs, segments, n_bins: int) -> np.ndarray:
-    # The per-bin cost c, with F(x, theta) = <c, theta>: c_k sums, over the
-    # segments of bin k, the integral of 2|s - y| over [alpha, beta], by
-    # position of the owner s.
+def _cost(xs, segments, n_bins: int) -> list:
+    # The per-bin cost c as a list, with F(x, theta) = <c, theta>: c_k sums,
+    # over the segments of bin k, the integral of 2|s - y| over
+    # [alpha, beta], by position of the owner s.
     c = [0.0] * n_bins
     for k, alpha, beta, owner, _a, _b in segments:
         s = xs[owner]
         da, db = alpha - s, beta - s
         ha, hb = da * da, db * db  # not ** 2: libm pow, which NumPy cannot repeat
         c[k] += hb - ha if s <= alpha else ha - hb if s >= beta else hb + ha
-    return np.asarray(c)
+    return c
 
 
 def _smooth(prob: CoverageProblem, xs) -> bool:
@@ -165,20 +171,19 @@ def _smooth(prob: CoverageProblem, xs) -> bool:
     with the penalty on -- an agent at a support endpoint (already a bin
     edge)."""
     edges, doubled = prob._edge_sets
-    pairs = list(zip(xs, xs[1:]))
-    return (edges.isdisjoint(xs) and all(u != v for u, v in pairs)
-            and doubled.isdisjoint([u + v for u, v in pairs]))
+    rest = xs[1:]
+    return (edges.isdisjoint(xs) and all(map(ne, xs, rest))
+            and doubled.isdisjoint(map(add, xs, rest)))
 
 
-def _gradient(order, xs, segments, theta) -> np.ndarray:
-    # The gradient of <c, theta> in the agents.  Each segment integral of
-    # 2|s - y| over [alpha, beta] has partials 2|beta - s| in beta and
-    # -2|alpha - s| in alpha, and, being shift invariant, their negated sum
-    # in the owner s.  A midpoint endpoint moves half with each of its two
+def _gradient(order, xs, segments, th: list) -> list:
+    # The gradient of <c, theta> in the agents as a list, for theta as a
+    # list.  Each segment integral of 2|s - y| over [alpha, beta] has
+    # partials 2|beta - s| in beta and -2|alpha - s| in alpha, and, being
+    # shift invariant, their negated sum in the owner s.  A midpoint endpoint moves half with each of its two
     # neighbouring agents.  Each part times theta_k is added to its agent in
     # segment order: the owner, the two agents of a midpoint alpha, then
     # those of a midpoint beta.
-    th = np.asarray(theta, dtype=float).tolist()
     g = [0.0] * len(xs)
     for k, alpha, beta, owner, a_idx, b_idx in segments:
         s, t = xs[owner], th[k]
@@ -192,7 +197,7 @@ def _gradient(order, xs, segments, theta) -> np.ndarray:
             d = (0.5 * pb) * t
             g[order[b_idx]] += d
             g[order[b_idx + 1]] += d
-    return np.asarray(g)
+    return g
 
 
 def penalty(prob: CoverageProblem, x: np.ndarray) -> float:
@@ -212,6 +217,14 @@ def _penalty_grad(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     return _SLOPES[np.searchsorted(prob._support_cuts, x, side="right")]
 
 
+def _add_penalty(prob: CoverageProblem, g: list, x) -> list:
+    # g + penalty_weight * _penalty_grad(prob, x) on lists, byte for byte:
+    # NaN, which searchsorted puts last, gets the slope +1 there and here.
+    lo, hi, wt = prob.bin_edges[0], prob.bin_edges[-1], prob.penalty_weight
+    return [gi + wt * (-1.0 if v < lo else 0.0 if v <= hi else 1.0)
+            for gi, v in zip(g, np.asarray(x, dtype=float).tolist())]
+
+
 def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     """Exact maximizer of <c, theta> over the box-bounded mass simplex.
 
@@ -220,24 +233,59 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     greedy fill by decreasing rate c_k / width_k is exact (ties broken at
     the lowest index)."""
     c = np.asarray(c, dtype=float)
-    w, lo_m, room, lo_sum, _ = prob._mass_bounds
+    w = prob._mass_bounds[0]
+    return np.asarray(_fill(prob, np.argsort(-(c / w), kind="stable").tolist())) / w
+
+
+def _fill(prob: CoverageProblem, order) -> list:
+    # The bin masses of the greedy fill in the given order: the lower
+    # masses, then each bin's room while some of the total is left.
+    _, lo_m, room, lo_sum, _ = prob._mass_bounds
     resid = prob.total_mass - lo_sum
     masses = list(lo_m)
-    for k in np.argsort(-(c / w), kind="stable").tolist():
+    for k in order:
         if resid <= 0.0:
             break
-        add = min(room[k], resid)
-        masses[k] += add
-        resid -= add
-    return np.asarray(masses) / w
+        r = room[k]
+        step = resid if resid < r else r  # min(r, resid)
+        masses[k] += step
+        resid -= step
+    return masses
+
+
+# Up to _LP_LIST_MAX bins, _lp sorts the fill order in Python, and above
+# it with np.argsort; the oracle's inner_max takes inner_lp_max above it.
+# From c as a list to theta as an array, on seeded c on a shared 2-core
+# x86 box pinned to one core, the list LP took 0.5x the time of
+# inner_lp_max at K = 2, 0.7x at 6, 0.85x at 12, about the same at 20,
+# 1.1x at 32 and 1.65x at 100.
+_LP_LIST_MAX = 20
+
+
+def _lp(prob: CoverageProblem, c: list) -> list:
+    """inner_lp_max with c and theta as lists, byte for byte.
+
+    The rate c_k / w_k, its negation and theta_k = m_k / w_k are one IEEE
+    operation per entry, as in NumPy, and a stable sort of the negated
+    rates is np.argsort's order once none is NaN (argsort puts NaN last);
+    a NaN or an inf - inf in their sum, or more than _LP_LIST_MAX bins,
+    leaves the order to np.argsort."""
+    wl = prob._width_list
+    rates = list(map(neg, map(truediv, c, wl)))  # -(c_k / w_k)
+    total = sum(rates)
+    if total == total and len(rates) <= _LP_LIST_MAX:
+        order = sorted(range(len(rates)), key=rates.__getitem__)
+    else:
+        order = np.argsort(rates, kind="stable").tolist()
+    return list(map(truediv, _fill(prob, order), wl))
 
 
 # CoverageOracle.sample_gradients takes the block path once len(points) *
-# (N + K) reaches _BLOCK_MIN.  Against the per-point path, on seeded
-# bundles of m = N + 2 points on a shared 2-core x86 box with BLAS on one
-# thread, the block path took 2.2-2.3x the time at a size of 16,
-# 0.8-1.15x at 72 to 108, 0.6-0.8x at 128 to 144 and 0.25-0.3x at N = 20
-# and N = 50.
+# (N + K) reaches _BLOCK_MIN.  Against the per-point walk, on seeded
+# bundles of m = N + 2 points with K = 2N on a shared 2-core x86 box
+# pinned to one core with BLAS on one thread, the block path took 3.4x the
+# time at a size of 24, 1.6-1.7x at 72, 1.2x at 105, 0.97-1.0x at 144 and
+# 0.54x at 360.
 _BLOCK_MIN = 120
 # A block holds about 15 arrays of R * (N + K) segments, so the rows of a
 # large bundle go in chunks of at most _CHUNK_SEGMENTS segments.  For one
@@ -330,10 +378,10 @@ def _hits(sorted_values: np.ndarray, v: np.ndarray) -> np.ndarray:
             != np.searchsorted(sorted_values, v, side="right"))
 
 
-def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> list:
+def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     """The gradients of the per-point path at the inner maximizers of the
     leading rows of X that lie in D, byte for byte, computed for all of
-    those rows at once."""
+    those rows at once, one row each."""
     N = X.shape[1]
     K = prob.n_bins
     edges, doubled = prob._edge_arrays
@@ -344,7 +392,7 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> list:
     bad |= _hits(edges, xs).any(axis=1)
     R = int(bad.argmax()) if bad.any() else len(X)
     if R == 0:
-        return []
+        return np.empty((0, N))
     X, order, xs = X[:R], order[:R], xs[:R]
     row, k, alpha, beta, owner, a_idx, b_idx = _block_segments(prob, sums[:R] / 2.0)
 
@@ -372,7 +420,17 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> list:
     G = np.bincount(cells.ravel(), weights=parts.ravel(), minlength=R * N).reshape(R, N)
     if prob.penalty_enabled:
         G = G + prob.penalty_weight * _penalty_grad(prob, X)
-    return list(G)
+    return G
+
+
+def _walk(prob: CoverageProblem, x):
+    """The per-point gradient at the inner maximizer of x as a list, in one
+    pass on Python floats and without the memo, or None outside D."""
+    order, xs, segments = _partition(prob, x)
+    if not _smooth(prob, xs):
+        return None
+    g = _gradient(order, xs, segments, _lp(prob, _cost(xs, segments, prob.n_bins)))
+    return _add_penalty(prob, g, x) if prob.penalty_enabled else g
 
 
 class CoverageOracle(ProblemOracle):
@@ -380,14 +438,15 @@ class CoverageOracle(ProblemOracle):
     analytic gradients.
 
     The partition, c and D membership of the last point asked about are
-    kept, so a bundle sample's in_D, inner_max and grad_x_F, or a
+    kept, so a single point's in_D, inner_max and grad_x_F, or a
     line-search trial's inner_max and eval_F, build the partition once.
     The memo is read and replaced as one tuple, so concurrent callers never
     get another caller's point.
 
-    ``sample_gradients`` evaluates a large bundle as NumPy blocks (see
-    _BLOCK_MIN and _CHUNK_SEGMENTS), with the per-point path's bytes, and a
-    small one point by point."""
+    ``sample_gradients`` evaluates a small bundle point by point, each in
+    one pass on Python floats that skips the memo, and a large one as NumPy
+    blocks (see _BLOCK_MIN and _CHUNK_SEGMENTS), with the same bytes.  It
+    returns the gradients as one (k, n) array."""
 
     def __init__(self, prob: CoverageProblem):
         self.prob = prob
@@ -408,20 +467,28 @@ class CoverageOracle(ProblemOracle):
     def sample_gradients(self, points):
         width = self.dim + self.theta_dim
         if len(points) * width < _BLOCK_MIN:
-            return super().sample_gradients(points)
-        rows = max(1, _CHUNK_SEGMENTS // width)
+            rows = []
+            for x in points:
+                g = _walk(self.prob, x)
+                if g is None:
+                    break
+                rows.append(g)
+            return np.array(rows).reshape(len(rows), self.dim)
+        step = max(1, _CHUNK_SEGMENTS // width)
         out = []
-        for i in range(0, len(points), rows):  # rows are independent
-            chunk = points[i:i + rows]
-            got = _block_gradients(self.prob, np.array(chunk, dtype=float))
-            out += got
-            if len(got) < len(chunk):  # it met a point outside D
-                break
-        return out
+        # Far out (|x| about 1e154 and more) c overflows to inf or NaN, which
+        # the walk's Python floats give without a warning, and so does this.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(0, len(points), step):  # rows are independent
+                chunk = points[i:i + step]
+                out.append(_block_gradients(self.prob, np.asarray(chunk, dtype=float)))
+                if len(out[-1]) < len(chunk):  # it met a point outside D
+                    break
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     def eval_F(self, x, theta):
         x = np.asarray(x, dtype=float)
-        v = float(self._at(x)[3] @ np.asarray(theta, dtype=float))
+        v = float(np.asarray(self._at(x)[3]) @ np.asarray(theta, dtype=float))
         if self.prob.penalty_enabled:
             v += self.prob.penalty_weight * penalty(self.prob, x)
         return v
@@ -432,13 +499,16 @@ class CoverageOracle(ProblemOracle):
         order, xs, segments, _, smooth = self._at(x)
         if not smooth:
             raise ValueError("gradient undefined: x lies on an excluded hyperplane")
-        g = _gradient(order, xs, segments, theta)
+        g = _gradient(order, xs, segments, np.asarray(theta, dtype=float).tolist())
         if self.prob.penalty_enabled:
-            g = g + self.prob.penalty_weight * _penalty_grad(self.prob, x)
-        return g
+            g = _add_penalty(self.prob, g, x)
+        return np.asarray(g)
 
     def inner_max(self, x):
-        return inner_lp_max(self.prob, self._at(np.asarray(x, dtype=float))[3])
+        c = self._at(np.asarray(x, dtype=float))[3]
+        if self.theta_dim <= _LP_LIST_MAX:
+            return np.asarray(_lp(self.prob, c))
+        return inner_lp_max(self.prob, c)
 
     def in_D(self, x):
         return self._at(np.asarray(x, dtype=float))[4]

@@ -73,8 +73,9 @@ class LineSearchOutcome:
 
 
 def sample_ball(center: np.ndarray, radius: float, count: int,
-                rng: Rng) -> List[np.ndarray]:
-    """Uniform samples from the closed Euclidean ball B(center, radius).
+                rng: Rng) -> np.ndarray:
+    """Uniform samples from the closed Euclidean ball B(center, radius), as
+    the rows of a (count, n) array.
 
     One ``rng.ball_draws(count, n)`` call: row i of the Gaussian block
     gives point i's direction z / ||z||, and uniform i its radial factor
@@ -89,12 +90,14 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
     n = center.shape[0]
     z, u = rng.ball_draws(count, n)
     nz = np.sqrt(np.einsum("ij,ij->i", z, z))
-    nz[nz == 0.0] = 1.0  # z is 0 there, and so is its offset
+    if not nz.all():
+        nz[nz == 0.0] = 1.0  # z is 0 there, and so is its offset
     offset = (radius * u ** (1.0 / n))[:, None] * (z / nz[:, None])
     d = np.sqrt(np.einsum("ij,ij->i", offset, offset))
-    over = d > radius
-    offset[over] *= (radius / d[over])[:, None]
-    return list(center + offset)
+    if d.max() > radius:
+        over = d > radius
+        offset[over] *= (radius / d[over])[:, None]
+    return center + offset
 
 
 def _backtrack(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray, f0: float,
@@ -124,10 +127,18 @@ def _norm(v: np.ndarray) -> float:
     math.hypot where v.v overflows (entries above about 1e154) or falls
     below the smallest normal double (entries below about 1e-154), whose
     square root has lost digits.  That overflow is recovered from, so NumPy
-    does not warn of it."""
-    with np.errstate(over="ignore"):
+    does not warn of it.  The errstate that silences it costs more than the
+    dot, so only a v with an entry of magnitude 1e150 or more enters it;
+    otherwise v.v < len(v) * 1e300 is finite (for fewer than 1e8 entries).
+    min and max skip a NaN unless it comes first, and then return it,
+    which fails the test, so every large entry is seen."""
+    vl = v.tolist()
+    if -1e150 < min(vl) and max(vl) < 1e150:
         s = v.dot(v)  # the same operations as np.linalg.norm
-    return math.sqrt(s) if sys.float_info.min <= s < math.inf else math.hypot(*v.tolist())
+    else:
+        with np.errstate(over="ignore"):
+            s = v.dot(v)
+    return math.sqrt(s) if sys.float_info.min <= s < math.inf else math.hypot(*vl)
 
 
 def _f_at(oracle: ProblemOracle, x: np.ndarray) -> float:
@@ -175,9 +186,10 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     policy; under 'resample', only the offending points are redrawn, and it
     is raised once one point misses D on _MAX_REDRAWS redraws in a row.
     Either way the gradients of the samples before the offending one have
-    been computed by then.  The min-norm QP takes ``state.kept`` and then
-    the m fresh gradients; a NullLineSearch step keeps its fresh ones for
-    the next step, and every other step keeps none.
+    been computed by then.  The min-norm QP takes one (k, n) array:
+    ``state.kept`` and then the m fresh gradients, joined by one
+    concatenate.  A NullLineSearch step keeps its fresh rows for the next
+    step, and every other step keeps none.
 
     f(x) is ``state.f``.  Only when that is None, before a run's first
     step, is it evaluated, once, after the bundle.  The new state carries
@@ -194,20 +206,22 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
 
     samples = sample_ball(x, state.eps, m, rng)
     draws = m
-    grads = oracle.sample_gradients(samples)
-    while len(grads) < m:  # samples[len(grads)] missed D
+    parts = [state.kept, oracle.sample_gradients(samples)]
+    done = len(parts[-1])
+    while done < m:  # samples[done] missed D
         got, redraws = [], 0
-        while not got:
+        while len(got) == 0:
             if policy is NonsmoothPolicy.STOP or redraws == _MAX_REDRAWS:
                 raise NonsmoothSampleError(f"sample left the smooth set D at "
                                            f"iteration {state.k} ({redraws} redraws)")
             got = oracle.sample_gradients(sample_ball(x, state.eps, 1, rng))
             draws += 1
             redraws += 1
-        grads += got
-        grads += oracle.sample_gradients(samples[len(grads):])
+        parts += [got, oracle.sample_gradients(samples[done + 1:])]
+        done += len(parts[-1]) + 1
+    bundle = np.concatenate([b for b in parts if len(b)])
 
-    res = min_norm_point([*state.kept, *grads])
+    res = min_norm_point(bundle)
     g = res.point
     g_norm = _norm(g)
 
@@ -224,7 +238,7 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
         if t > 0.0:
             kind, kept = StepKind.DESCENT, ()
         else:  # x and eps stay, so the fresh gradients still sample the ball
-            kind, kept = StepKind.NULL_LINESEARCH, tuple(grads)
+            kind, kept = StepKind.NULL_LINESEARCH, bundle[-m:]
         new_state = GsState(k=state.k + 1, x=ls.x, eps=state.eps, nu=state.nu,
                             kept=kept, f=ls.f)
 

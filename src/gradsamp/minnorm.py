@@ -179,30 +179,31 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2:
         raise ValueError("points must share a common dimension")
-    if not np.isfinite(P).all():
-        raise NonFiniteError("non-finite coordinates in input points")
     m = P.shape[0]
+    # One pass for the finite check and the scale guard: a NaN coordinate
+    # makes the largest magnitude NaN, an infinite one makes it inf.
+    top = float(np.abs(P).max())
+    if not top < math.inf:
+        raise NonFiniteError("non-finite coordinates in input points")
 
     # Deduplicate bitwise-equal points; weights flow to the first occurrence.
-    first_idx: List[int] = []
-    seen = {}
+    raw, size = P.tobytes(), P.itemsize * P.shape[1]
+    first = {}
     for i in range(m):
-        key = P[i].tobytes()
-        if key not in seen:
-            seen[key] = len(first_idx)
-            first_idx.append(i)
+        first.setdefault(raw[i * size:(i + 1) * size], i)
+    first_idx = list(first.values())
     Q = P if len(first_idx) == m else P[first_idx]
 
-    # Scale guard: an exact power-of-two rescaling of extreme bundles.
+    # Scale guard: an exact power-of-two rescaling of extreme bundles.  The
+    # deduplicated points have the same largest magnitude as all of them.
     shift = 0
-    top = float(np.abs(Q).max())
     if not _SAFE[0] <= top <= _SAFE[1]:
         shift = math.frexp(top)[1]
         Q = np.ldexp(Q, -shift)
 
     active, lam, it, capped = _wolfe(Q @ Q.T, 64 * m)
 
-    lam = np.clip(lam, 0.0, None)
+    lam = np.maximum(lam, 0.0)  # np.clip(lam, 0.0, None), without its wrappers
     lam = lam / lam.sum()
     g = lam @ Q[active]
     gap = _gap(Q, g)
@@ -221,8 +222,7 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
             lam, g, gap = lam + delta, g2, gap2
 
     weights = np.zeros(m)
-    for a, w in zip(active, lam):
-        weights[first_idx[a]] = w
+    weights[[first_idx[a] for a in active]] = lam
 
     if shift:
         g = np.ldexp(g, shift)

@@ -147,8 +147,8 @@ class _MemberMaxOracle(ProblemOracle):
         it, up to the first row outside D."""
         if len(points) == 0:
             return []
-        out, n_in_D = _first_max(*self._block(np.array(points, dtype=float)))
-        return list(out[:n_in_D])
+        out, n_in_D = _first_max(*self._block(np.asarray(points, dtype=float)))
+        return out[:n_in_D]
 
 
 class FiniteMaxOracle(_MemberMaxOracle):

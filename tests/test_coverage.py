@@ -37,7 +37,7 @@ from oracles import (
 def _c(prob, x):
     """The per-bin cost c(x), from a fresh partition."""
     _, xs, segments = coverage._partition(prob, x)
-    return coverage._cost(xs, segments, prob.n_bins)
+    return np.asarray(coverage._cost(xs, segments, prob.n_bins))
 
 
 def _in_D(prob, x):
@@ -488,14 +488,17 @@ def _per_point(oracle, points):
 
 
 def test_block_path_matches_per_point_path_bytewise(monkeypatch):
-    """A coverage bundle evaluated as one block gives, byte for byte, the
-    gradients of the point-by-point walk, and stops before the same first
-    point outside D.  Each bundle holds a _reference_cases() point and
-    copies of it moved by half units, by 1e-15 and by a few ulps, so it
-    repeats agents, puts midpoints on edges and clusters cuts; bundle sizes
-    fall on both sides of the selection threshold.  Then bundles of N + 2
-    rows at N = 50, one block, and at N = 400, in chunks of 13 rows, whole
-    and with a miss of D at row 30."""
+    """A coverage bundle evaluated as one block, or below the selection
+    threshold as the direct walk on Python floats, gives, byte for byte,
+    the gradients of the in_D, inner_max, grad_x_F walk, and stops before
+    the same first point outside D.  Each bundle holds a _reference_cases()
+    point and copies of it moved by half units, by 1e-15 and by a few ulps,
+    so it repeats agents, puts midpoints on edges and clusters cuts; bundle
+    sizes fall on both sides of the threshold.  Then single points on both
+    paths, among them agents at 1e200, where c is inf or NaN, rates that
+    tie, and LPs without room, where the list LP also gives a _block_lp
+    row's bytes.  Then bundles of N + 2 rows at N = 50, one block, and at
+    N = 400, in chunks of 13 rows, whole and with a miss of D at row 30."""
     blocks = []
     block = coverage._block_gradients
 
@@ -526,29 +529,70 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
         partial += is_block and 0 < len(want) < len(points)
     assert sizes[True] >= 1000 and sizes[False] >= 1000 and partial >= 100
 
-    # Every reference point in D on its own, repeated past the threshold:
-    # among them, segments whose centre rounds onto alpha.  And a pair whose
-    # midpoint rounds onto an edge though their sum is not twice the edge,
-    # next to a bin so narrow that its theta makes subnormal cells show.
+    # Every reference point in D on its own, alone and repeated past the
+    # threshold: among them, segments whose centre rounds onto alpha.  And
+    # a pair whose midpoint rounds onto an edge though their sum is not
+    # twice the edge, next to a bin so narrow that its theta makes
+    # subnormal cells show.
     corner = CoverageProblem(n_agents=2, bin_edges=(0.0, 1e-300, 1.0),
                              theta_lower=(0.5e300, 0.0), theta_upper=(1e300, 1.0))
     tiny = np.array([-1.0, 2.0]) * np.nextafter(0.0, 1.0)
     assert (tiny[0] + tiny[1]) / 2.0 == 0.0 and _in_D(corner, tiny)
     alone = [(prob, x) for prob, x, _ in _reference_cases() if _in_D(prob, x)]
-    # The LP with no mass to fill above the lower bounds, and with rooms
-    # without bound.
+    # The LP with no mass to fill above the lower bounds, with rooms
+    # without bound, and with zero room in one bin; each with the penalty
+    # off and on.
     lps = [CoverageProblem(n_agents=3, bin_edges=(0.0, 1.0, 2.0, 4.0),
-                           theta_lower=lower, theta_upper=upper)
+                           theta_lower=lower, theta_upper=upper, penalty_enabled=on)
            for lower, upper in (((0.25,) * 3, (0.25,) * 3),
-                                ((0.0, 0.1, 0.0), (np.inf, np.inf, 0.3)))]
-    for prob, x in alone + [(corner, tiny)] + [(p, np.array([0.3, 1.6, 3.1])) for p in lps]:
+                                ((0.0, 0.1, 0.0), (np.inf, np.inf, 0.3)),
+                                ((0.2, 0.1, 0.1), (0.2, 0.5, 0.5)))
+           for on in (False, True)]
+    special = [(corner, tiny)] + [(p, np.array([0.3, 1.6, 3.1])) for p in lps]
+    # Agents at +-1e200: c is NaN where an agent that far owns a whole bin
+    # (inf - inf), so the fill order comes from np.argsort, and inf where a
+    # bin 1e200 wide holds its owner, so rates of -inf tie.  In the last
+    # problem c is (NaN, inf, finite), where argsort puts the NaN bin last
+    # and a Python sort would fill it first.  With the penalty on, the
+    # slopes at 1e200 are +-1.
+    for on in (False, True):
+        far = CoverageProblem(n_agents=2, bin_edges=(0.5, 1.5, 2.5, 3.5),
+                              theta_lower=(0.0,) * 3, theta_upper=(1.0,) * 3,
+                              penalty_enabled=on)
+        wide = CoverageProblem(n_agents=2, bin_edges=(-1e200, -1.0, 1.0, 1e200),
+                               theta_lower=(0.0,) * 3, theta_upper=(1e-200, 1.0, 1e-200),
+                               penalty_enabled=on)
+        mixed = CoverageProblem(n_agents=2, bin_edges=(-1e200, -1e170, 1.0, 4.0),
+                                theta_lower=(0.0,) * 3, theta_upper=(1e-200, 1e-170, 1.0),
+                                penalty_enabled=on)
+        special += [(far, np.array([-1e200, 1e200])), (far, np.array([1e200, 2.0])),
+                    (far, np.array([2.0, -1e200])), (wide, np.array([-3.0, 2.0])),
+                    (mixed, np.array([2.0, 3.0]))]
+    # Rates that tie: bins 0 and 2 have the same c and width at x, and all
+    # three bins at y.
+    even = CoverageProblem(n_agents=2, bin_edges=(0.0, 1.0, 2.0, 3.0),
+                           theta_lower=(0.1,) * 3, theta_upper=(0.5,) * 3)
+    special += [(even, np.array([0.5, 2.5])), (even, np.array([2.5, 0.5]))]
+    ties = nan_c = inf_c = 0
+    for prob, x in alone + special:
+        assert _in_D(prob, x), (prob.bin_edges, x.tolist())
         oracle = make_coverage_oracle(prob)
-        points = [x] * -(-coverage._BLOCK_MIN // (prob.n_agents + prob.n_bins))
-        blocks.clear()
-        got = [g.tobytes() for g in oracle.sample_gradients(points)]
-        assert got == _per_point(oracle, points), (prob.bin_edges, x.tolist())
-        assert blocks and len(got) == len(points)
-    assert len(alone) >= 1000
+        for count in (1, -(-coverage._BLOCK_MIN // (prob.n_agents + prob.n_bins))):
+            points = [x] * count
+            blocks.clear()
+            got = [g.tobytes() for g in oracle.sample_gradients(points)]
+            assert got == _per_point(oracle, points), (prob.bin_edges, x.tolist())
+            assert bool(blocks) == (count > 1) and len(got) == len(points)
+        _, xs, segments = coverage._partition(prob, x)
+        c = coverage._cost(xs, segments, prob.n_bins)
+        theta = np.asarray(coverage._lp(prob, c))
+        assert theta.tobytes() == coverage._block_lp(prob, np.array([c]))[0].tobytes()
+        assert theta.tobytes() == inner_lp_max(prob, c).tobytes()
+        rates = np.array(c) / prob.widths
+        ties += len(np.unique(rates)) < len(rates)
+        nan_c += bool(np.isnan(c).any())
+        inf_c += bool(np.isinf(c).any())
+    assert len(alone) >= 1000 and ties >= 50 and nan_c >= 2 and inf_c >= 2
 
     # A bundle of N + 2 rows is one block at N = 50 and chunks of
     # _CHUNK_SEGMENTS // (N + K) = 13 rows at N = 400, and an agent on an

@@ -604,7 +604,8 @@ def test_underflowed_radius_stalls_with_the_partial_trace():
 
 def test_norm_keeps_in_range_bytes_and_scales_overflow():
     """In range, the norm has np.linalg.norm's bytes; past it, the scaled
-    norm, without NumPy's overflow warning, since it is recovered from."""
+    norm, without NumPy's overflow warning, since it is recovered from,
+    also where a NaN entry comes before or after the large one."""
     gen = np.random.Generator(np.random.Philox(19))
     for _ in range(200):
         v = gen.standard_normal(int(gen.integers(1, 20))) * 10.0 ** gen.uniform(-100, 100)
@@ -613,6 +614,10 @@ def test_norm_keeps_in_range_bytes_and_scales_overflow():
         warnings.simplefilter("error", RuntimeWarning)
         assert driver._norm(np.ldexp([3.0, 4.0], 700)) == math.ldexp(5.0, 700)
         assert driver._norm(np.array([-1e308])) == 1e308
+        v = np.array([9.9e149, -9.9e149, 9.9e149])
+        assert driver._norm(v) == float(np.linalg.norm(v))
+        for v in ([math.nan, 1e200], [1e200, math.nan], [2.0, math.nan, -1e300]):
+            assert math.isnan(driver._norm(np.array(v)))
 
 
 class _Walked(FiniteMaxOracle):
