@@ -111,8 +111,8 @@ class Termination(str, Enum):
     MAX_ITERS = "MaxIters"
     TOLERANCES_REACHED = "TolerancesReached"
     NONSMOOTH_SAMPLE_STOP = "NonsmoothSampleStop"
-    # Stalled: the GD baseline's line searches kept failing, or a sampling
-    # run's radius underflowed to 0.  LeftDomain: the GD baseline left D.
+    # Stalled: a line search of the GD baseline failed, or a sampling run's
+    # radius underflowed to 0.  LeftDomain: the GD baseline left D.
     STALLED = "Stalled"
     LEFT_DOMAIN = "LeftDomain"
     # A sampling run met a NaN f at x1 (a carried f is never NaN), or a

@@ -35,7 +35,6 @@ from .core import (
 from .minnorm import NonFiniteError, min_norm_point
 
 _MAX_REDRAWS = 100  # in a row, per sample; a miss of D has probability 0
-_MAX_STALL = 25     # failed line searches in a row that stop the GD baseline
 
 
 class Rng:
@@ -336,12 +335,13 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     discounting.  The backtracking search uses the same step-size limits
     [gamma * eps1 / 3, t_init_factor * eps1] and the same beta/gamma, but
     not the c_k / 2 slack of ``line_search``: the plain Armijo test
-    applies.  Stops after _MAX_STALL
-    consecutive failed line searches, when the iterate leaves D, or at
-    max_iters.  As in ``run``, f is evaluated at x1 only, from the first
-    iteration's maximizer, and then carried from the accepted trials.
-    Raises ValueError unless x1 is a finite vector of shape (oracle.dim,)
-    in D.
+    applies.  Stops as Stalled at its first failed line search, whose
+    record is the last: x, f and the gradient stay as they are, and the
+    oracles are pure, so every retry would fail the same way.  Also stops
+    when the iterate leaves D, or at max_iters.  As in ``run``, f is
+    evaluated at x1 only, from the first iteration's maximizer, and then
+    carried from the accepted trials.  Raises ValueError unless x1 is a
+    finite vector of shape (oracle.dim,) in D.
     """
     x = _start_point(oracle, x1)
     validate_params(p, x.shape[0])
@@ -350,7 +350,6 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
 
     trace = Trace(params_snapshot=p.snapshot(), seed=0)
     termination = Termination.MAX_ITERS
-    stall = 0
     f_here = None
     for k in range(1, p.max_iters + 1):
         t0 = time.perf_counter_ns()
@@ -372,13 +371,9 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
             t=t, step_kind=kind, sample_count=0,
             wall_time_us=(time.perf_counter_ns() - t0) // 1000))
         x, f_here = x_next, f_next
-        if t > 0.0:
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _MAX_STALL:
-                termination = Termination.STALLED
-                break
+        if t == 0.0:
+            termination = Termination.STALLED
+            break
 
     trace.termination = termination
     trace.final_x = x

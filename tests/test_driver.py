@@ -714,7 +714,23 @@ def test_gd_immediate_stall_at_stationary_point():
     tr = gradient_descent_baseline(oracle, GsParams(max_iters=100),
                                    np.array([0.0]))
     assert tr.termination == Termination.STALLED
-    assert all(r.t == 0.0 for r in tr.records)
+    assert [r.step_kind for r in tr.records] == [StepKind.NULL_LINESEARCH]
+    assert tr.records[0].t == 0.0
+
+
+def test_gd_stalls_at_its_first_failed_line_search():
+    """The two-agent baseline from its config descends, then stops as
+    Stalled at its first failed line search: exactly one NullLineSearch
+    record, the last, at the final x and f."""
+    cfg = json.loads((REPO / "configs" / "two_agent.json").read_text())
+    oracle = build_problem_oracle(cfg["problem"])
+    tr = gradient_descent_baseline(oracle, build_params(cfg["params"]), np.array(cfg["x1"]))
+    kinds = [r.step_kind for r in tr.records]
+    assert tr.termination == Termination.STALLED
+    assert kinds.count(StepKind.NULL_LINESEARCH) == 1
+    assert kinds[-1] == StepKind.NULL_LINESEARCH and len(kinds) > 1
+    assert tr.records[-1].x.tobytes() == tr.final_x.tobytes()
+    assert tr.records[-1].f_approx == tr.final_f
 
 
 def test_gd_rejects_start_outside_D():
