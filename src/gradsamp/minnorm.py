@@ -203,7 +203,7 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
 
     active, lam, it, capped = _wolfe(Q @ Q.T, 64 * m)
 
-    lam = np.maximum(lam, 0.0)  # np.clip(lam, 0.0, None), without its wrappers
+    lam = np.maximum(lam, 0.0)
     lam = lam / lam.sum()
     g = lam @ Q[active]
     gap = _gap(Q, g)

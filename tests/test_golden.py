@@ -8,7 +8,8 @@ takes the new ones from ``PYTHONPATH=src python3 tests/test_golden.py``;
 with ``--diff`` it prints instead, per case, whether the iteration count,
 termination and step kinds match ``GOLDEN``, the count of each step kind
 old -> new where they do not, and the largest relative change of the
-final iterate and objective.
+final iterate and objective, and exits with status 1 when any case
+differs from its record.
 """
 
 import json
@@ -253,6 +254,32 @@ def test_audit_line_flags_changes():
             "gd_termination=same") in _audit(got, want)
 
 
+def test_diff_fails_when_any_case_differs():
+    """The --diff report passes on records equal to GOLDEN, and fails on a
+    doctored record whose discrete fields all read same and whose final f
+    moved in its 16th digit, or whose GD baseline ended otherwise."""
+    got = {name: dict(record) for name, record in GOLDEN.items()}
+    lines, same = _diff(got)
+    assert same and len(lines) == len(GOLDEN)
+    assert all(line.endswith("max_rel_change=0") for line in lines)
+    got["maxquad"]["final_f"] = "-0.84138913880660781"
+    lines, same = _diff(got)
+    assert not same
+    assert [line for line in lines if not line.endswith("max_rel_change=0")] == [
+        "maxquad: iterations=same termination=same kinds=same max_rel_change=1.32e-16"]
+    got = {name: dict(record) for name, record in GOLDEN.items()}
+    got["two_agent"]["gd_termination"] = "MaxIters"
+    assert not _diff(got)[1]
+
+
+def _diff(got):
+    """The --diff report on the cases' records: one _audit line per case,
+    and whether every case equals its golden record, so that none needs a
+    re-record."""
+    lines = [f"{name}: {_audit(record, GOLDEN[name])}" for name, record in got.items()]
+    return lines, all(record == GOLDEN[name] for name, record in got.items())
+
+
 def _audit(got, want):
     """One line comparing a case with its golden record: whether each
     discrete field matches, the count of each step kind, old -> new, when
@@ -281,7 +308,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         got = {name: case(Path(d) / name) for name, case in CASES.items()}
         if "--diff" in sys.argv[1:]:
-            for name, record in got.items():
-                print(f"{name}: {_audit(record, GOLDEN[name])}")
-        else:
-            print(json.dumps(got, indent=1))
+            lines, same = _diff(got)
+            print("\n".join(lines))
+            sys.exit(0 if same else 1)
+        print(json.dumps(got, indent=1))
