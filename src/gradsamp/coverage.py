@@ -231,7 +231,11 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     In per-bin mass variables m_k = theta_k * width_k the objective is
     sum_k (c_k / width_k) m_k with box bounds and a fixed total, so the
     greedy fill by decreasing rate c_k / width_k is exact (ties broken at
-    the lowest index)."""
+    the lowest index).  Up to _LP_LIST_MAX bins the fill runs on Python
+    floats (_lp), and above it on arrays, with the same bytes."""
+    if len(c) <= _LP_LIST_MAX:  # the oracle's memo holds c as a list
+        return np.asarray(_lp(prob, c if isinstance(c, list)
+                              else np.asarray(c, dtype=float).tolist()))
     c = np.asarray(c, dtype=float)
     w = prob._mass_bounds[0]
     return np.asarray(_fill(prob, np.argsort(-(c / w), kind="stable").tolist())) / w
@@ -253,12 +257,12 @@ def _fill(prob: CoverageProblem, order) -> list:
     return masses
 
 
-# Up to _LP_LIST_MAX bins, _lp sorts the fill order in Python, and above
-# it with np.argsort; the oracle's inner_max takes inner_lp_max above it.
-# From c as a list to theta as an array, on seeded c on a shared 2-core
-# x86 box pinned to one core, the list LP took 0.5x the time of
-# inner_lp_max at K = 2, 0.7x at 6, 0.85x at 12, about the same at 20,
-# 1.1x at 32 and 1.65x at 100.
+# Up to _LP_LIST_MAX bins, inner_lp_max takes the list LP and _lp sorts
+# the fill order in Python; above it, both sort with np.argsort, and
+# inner_lp_max fills on arrays.  From c as a list to theta as an array, on
+# seeded c on a shared 2-core x86 box pinned to one core, the list LP took
+# 0.5x the time of the array LP at K = 2, 0.7x at 6, 0.85x at 12, about the
+# same at 20, 1.1x at 32 and 1.65x at 100.
 _LP_LIST_MAX = 20
 
 
@@ -505,10 +509,7 @@ class CoverageOracle(ProblemOracle):
         return np.asarray(g)
 
     def inner_max(self, x):
-        c = self._at(np.asarray(x, dtype=float))[3]
-        if self.theta_dim <= _LP_LIST_MAX:
-            return np.asarray(_lp(self.prob, c))
-        return inner_lp_max(self.prob, c)
+        return inner_lp_max(self.prob, self._at(np.asarray(x, dtype=float))[3])
 
     def in_D(self, x):
         return self._at(np.asarray(x, dtype=float))[4]
