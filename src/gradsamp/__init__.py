@@ -9,7 +9,6 @@ analytic stress objectives for testing.
 from types import ModuleType as _ModuleType
 
 from .core import (
-    DescentViolationError,
     GsParams,
     IterationRecord,
     NonsmoothPolicy,

@@ -19,7 +19,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import GsParams, ParamError, Termination, Trace, validate_params
+from .core import (GsParams, IterationRecord, ParamError, Termination, Trace,
+                   validate_params)
 from .coverage import CoverageProblem, make_coverage_oracle
 from .driver import Rng, _start_point, gradient_descent_baseline, run
 from .testfns import (
@@ -35,10 +36,6 @@ log = logging.getLogger("gradsamp")
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 def _require(d: dict, key: str, where: str):
@@ -86,40 +83,57 @@ def build_params(d: dict) -> GsParams:
 
 
 def write_trace_csv(trace: Trace, path: Path) -> None:
+    """trace.csv: one row per record, each from one %-format string, with
+    every float as %.17g, which round-trips doubles."""
     n = len(trace.records[0].x) if trace.records else 0
     header = ["k"] + [f"x_{i}" for i in range(n)] + [
         "f", "eps", "nu", "g_norm", "t", "step_kind"]
-    lines = [",".join(header)]
-    for r in trace.records:
-        row = [str(r.k)] + [_fmt(v) for v in r.x] + [
-            _fmt(r.f_approx), _fmt(r.eps), _fmt(r.nu), _fmt(r.g_norm),
-            _fmt(r.t), r.step_kind.value]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    row = "%s," + "%.17g," * (n + 5) + "%s\n"
+    path.write_text(",".join(header) + "\n" + "".join([
+        row % (r.k, *r.x, r.f_approx, r.eps, r.nu, r.g_norm, r.t, r.step_kind.value)
+        for r in trace.records]))
+
+
+# json's spelling of the floats whose repr is not JSON.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(v) -> str:
+    """json.dumps(v) for a number v: a float's repr, as json writes it,
+    with NaN and the infinities spelled as json spells them."""
+    if type(v) is float:
+        s = repr(v)
+        return _JSON_NONFINITE.get(s, s)
+    return json.dumps(v)
+
+
+# One record as json.dumps(..., indent=1) lays it out inside the list.
+_RECORD_JSON = ('  {\n   "k": %d,\n   "x": %s,\n   "f": %s,\n   "eps": %s,\n'
+                '   "nu": %s,\n   "g_norm": %s,\n   "t": %s,\n   "step_kind": "%s",\n'
+                '   "sample_count": %d,\n   "wall_time_us": %d\n  }')
+
+
+def _record_json(r: IterationRecord) -> str:
+    x = [_json_number(v) for v in np.asarray(r.x, dtype=float).tolist()]
+    return _RECORD_JSON % (
+        r.k, "[\n    " + ",\n    ".join(x) + "\n   ]" if x else "[]",
+        _json_number(r.f_approx), _json_number(r.eps), _json_number(r.nu),
+        _json_number(r.g_norm), _json_number(r.t), r.step_kind.value,
+        r.sample_count, r.wall_time_us)
 
 
 def write_trace_json(trace: Trace, path: Path) -> None:
-    payload = {
-        "seed": trace.seed,
-        "termination": trace.termination.value,
-        "params": trace.params_snapshot,
-        "records": [
-            {
-                "k": r.k,
-                "x": [float(v) for v in r.x],
-                "f": r.f_approx,
-                "eps": r.eps,
-                "nu": r.nu,
-                "g_norm": r.g_norm,
-                "t": r.t,
-                "step_kind": r.step_kind.value,
-                "sample_count": r.sample_count,
-                "wall_time_us": r.wall_time_us,
-            }
-            for r in trace.records
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=1))
+    """trace.json, byte for byte as json.dumps(payload, indent=1) writes it.
+
+    With indent set, CPython's json.dumps runs its pure-Python encoder, so
+    only the header (seed, termination, params) goes through it, and each
+    record is one %-format string with JSON's text for every number."""
+    head = json.dumps({"seed": trace.seed, "termination": trace.termination.value,
+                       "params": trace.params_snapshot}, indent=1)
+    records = ",\n".join([_record_json(r) for r in trace.records])
+    # head ends with "\n}", which closes the payload after the records.
+    path.write_text(head[:-2] + ',\n "records": '
+                    + ("[\n" + records + "\n ]" if records else "[]") + "\n}")
 
 
 def _summary_block(trace: Trace, wall_s: float) -> dict:

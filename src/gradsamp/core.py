@@ -25,10 +25,6 @@ class NonsmoothSampleError(RuntimeError):
     missed it on every allowed redraw under 'resample'."""
 
 
-class DescentViolationError(RuntimeError):
-    """The per-iteration sufficient-decrease bound failed at runtime."""
-
-
 class ProblemOracle:
     """Behavioral contract for min-max objectives f(x) = max_theta F(x, theta).
 

@@ -201,10 +201,23 @@ def _gradient(order, xs, segments, th: list) -> list:
 
 
 def penalty(prob: CoverageProblem, x: np.ndarray) -> float:
-    """Hinge distance of each agent to the support [first edge, last edge]."""
-    x = np.asarray(x, dtype=float)
+    """Hinge distance of each agent to the support [first edge, last edge].
+
+    The bytes of np.sum(np.maximum(0.0, np.maximum(lo - x, x - hi))).  The
+    hinge terms are formed on Python floats as np.maximum forms them: NaN
+    if either operand is, and the second operand on a tie (so
+    np.maximum(0.0, -0.0) is -0.0); lo - v and v - hi are NaN together, as
+    the edges are finite.  The sum stays np.sum, whose order Python's sum
+    does not follow from 8 terms on.  For terms that are all zeros, the
+    usual case of agents inside the support, np.sum gives +0.0, which is
+    returned without it."""
     lo, hi = prob.bin_edges[0], prob.bin_edges[-1]
-    return float(np.sum(np.maximum(0.0, np.maximum(lo - x, x - hi))))
+    terms = []
+    for v in np.asarray(x, dtype=float).tolist():
+        a, b = lo - v, v - hi
+        m = a if a > b else b
+        terms.append(0.0 if m < 0.0 else m)
+    return float(np.sum(terms)) if any(terms) else 0.0
 
 
 _SLOPES = np.array([-1.0, 0.0, 1.0])
@@ -441,9 +454,10 @@ class CoverageOracle(ProblemOracle):
     """Oracle contract for the coverage family: exact greedy inner LP and
     analytic gradients.
 
-    The partition, c and D membership of the last point asked about are
-    kept, so a single point's in_D, inner_max and grad_x_F, or a
-    line-search trial's inner_max and eval_F, build the partition once.
+    The partition and c of the last point asked about are kept, so a
+    single point's in_D, inner_max and grad_x_F, or a line-search trial's
+    inner_max and eval_F, build the partition once.  D membership is not
+    kept: a trial never asks for it, and in_D and grad_x_F test it.
     The memo is read and replaced as one tuple, so concurrent callers never
     get another caller's point.
 
@@ -456,7 +470,7 @@ class CoverageOracle(ProblemOracle):
         self.prob = prob
         self.dim = prob.n_agents
         self.theta_dim = prob.n_bins
-        self._last = (None,)  # (x bytes, order, xs, segments, c, in D)
+        self._last = (None,)  # (x bytes, order, xs, segments, c)
 
     def _at(self, x: np.ndarray):
         key = x.tobytes()
@@ -464,8 +478,7 @@ class CoverageOracle(ProblemOracle):
         if last[0] != key:
             order, xs, segments = _partition(self.prob, x)
             last = self._last = (key, order, xs, segments,
-                                 _cost(xs, segments, self.prob.n_bins),
-                                 _smooth(self.prob, xs))
+                                 _cost(xs, segments, self.prob.n_bins))
         return last[1:]
 
     def sample_gradients(self, points):
@@ -500,8 +513,8 @@ class CoverageOracle(ProblemOracle):
     def grad_x_F(self, x, theta):
         """The gradient of <c, theta> (+ weighted penalty), on D."""
         x = np.asarray(x, dtype=float)
-        order, xs, segments, _, smooth = self._at(x)
-        if not smooth:
+        order, xs, segments, _ = self._at(x)
+        if not _smooth(self.prob, xs):
             raise ValueError("gradient undefined: x lies on an excluded hyperplane")
         g = _gradient(order, xs, segments, np.asarray(theta, dtype=float).tolist())
         if self.prob.penalty_enabled:
@@ -512,7 +525,7 @@ class CoverageOracle(ProblemOracle):
         return inner_lp_max(self.prob, self._at(np.asarray(x, dtype=float))[3])
 
     def in_D(self, x):
-        return self._at(np.asarray(x, dtype=float))[4]
+        return _smooth(self.prob, self._at(np.asarray(x, dtype=float))[1])
 
 
 def make_coverage_oracle(prob: CoverageProblem) -> CoverageOracle:

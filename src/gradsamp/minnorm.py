@@ -152,9 +152,11 @@ def _wolfe(G: np.ndarray, max_iter: int):
     return active, lam, it, False
 
 
-def _gap(Q: np.ndarray, g: np.ndarray) -> float:
-    # The Wolfe certificate of g against the points: max_i max(0, -<g, p_i - g>).
-    return float(max(0.0, np.max(float(g @ g) - Q @ g)))
+def _gap(Q: np.ndarray, g: np.ndarray, gg: float) -> float:
+    # The Wolfe certificate of g against the points, with gg = <g, g>:
+    # max_i max(0, -<g, p_i - g>).  Every <p_i, g> is finite, and rounding
+    # is monotone, so max_i (gg - <p_i, g>) is gg - min_i <p_i, g>.
+    return max(0.0, gg - min((Q @ g).tolist()))
 
 
 def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
@@ -203,11 +205,12 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
 
     active, lam, it, capped = _wolfe(Q @ Q.T, 64 * m)
 
-    lam = np.maximum(lam, 0.0)
+    lam = np.array(lam)  # _wolfe's weights are all positive
     lam = lam / lam.sum()
     g = lam @ Q[active]
-    gap = _gap(Q, g)
-    if gap > _TOL * (1.0 + float(g @ g)):
+    gg = float(g @ g)
+    gap = _gap(Q, g, gg)
+    if gap > _TOL * (1.0 + gg):
         # The rounding of each weight, times a long point, can put g past
         # the test.  Refine once: the weight change delta, summing to 0,
         # that makes <p_i, g> equal over S solves (G_S + 1 1^T) delta =
@@ -217,7 +220,7 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
         a1, ar = np.linalg.lstsq(S @ S.T + 1.0, rhs, rcond=None)[0].T
         delta = a1 * (ar.sum() / a1.sum()) - ar
         g2 = g + delta @ S
-        gap2 = _gap(Q, g2)
+        gap2 = _gap(Q, g2, float(g2 @ g2))
         if gap2 < gap and np.all(lam + delta >= 0.0):
             lam, g, gap = lam + delta, g2, gap2
 

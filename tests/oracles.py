@@ -21,8 +21,17 @@
 - ``reference_piece``: the value and gradient of one finite-max piece by
   its formula, one NumPy call per term (checks, byte for byte, the stacked
   pass over all pieces).
+- ``reference_penalty``: the coverage hinge penalty as one NumPy formula
+  (checks, byte for byte, the hinge terms formed on Python floats).
+- ``reference_ball_points``: ball samples from given draws, with the
+  radius re-checked on every row (checks, byte for byte, ``sample_ball``,
+  which skips the re-check where no row can round past the sphere).
+- ``reference_trace_csv`` and ``reference_trace_json``: the trace files as
+  ``f"{v:.17g}"`` per value and as ``json.dumps(payload, indent=1)`` write
+  them (check, byte for byte, the CLI's direct writers).
 """
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -30,7 +39,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from gradsamp import CoverageProblem, FiniteMaxProblem, MaxPiece, make_coverage_oracle
+from gradsamp import CoverageProblem, FiniteMaxProblem, MaxPiece, Trace, make_coverage_oracle
 
 
 def _compositions(total: int, parts: int):
@@ -269,3 +278,67 @@ def reference_piece(piece: MaxPiece, x: np.ndarray) -> Tuple[float, np.ndarray]:
         v += 0.5 * float(x @ (Q @ x))
         g = g + Q @ x
     return v, g
+
+
+def reference_penalty(prob: CoverageProblem, x: np.ndarray) -> float:
+    """The hinge distance of each agent to the support, summed, in NumPy."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = prob.bin_edges[0], prob.bin_edges[-1]
+    return float(np.sum(np.maximum(0.0, np.maximum(lo - x, x - hi))))
+
+
+def reference_ball_points(center: np.ndarray, radius: float, z: np.ndarray,
+                          u: np.ndarray) -> np.ndarray:
+    """center + radius * u_i**(1/n) * z_i / ||z_i|| for the Gaussian rows z
+    and uniforms u, a zero row giving the centre, and every offset whose
+    computed norm exceeds the radius scaled back onto the sphere."""
+    center = np.asarray(center, dtype=float)
+    n = center.shape[0]
+    nz = np.sqrt(np.einsum("ij,ij->i", z, z))
+    nz[nz == 0.0] = 1.0
+    offset = (radius * u ** (1.0 / n))[:, None] * (z / nz[:, None])
+    d = np.sqrt(np.einsum("ij,ij->i", offset, offset))
+    over = d > radius
+    offset[over] *= (radius / d[over])[:, None]
+    return center + offset
+
+
+def reference_trace_csv(trace: Trace) -> str:
+    """trace.csv as one f"{float(v):.17g}" per value."""
+    def fmt(v):
+        return f"{float(v):.17g}"
+    n = len(trace.records[0].x) if trace.records else 0
+    header = ["k"] + [f"x_{i}" for i in range(n)] + [
+        "f", "eps", "nu", "g_norm", "t", "step_kind"]
+    lines = [",".join(header)]
+    for r in trace.records:
+        row = [str(r.k)] + [fmt(v) for v in r.x] + [
+            fmt(r.f_approx), fmt(r.eps), fmt(r.nu), fmt(r.g_norm),
+            fmt(r.t), r.step_kind.value]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_trace_json(trace: Trace) -> str:
+    """trace.json as json.dumps(payload, indent=1)."""
+    payload = {
+        "seed": trace.seed,
+        "termination": trace.termination.value,
+        "params": trace.params_snapshot,
+        "records": [
+            {
+                "k": r.k,
+                "x": [float(v) for v in r.x],
+                "f": r.f_approx,
+                "eps": r.eps,
+                "nu": r.nu,
+                "g_norm": r.g_norm,
+                "t": r.t,
+                "step_kind": r.step_kind.value,
+                "sample_count": r.sample_count,
+                "wall_time_us": r.wall_time_us,
+            }
+            for r in trace.records
+        ],
+    }
+    return json.dumps(payload, indent=1)

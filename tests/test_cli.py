@@ -1,11 +1,19 @@
 """Config-driven runner: exit codes, artifacts, CSV schema, plot data."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gradsamp import GsParams, IterationRecord, StepKind, Termination, Trace
+from gradsamp import cli
 from gradsamp.cli import emit_plot_data, main, run_experiment
+from gradsamp.driver import gradient_descent_baseline, run
+from gradsamp.testfns import finite_max_oracle
+
+from oracles import abs_value_problem, reference_trace_csv, reference_trace_json
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -151,13 +159,70 @@ def test_baseline_block_written(tmp_path):
     assert (out / "baseline_trace.csv").exists()
 
 
-def test_shipped_configs_parse_and_run(tmp_path):
+def test_shipped_configs_parse_and_run(tmp_path, monkeypatch):
+    """Each shipped config runs, and its trace files have the bytes of the
+    reference writers on the traces the run made."""
+    traces = []
+
+    def keep(solver):
+        def kept(*args):
+            traces.append(solver(*args))
+            return traces[-1]
+        return kept
+
+    monkeypatch.setattr(cli, "run", keep(run))
+    monkeypatch.setattr(cli, "gradient_descent_baseline", keep(gradient_descent_baseline))
     for name in ("two_agent.json", "five_agent.json", "abs_value.json"):
         out = tmp_path / name
+        traces.clear()
         code = run_experiment(str(REPO / "configs" / name),
                               out_dir=str(out), max_iters=30)
         assert code == 0, name
-        assert (out / "trace.csv").exists()
+        formats = json.loads((REPO / "configs" / name).read_text())["formats"]
+        assert (out / "trace.csv").read_bytes() == reference_trace_csv(traces[0]).encode()
+        if "json" in formats:
+            assert (out / "trace.json").read_bytes() == reference_trace_json(traces[0]).encode()
+        assert len(traces) == (2 if name == "two_agent.json" else 1)
+        if len(traces) == 2:
+            baseline = reference_trace_csv(traces[1]).encode()
+            assert (out / "baseline_trace.csv").read_bytes() == baseline
+
+
+def _record(k, x, f, eps, nu, g_norm, t):
+    return IterationRecord(k=k, x=np.asarray(x, dtype=float), f_approx=f, eps=eps, nu=nu,
+                           g_norm=g_norm, t=t, step_kind=StepKind.DESCENT,
+                           sample_count=k + 2, wall_time_us=17 * k)
+
+
+def test_trace_writers_match_the_reference_writers_bytewise(tmp_path):
+    """The direct writers give the bytes of one f"{v:.17g}" per CSV value
+    and of json.dumps(payload, indent=1): on NaN, both infinities, -0.0,
+    the smallest subnormal, 1e308 and 0.1 in every float field, for n = 1
+    and n = 50; on int and NumPy values where a run can hold them (an int
+    eps1 or t_init_factor in a config, a NumPy f from an oracle); on a
+    record with no coordinates; and on a baseline trace with no records."""
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1]
+    gen = np.random.Generator(np.random.Philox(23))
+    traces = []
+    for n in (1, 50):
+        records = []
+        for k, v in enumerate(specials, start=1):
+            x = gen.normal(size=n) * 10.0 ** gen.integers(-300, 300, size=n)
+            x[k % n] = v
+            records.append(_record(k, x, *[specials[(k + j) % 7] for j in range(5)]))
+        records.append(_record(8, gen.normal(size=n), np.float64(-2.5), 1, 0.1, 3.0, 1))
+        traces.append(Trace(records=records, params_snapshot=GsParams(m=3).snapshot(),
+                            seed=11, termination=Termination.NUMERICAL_FAILURE))
+    traces.append(Trace(records=[_record(1, [], *specials[:5])]))  # a dimension-0 finite max
+    traces.append(gradient_descent_baseline(finite_max_oracle(abs_value_problem()),
+                                            GsParams(max_iters=0), np.array([1.0])))
+    assert not traces[-1].records
+    for tr in traces:
+        cli.write_trace_csv(tr, tmp_path / "t.csv")
+        cli.write_trace_json(tr, tmp_path / "t.json")
+        assert (tmp_path / "t.csv").read_bytes() == reference_trace_csv(tr).encode()
+        assert (tmp_path / "t.json").read_bytes() == reference_trace_json(tr).encode()
+    assert (tmp_path / "t.csv").read_text() == "k,f,eps,nu,g_norm,t,step_kind\n"
 
 
 def _without_timings(trace_json: Path) -> dict:

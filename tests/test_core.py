@@ -215,15 +215,15 @@ def test_state_fields():
 def test_public_api_exports_no_submodules():
     assert not [n for n in gradsamp.__all__
                 if isinstance(getattr(gradsamp, n), ModuleType)]
-    assert len(gradsamp.__all__) == 25
+    assert len(gradsamp.__all__) == 24
 
 
 def test_public_api_is_pinned():
     """The package namespace is the solver and the oracle contract; helpers
     that only tests use are imported from their modules."""
     assert set(gradsamp.__all__) == {
-        "CantorStressProblem", "CoverageProblem", "DescentViolationError",
-        "FiniteMaxProblem", "GsParams", "IterationRecord", "MaxPiece",
+        "CantorStressProblem", "CoverageProblem", "FiniteMaxProblem",
+        "GsParams", "IterationRecord", "MaxPiece",
         "MinNormResult", "NonsmoothPolicy", "NonsmoothSampleError", "ParamError",
         "ProblemOracle", "Rng", "StepKind", "Termination", "Trace",
         "cantor_stress_oracle", "finite_max_oracle",

@@ -6,6 +6,7 @@ differences, so the closed-form segment algebra never certifies itself.
 """
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -29,6 +30,7 @@ from oracles import (
     reference_c_vector,
     reference_grad_x,
     reference_lp_max,
+    reference_penalty,
     theta_feasible,
     two_agent_cost,
 )
@@ -308,7 +310,10 @@ def test_penalty_examples():
 def test_penalty_slope_one_pass_matches_two_masks():
     """The hinge slope, for a point and for a block of rows, equals byte
     for byte the sum of a mask below the support and one above it, on the
-    support's ends, one float either side of them, and far away."""
+    support's ends, one float either side of them, and far away.  The
+    hinge value equals the NumPy formula byte for byte on every triple of
+    those values, NaN and +-1e308, also on supports that start at -0.0
+    and at 0.0, and on seeded rows of 50 agents."""
     prob = CoverageProblem(n_agents=3, bin_edges=(-0.5, 2.0, 4.0),
                            theta_lower=(0.0,) * 2, theta_upper=(1.0,) * 2)
     lo, hi = -0.5, 4.0
@@ -321,6 +326,20 @@ def test_penalty_slope_one_pass_matches_two_masks():
     assert coverage._penalty_grad(prob, X).tobytes() == want.tobytes()
     for x, w in zip(X, want):
         assert coverage._penalty_grad(prob, x).tobytes() == w.tobytes()
+    for start in (lo, -0.0, 0.0):
+        prob = CoverageProblem(n_agents=3, bin_edges=(start, 2.0, 4.0),
+                               theta_lower=(0.0,) * 2, theta_upper=(1.0,) * 2)
+        ends = [np.nextafter(start, -np.inf), start, np.nextafter(start, np.inf)]
+        for x in itertools.product(values + ends + [np.nan, -1e308, 1e308], repeat=3):
+            x = np.array(x)
+            with np.errstate(over="ignore"):  # np.sum of two terms past 1e308
+                assert repr(penalty(prob, x)) == repr(reference_penalty(prob, x)), x
+    # 50 agents, where np.sum adds pairwise and Python's sum would not.
+    wide = dataclasses.replace(prob, n_agents=50)
+    gen = np.random.Generator(np.random.Philox(41))
+    for _ in range(200):
+        x = 2.0 + gen.normal(size=50) * 10.0 ** gen.integers(-3, 4, size=50)
+        assert repr(penalty(wide, x)) == repr(reference_penalty(wide, x))
 
 
 # -- inner LP ----------------------------------------------------------------
@@ -665,6 +684,9 @@ def _asked(oracle, x, theta):
 
 
 def test_oracle_memo_interleaved_points_match_fresh_results():
+    """Interleaved points get fresh answers, and so do in_D and grad_x_F
+    after a line-search trial's objective call has filled the memo, on a
+    point in D and on one with an agent on a bin edge."""
     prob, gen = _memo_problem()
     oracle = make_coverage_oracle(prob)
     x1, x2 = gen.uniform(-0.5, 8.5, size=6), gen.uniform(-0.5, 8.5, size=6)
@@ -672,6 +694,17 @@ def test_oracle_memo_interleaved_points_match_fresh_results():
     for x in (x1, x2, x1, x1, x2):
         assert _in_D(prob, x)
         assert _asked(oracle, x, theta) == _fresh(prob, x, theta)
+    edge = np.concatenate([[3.0], x1[1:]])
+    for x in (x1, edge, x2, edge, x1):
+        c = _c(prob, x)
+        f = float(c @ inner_lp_max(prob, c)) + prob.penalty_weight * penalty(prob, x)
+        assert repr(oracle.objective(x)) == repr(f)
+        assert oracle.in_D(x) == _in_D(prob, x) == (x is not edge)
+        if x is edge:
+            with pytest.raises(ValueError, match="excluded hyperplane"):
+                oracle.grad_x_F(x, theta)
+        else:
+            assert oracle.grad_x_F(x, theta).tobytes() == _grad(prob, x, theta).tobytes()
 
 
 def test_oracle_memo_not_poisoned_by_in_place_change():

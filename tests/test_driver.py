@@ -32,7 +32,7 @@ from gradsamp.driver import line_search, sample_ball, step
 from gradsamp.minnorm import NonFiniteError, min_norm_point
 from gradsamp.testfns import FiniteMaxOracle
 
-from oracles import abs_value_problem
+from oracles import abs_value_problem, reference_ball_points
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -79,16 +79,47 @@ def test_sample_ball_radial_distribution_2d():
     assert abs(frac - 0.25) <= 0.01  # area ratio 0.5^2 in 2-D
 
 
+class _Draws:
+    """Stands in for Rng with the given Gaussian rows and uniforms."""
+
+    def __init__(self, z, u):
+        self.z, self.u = z, u
+
+    def ball_draws(self, count, n):
+        assert (count, n) == self.z.shape
+        return self.z, self.u
+
+
 def test_sample_ball_builds_point_i_from_row_i_of_one_block_draw():
     """Sample i is center + radius * u_i**(1/n) * z_i / ||z_i||, where z
     and u are the Gaussian rows and uniforms of one ball_draws(count, n)
-    call, to within rounding."""
+    call, to within rounding, and byte for byte the reference that
+    re-checks every row's radius: on Rng draws, and on draws whose
+    u**(1/n) rounds to 1 (where rows can round past the sphere), with a
+    zero row and u = 0, at radii inside and outside (1e-150, 1e150), for
+    n = 1, 2, 50 and 400."""
     c = np.array([1.0, -2.0, 0.5])
     got = sample_ball(c, 0.7, 50, Rng(4))
     z, u = Rng(4).ball_draws(50, 3)
     for pt, zi, ui in zip(got, z, u):
         want = c + 0.7 * ui ** (1.0 / 3.0) * zi / np.linalg.norm(zi)
         np.testing.assert_allclose(pt, want, rtol=0.0, atol=4e-15)
+    assert got.tobytes() == reference_ball_points(c, 0.7, z, u).tobytes()
+    gen = np.random.Generator(np.random.Philox(5))
+    for n in (1, 2, 50, 400):
+        c = gen.normal(size=n)
+        z, u = Rng(n).ball_draws(40, n)
+        for radius in (0.7, 1e-160, 1e160):
+            assert (sample_ball(c, radius, 40, Rng(n)).tobytes()
+                    == reference_ball_points(c, radius, z, u).tobytes())
+        z = gen.standard_normal((40, n))
+        z[0] = 0.0
+        u = 1.0 - gen.integers(0, 2 * n, 40) * 2.0**-53
+        u[1] = 0.0
+        assert np.count_nonzero(u ** (1.0 / n) == 1.0) >= 4
+        for radius in (0.7, 3.0, 1e-160, 1e160):
+            assert (sample_ball(c, radius, 40, _Draws(z, u)).tobytes()
+                    == reference_ball_points(c, radius, z, u).tobytes())
 
 
 def test_sample_ball_validation():
@@ -560,6 +591,54 @@ def test_numerical_failure_keeps_the_records_so_far():
     tr = run(_NanAtOne(abs_value_problem()), p, np.array([1.0]), Rng(3))
     assert tr.termination == Termination.NUMERICAL_FAILURE
     assert len(tr.records) == 1 and tr.records[0].sample_count == 0
+
+
+class _AtTheLimit(ProblemOracle):
+    """A 1-D objective with the constant gradient G = 3.34e13 and f(0) =
+    F0, where a line search with eps_k = 0.05 and alpha = 1 - 2**-52 finds
+    its first trial above f(0), and its second one, x = -t, exactly at its
+    own limit f(0) - beta * t * G + c_k / 2."""
+
+    dim = theta_dim = 1
+    G, F0, ALPHA, EPS = 33398894835694.926, -0.7383592289135184 / 4, 1.0 - 2.0**-52, 0.05
+
+    def in_D(self, x):
+        return True
+
+    def inner_max(self, x):
+        return np.zeros(1)
+
+    def grad_x_F(self, x, theta):
+        return np.array([self.G])
+
+    def eval_F(self, x, theta):
+        p, G = GsParams(), self.G
+        t = p.t_init_factor * self.EPS * p.gamma
+        if x[0] == 0.0:
+            return self.F0
+        if x[0] != -t:
+            return self.F0 + 1.0
+        c_k = p.gamma * (1.0 - self.ALPHA) * p.beta * G * self.EPS / 3.0
+        return self.F0 - p.beta * t * G + c_k / 2.0
+
+
+def test_a_step_past_the_decrease_bound_ends_as_numerical_failure():
+    """With alpha within rounding of 1, a trial at the line search's own
+    limit can lie above f0 - alpha * beta * t * ||g|| by more than the
+    1e-9 * (1 + |f0|) tolerance.  Two NullTolerance steps bring eps to
+    0.05, and the third step finds such a trial: the run ends as
+    NumericalFailure before it, with the two records and x, f and eps as
+    they left them."""
+    oracle = _AtTheLimit()
+    p = GsParams(alpha=oracle.ALPHA, nu1=1e14, max_iters=10)
+    t = p.t_init_factor * oracle.EPS * p.gamma
+    limit = oracle.eval_F(np.array([-t]), None)
+    bound = oracle.F0 - p.alpha * p.beta * t * oracle.G
+    assert limit > bound + 1e-9 * (1.0 + abs(oracle.F0))
+    tr = run(oracle, p, np.array([0.0]), Rng(3))
+    assert tr.termination == Termination.NUMERICAL_FAILURE
+    assert [r.step_kind for r in tr.records] == [StepKind.NULL_TOLERANCE] * 2
+    assert (tr.final_x.tolist(), tr.final_f, tr.final_eps) == ([0.0], oracle.F0, oracle.EPS)
 
 
 def test_a_nan_f_at_x_ends_the_line_search_before_its_trials():
