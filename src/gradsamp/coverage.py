@@ -14,6 +14,7 @@ the support.
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -304,14 +305,16 @@ def _lp(prob: CoverageProblem, c: list) -> list:
 # time at a size of 24, 1.6-1.7x at 72, 1.2x at 105, 0.97-1.0x at 144 and
 # 0.54x at 360.
 _BLOCK_MIN = 120
-# A block holds about 15 arrays of R * (N + K) segments, so the rows of a
-# large bundle go in chunks of at most _CHUNK_SEGMENTS segments.  For one
-# seeded bundle of N + 2 rows with K = 2N (same box), the tracemalloc peak
-# of one block is 2.1, 8.3, 33 and 132 MiB at N = 50, 100, 200 and 400;
-# with this cap it is 2.1, 4.4, 4.7 and 5.5 MiB, and N = 400 takes 103-107
-# ms against 160-240 ms as one block (8 192: 3.2 MiB and 114-116 ms;
-# 32 768: 10 MiB and 107-119 ms).  An N = 50 bundle, 7 800 segments, is
-# still one block.
+# A block holds about a dozen arrays of R * (N + K) segments at once, so
+# the rows of a large bundle go in chunks of at most _CHUNK_SEGMENTS
+# segments.  For one seeded bundle of N + 2 rows with K = 2N (same box),
+# the tracemalloc peak of one block is 0.8, 3.1, 12 and 49 MiB at N = 50,
+# 100, 200 and 400 once the thread's gather buffers exist; with this cap
+# it is 0.8, 1.6, 1.9 and 2.7 MiB (1.4 to 3.9 MiB on a thread's first
+# bundle, which makes them).  At N = 400 a bundle took a median of 121 ms,
+# against 199 ms as one block, 142 ms at a cap of 8 192 (2.5 MiB) and 117
+# ms at 32 768 (4.4 MiB).  An N = 50 bundle, 7 800 segments, is still one
+# block.
 _CHUNK_SEGMENTS = 16384
 
 
@@ -336,6 +339,7 @@ def _block_segments(prob: CoverageProblem, mids: np.ndarray):
     below = np.bincount(key.ravel(), minlength=R * (K + 2)).reshape(R, K + 2)
     below = below[:, :K + 1].cumsum(axis=1)
     inside_below = np.bincount(key[inside], minlength=R * (K + 2)).reshape(R, K + 2)
+    del key
     inside_below = inside_below[:, :K + 1].cumsum(axis=1)
     n_cuts = K + 1 + inside_below[:, -1]
     first = np.cumsum(n_cuts) - n_cuts  # each row's first cut
@@ -347,21 +351,28 @@ def _block_segments(prob: CoverageProblem, mids: np.ndarray):
     bin_of = np.empty(T, dtype=np.intp)
     end_owner = np.empty(T, dtype=np.intp)
     at = first[:, None] + np.arange(K + 1) + inside_below
+    del inside_below
     value[at] = edges
     bin_of[at] = np.arange(K + 1)
     end_owner[at] = below
+    del below
     r, j = np.nonzero(inside)
     at = first[r] + kr[r, j] + (np.cumsum(inside, axis=1) - 1)[r, j]
+    del inside
     value[at] = mids[r, j]
     mid_idx[at] = j
     bin_of[at] = kr[r, j] - 1
     end_owner[at] = j
+    del at, r, j, kr
     starts = np.ones(T, dtype=bool)
     starts[first + n_cuts - 1] = False
     lo = np.flatnonzero(starts)
-    row = np.repeat(np.arange(R), n_cuts - 1)
+    del starts
     alpha, beta = value[lo], value[lo + 1]
+    del value
     owner = end_owner[lo + 1]
+    del end_owner
+    row = np.repeat(np.arange(R), n_cuts - 1)
     for i in np.flatnonzero((alpha + beta) / 2.0 == alpha).tolist():
         owner[i] = np.searchsorted(mids[row[i]], alpha[i], side="left")
     return row, bin_of[lo], alpha, beta, owner, mid_idx[lo], mid_idx[lo + 1]
@@ -395,10 +406,35 @@ def _hits(sorted_values: np.ndarray, v: np.ndarray) -> np.ndarray:
             != np.searchsorted(sorted_values, v, side="right"))
 
 
+# The (S, 5) gather arrays are a block's largest, 306 KB each at N = 50:
+# made fresh for every bundle, each pair was mapped and unmapped by the
+# allocator and its pages faulted in anew.  So each thread keeps one pair,
+# of at most 5 * max(_CHUNK_SEGMENTS, N + K) entries each.
+_gather = threading.local()
+
+
+def _gather_buffers(S: int):
+    """This thread's (S, 5) cell and part arrays for _block_gradients' last
+    bincount, as views of one pair of buffers that grows to the largest S
+    met.  Every entry of a view is written before it is read, and no view
+    is kept past the call."""
+    bufs = getattr(_gather, "bufs", None)
+    if bufs is None or len(bufs[0]) < S:
+        bufs = _gather.bufs = (np.empty((S, 5), dtype=np.intp), np.empty((S, 5)))
+    return bufs[0][:S], bufs[1][:S]
+
+
 def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     """The gradients of the per-point path at the inner maximizers of the
     leading rows of X that lie in D, byte for byte, computed for all of
-    those rows at once, one row each."""
+    those rows at once, one row each.
+
+    Each per-segment array is dropped once its last reader has run, here
+    and in _block_segments, which keeps a block's peak near 0.8 MiB at
+    N = 50 instead of 2 MiB.  Where the heap grows past the allocator's
+    trim threshold, which depends on the process's history, the allocator
+    hands the freed top back to the system after every bundle, and the
+    next bundle faults it in again."""
     N = X.shape[1]
     K = prob.n_bins
     edges, doubled = prob._edge_arrays
@@ -412,28 +448,34 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
         return np.empty((0, N))
     X, order, xs = X[:R], order[:R], xs[:R]
     row, k, alpha, beta, owner, a_idx, b_idx = _block_segments(prob, sums[:R] / 2.0)
+    del sums
+    # The cells of each segment's parts, in _gradient's order: its owner,
+    # the two agents of a midpoint alpha, then those of a midpoint beta.
+    cells, parts = _gather_buffers(len(row))
+    agent, base = order.ravel(), row * N
+    s = xs.ravel()[base + owner]
+    for col, i in enumerate((owner, a_idx, a_idx + 1, b_idx, b_idx + 1)):
+        cells[:, col] = base + agent[base + i]
+    has_a, has_b, bin_cell = a_idx >= 0, b_idx >= 0, row * K + k
+    del row, k, owner, a_idx, b_idx, base, i
 
     # c summed per bin in segment order, as _cost does, then the LP.
-    s = xs.ravel()[row * N + owner]
     da, db = alpha - s, beta - s
     ha, hb = da * da, db * db
     v = np.where(s <= alpha, hb - ha, np.where(s >= beta, ha - hb, hb + ha))
-    theta = _block_lp(prob, np.bincount(row * K + k, weights=v, minlength=R * K).reshape(R, K))
+    del s, alpha, beta, ha, hb
+    theta = _block_lp(prob, np.bincount(bin_cell, weights=v, minlength=R * K).reshape(R, K))
+    del v
 
-    # The parts of each segment times theta_k, added to their agents in
-    # _gradient's order.  A missing midpoint adds +0.0, which leaves every
-    # sum as it is, as no sum is ever -0.0.
-    t = theta.ravel()[row * K + k]
+    # The parts of each segment times theta_k.  A missing midpoint adds
+    # +0.0, which leaves every sum as it is, as no sum is ever -0.0.
+    t = theta.ravel()[bin_cell]
+    del bin_cell
     pa, pb = 2.0 * np.abs(da), 2.0 * np.abs(db)
-    half_a = np.where(a_idx >= 0, (0.5 * -pa) * t, 0.0)
-    half_b = np.where(b_idx >= 0, (0.5 * pb) * t, 0.0)
-    agent, base = order.ravel(), row * N
-    cells = np.empty((len(row), 5), dtype=np.intp)
-    parts = np.empty((len(row), 5))
-    for col, (i, part) in enumerate(((owner, (pa - pb) * t), (a_idx, half_a), (a_idx + 1, half_a),
-                                     (b_idx, half_b), (b_idx + 1, half_b))):
-        cells[:, col] = base + agent[base + i]
-        parts[:, col] = part
+    del da, db
+    parts[:, 0] = (pa - pb) * t
+    parts[:, 1] = parts[:, 2] = np.where(has_a, (0.5 * -pa) * t, 0.0)
+    parts[:, 3] = parts[:, 4] = np.where(has_b, (0.5 * pb) * t, 0.0)
     G = np.bincount(cells.ravel(), weights=parts.ravel(), minlength=R * N).reshape(R, N)
     if prob.penalty_enabled:
         G = G + prob.penalty_weight * _penalty_grad(prob, X)

@@ -151,6 +151,19 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(s) if sys.float_info.min <= s < math.inf else math.hypot(*vl)
 
 
+def _direction(g: np.ndarray, g_norm: float) -> np.ndarray:
+    """-g / ||g|| for g_norm = _norm(g) > 0, a unit vector whenever g is
+    finite and non-zero.  Where ||g|| is not a normal float, as when it
+    overflows to inf or has lost digits below the smallest normal double,
+    g is first divided by a power of two near its largest magnitude, which
+    puts that entry in [0.5, 1) and ||g|| in [0.5, sqrt(n)).  Otherwise the
+    quotient is the plain -g / g_norm."""
+    if sys.float_info.min <= g_norm < math.inf:
+        return -g / g_norm
+    g = np.ldexp(g, -math.frexp(max(map(abs, g.tolist())))[1])
+    return -g / _norm(g)
+
+
 def _f_at(oracle: ProblemOracle, x: np.ndarray) -> float:
     """f(x), raising NonFiniteError if it is NaN.  An infinite f still
     orders the line search's trials, so a run can descend from it."""
@@ -243,7 +256,7 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
         kind = StepKind.NULL_TOLERANCE
         t = 0.0
     else:
-        ls = line_search(oracle, x, f_x, -g / g_norm, g_norm, state.eps, p)
+        ls = line_search(oracle, x, f_x, _direction(g, g_norm), g_norm, state.eps, p)
         t = ls.t
         if t > 0.0:
             kind, kept = StepKind.DESCENT, ()
@@ -260,8 +273,11 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
 
 
 def _start_point(oracle: ProblemOracle, x1) -> np.ndarray:
-    """x1 as a float vector, checked to be finite and of shape (oracle.dim,)."""
+    """x1 as a float vector, checked to be finite and of shape (oracle.dim,),
+    for a problem of dimension 1 or more."""
     x1 = np.asarray(x1, dtype=float)
+    if oracle.dim < 1:
+        raise ValueError(f"the problem has dimension {oracle.dim}; it needs at least 1")
     if x1.shape != (oracle.dim,):
         raise ValueError(f"x1 has shape {x1.shape}, the problem needs shape "
                          f"({oracle.dim},) for its dimension {oracle.dim}")
@@ -283,7 +299,8 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     value, ``trace.final_f`` included, is one the line search accepted,
     which is never NaN because a NaN trial fails its test.  So no iterate
     costs an oracle call of its own.  Raises ValueError, before the oracle
-    is called, unless x1 is a finite vector of shape (oracle.dim,).
+    is called, unless x1 is a finite vector of shape (oracle.dim,) and
+    oracle.dim is at least 1.
 
     The line search guarantees that the recorded objective decreases by
     at least alpha * beta * t_k * ||g^k|| on every accepted step.  It
@@ -361,7 +378,7 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     when the iterate leaves D, or at max_iters.  As in ``run``, f is
     evaluated at x1 only, from the first iteration's maximizer, and then
     carried from the accepted trials.  Raises ValueError unless x1 is a
-    finite vector of shape (oracle.dim,) in D.
+    finite vector of shape (oracle.dim,) in D, with oracle.dim at least 1.
     """
     x = _start_point(oracle, x1)
     validate_params(p, x.shape[0])
@@ -383,7 +400,7 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
             f_here = oracle.eval_F(x, theta)
         t, x_next, f_next = 0.0, x, f_here
         if g_norm != 0.0:
-            t, _, x_next, f_next = _backtrack(oracle, x, -grad / g_norm, f_here,
+            t, _, x_next, f_next = _backtrack(oracle, x, _direction(grad, g_norm), f_here,
                                               g_norm, p.eps1, p, slack=0.0)
         kind = StepKind.DESCENT if t > 0.0 else StepKind.NULL_LINESEARCH
         trace.records.append(IterationRecord(

@@ -133,6 +133,30 @@ def test_dimension_mismatch_exit_1(tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+def test_dimension_0_exit_1_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _minimal_config(out, x1=[])
+    cfg["problem"]["pieces"] = [{"a": []}]
+    assert run_experiment(str(_write(tmp_path, cfg))) == 1
+    assert "dimension 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gradient_norm_past_float_range_ends_with_a_termination(tmp_path):
+    """||g|| of a = (1.5e308, 1.5e308) overflows to inf, yet the search
+    direction is a unit vector: the run and the baseline end with a
+    termination reason, and every artifact is written."""
+    out = tmp_path / "out"
+    cfg = _minimal_config(out, x1=[0.0, 0.0], run_baseline_gd=True)
+    cfg["problem"]["pieces"] = [{"a": [1.5e308, 1.5e308]}]
+    assert run_experiment(str(_write(tmp_path, cfg))) == 0
+    for name in ("trace.csv", "trace.json", "baseline_trace.csv"):
+        assert (out / name).exists()
+    summary = json.loads((out / "summary.json").read_text())
+    for block in ("sampling", "baseline_gd"):
+        Termination(summary[block]["termination"])
+
+
 def test_unknown_problem_type_exit_1(tmp_path):
     cfg = _minimal_config(tmp_path / "out")
     cfg["problem"] = {"type": "mystery"}

@@ -8,6 +8,9 @@ differences, so the closed-form segment algebra never certifies itself.
 import dataclasses
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -657,6 +660,75 @@ def test_block_path_memory_is_bounded():
         tracemalloc.stop()
     assert len(got) == N + 2
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _block_bundles(sizes, seed):
+    """A coverage problem of width N + K = 24 and one bundle of points in D
+    for each size; every size here puts the bundle on the block path.  The
+    penalty is off, so a block's gradients are returned as the block's last
+    bincount made them."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    N, K = 8, 16
+    prob = CoverageProblem(n_agents=N, bin_edges=tuple(float(e) for e in range(K + 1)),
+                           theta_lower=tuple(gen.uniform(0.0, 0.5, K) / K),
+                           theta_upper=tuple(gen.uniform(1.5, 3.0, K) / K),
+                           penalty_enabled=False)
+    assert min(sizes) * (N + K) >= coverage._BLOCK_MIN
+    return prob, [list(gen.uniform(-1.0, K + 1.0, (size, N))) for size in sizes]
+
+
+def test_block_gradients_are_not_views_of_the_gather_buffers():
+    """Each thread keeps one pair of gather buffers, reused by every block,
+    so a gradient array that one bundle returned must not change when
+    later bundles, smaller and larger, reuse or regrow them."""
+    prob, bundles = _block_bundles((8, 6, 12, 5, 12, 9), 29)
+    oracle = make_coverage_oracle(prob)
+    got = [oracle.sample_gradients(points) for points in bundles]
+    assert [len(g) for g in got] == [len(points) for points in bundles]
+    assert [g.tobytes() for g in got] == [
+        b"".join(_per_point(oracle, points)) for points in bundles]
+
+
+def test_block_path_safe_to_call_concurrently(monkeypatch):
+    """Threads that share one oracle, each on its own block-path bundle,
+    get the bytes of serial calls.  _block_lp, which runs between the
+    filling of a block's gather cells and their last read, sleeps briefly,
+    so the threads switch there and not only where the interpreter
+    happens to."""
+    prob, bundles = _block_bundles((5, 7, 9, 12), 30)
+    shared = make_coverage_oracle(prob)
+    want = [shared.sample_gradients(points).tobytes() for points in bundles]
+    lp = coverage._block_lp
+
+    def yielding(*args):
+        got = lp(*args)
+        time.sleep(1e-5)
+        return got
+
+    monkeypatch.setattr(coverage, "_block_lp", yielding)
+    wrong = []
+
+    def ask(points, expected):
+        try:
+            for _ in range(50):
+                got = shared.sample_gradients(points).tobytes()
+                if got != expected:
+                    wrong.append(len(points))
+        except Exception as e:  # a thread's exception would only warn
+            wrong.append(repr(e))
+
+    threads = [threading.Thread(target=ask, args=case) for case in zip(bundles, want)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # -- the oracle's last-point memo --------------------------------------------

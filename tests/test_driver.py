@@ -699,6 +699,36 @@ def test_norm_keeps_in_range_bytes_and_scales_overflow():
             assert math.isnan(driver._norm(np.array(v)))
 
 
+def test_direction_is_a_unit_vector_for_every_finite_nonzero_g():
+    """While ||g|| is a normal float, the direction is -g / ||g|| byte for
+    byte; where it overflows to inf, or falls among the subnormals and
+    rounds there, the scaled g still gives a unit vector, which the plain
+    quotient does not (0 and 1.0138 in norm)."""
+    gen = np.random.Generator(np.random.Philox(20))
+    for _ in range(200):
+        g = gen.standard_normal(int(gen.integers(1, 20))) * 10.0 ** gen.uniform(-150, 150)
+        n = driver._norm(g)
+        assert driver._direction(g, n).tobytes() == (-g / n).tobytes()
+    for g in ([1.5e308, 1.5e308], [-1.5e308, 1.5e308, 5.0], [3e-323, 5e-324], [-5e-324]):
+        g = np.array(g)
+        n = driver._norm(g)
+        assert not np.finfo(float).tiny <= n < math.inf
+        d = driver._direction(g, n)
+        assert abs(driver._norm(d) - 1.0) <= 1e-15
+        assert np.array_equal(np.sign(d), -np.sign(g))
+
+
+def test_run_rejects_dimension_0():
+    """A problem of dimension 0 passes its own checks, but both solvers
+    refuse it, by name, before the oracle sees a point."""
+    oracle = finite_max_oracle(FiniteMaxProblem(pieces=(MaxPiece(a=()),)))
+    assert oracle.dim == 0
+    with pytest.raises(ValueError, match="dimension 0"):
+        run(oracle, GsParams(), np.array([]), Rng(21))
+    with pytest.raises(ValueError, match="dimension 0"):
+        gradient_descent_baseline(oracle, GsParams(max_iters=3), np.array([]))
+
+
 class _Walked(FiniteMaxOracle):
     """The finite max with the base per-point walk over a bundle."""
 
