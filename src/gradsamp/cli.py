@@ -180,7 +180,7 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         run_gd = cfg.get("run_baseline_gd", False)
         if not isinstance(run_gd, bool):
             raise ConfigError(f"run_baseline_gd must be a bool: {run_gd!r}")
-        if run_gd and not oracle.in_D(x1):
+        if run_gd and len(oracle.sample_gradients(x1[None])) == 0:
             raise ConfigError("x1 must lie in the smooth set D when "
                               "run_baseline_gd is true")
         formats = cfg.get("formats", ["csv", "json"])

@@ -38,12 +38,14 @@ class ProblemOracle:
     - ``inner_max(x)``: an exact maximizer of theta -> F(x, theta).
     - ``in_D(x)``: membership in D.
 
-    ``sample_gradients(points)`` is what the solver asks of a bundle; the
-    default walks the points with the methods above, and an oracle may
-    override it with a faster evaluation that returns the same arrays, as
-    the coverage oracle does for a large bundle by evaluating its points in
-    NumPy blocks, and the finite-max and stress oracles do for every
-    bundle with one stacked pass over all its points and members.
+    The solver asks for ``dim``, ``objective(x)`` and
+    ``sample_gradients(points)`` only.  The defaults build both from the
+    methods above, and an oracle may override either with a faster
+    evaluation that returns the same bytes, as every shipped oracle does:
+    ``objective`` evaluates its point once, and ``sample_gradients``
+    evaluates a bundle in NumPy blocks (coverage, for a large bundle) or
+    in one stacked pass over all its points and members (finite max and
+    stress).
 
     All methods must be pure (identical inputs give identical outputs) and
     safe to call concurrently.
@@ -51,7 +53,8 @@ class ProblemOracle:
 
     dim: int
     theta_dim: int
-    # The contract is exact; the flag is kept for outside code that reads it.
+    # The contract is exact; the flag is kept for bench/tracer.py's
+    # OracleProxy, which copies it from the oracle it wraps.
     exact_inner: bool = True
 
     def eval_F(self, x: np.ndarray, theta: np.ndarray) -> float:
@@ -72,10 +75,8 @@ class ProblemOracle:
         that lie in D, stopping before the first point outside D.
 
         The result may be a (k, n) array or a list of k rows; the solver
-        accepts either.  Each point is tested for D and then evaluated
-        before the next one is tested, so an oracle that keeps its last
-        point answers the three calls from one evaluation.  The result is
-        shorter than ``points`` exactly when a point misses D.
+        accepts either.  The result is shorter than ``points`` exactly
+        when a point misses D.
         """
         out = []
         for p in points:

@@ -218,7 +218,10 @@ def penalty(prob: CoverageProblem, x: np.ndarray) -> float:
         a, b = lo - v, v - hi
         m = a if a > b else b
         terms.append(0.0 if m < 0.0 else m)
-    return float(np.sum(terms)) if any(terms) else 0.0
+    if not any(terms):
+        return 0.0
+    with np.errstate(over="ignore"):  # terms past 1e308 sum to inf
+        return float(np.sum(terms))
 
 
 _SLOPES = np.array([-1.0, 0.0, 1.0])
@@ -247,7 +250,7 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     greedy fill by decreasing rate c_k / width_k is exact (ties broken at
     the lowest index).  Up to _LP_LIST_MAX bins the fill runs on Python
     floats (_lp), and above it on arrays, with the same bytes."""
-    if len(c) <= _LP_LIST_MAX:  # the oracle's memo holds c as a list
+    if len(c) <= _LP_LIST_MAX:  # _cost gives c as a list
         return np.asarray(_lp(prob, c if isinstance(c, list)
                               else np.asarray(c, dtype=float).tolist()))
     c = np.asarray(c, dtype=float)
@@ -484,7 +487,7 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
 
 def _walk(prob: CoverageProblem, x):
     """The per-point gradient at the inner maximizer of x as a list, in one
-    pass on Python floats and without the memo, or None outside D."""
+    pass on Python floats, or None outside D."""
     order, xs, segments = _partition(prob, x)
     if not _smooth(prob, xs):
         return None
@@ -496,32 +499,27 @@ class CoverageOracle(ProblemOracle):
     """Oracle contract for the coverage family: exact greedy inner LP and
     analytic gradients.
 
-    The partition and c of the last point asked about are kept, so a
-    single point's in_D, inner_max and grad_x_F, or a line-search trial's
-    inner_max and eval_F, build the partition once.  D membership is not
-    kept: a trial never asks for it, and in_D and grad_x_F test it.
-    The memo is read and replaced as one tuple, so concurrent callers never
-    get another caller's point.
-
-    ``sample_gradients`` evaluates a small bundle point by point, each in
-    one pass on Python floats that skips the memo, and a large one as NumPy
-    blocks (see _BLOCK_MIN and _CHUNK_SEGMENTS), with the same bytes.  It
-    returns the gradients as one (k, n) array."""
+    The oracle keeps no state of its own: each method builds the partition
+    of its point, and ``objective`` builds it once for the LP and the
+    value.  ``sample_gradients`` evaluates a small bundle point by point,
+    each in one pass on Python floats, and a large one as NumPy blocks (see
+    _BLOCK_MIN and _CHUNK_SEGMENTS), with the same bytes.  It returns the
+    gradients as one (k, n) array."""
 
     def __init__(self, prob: CoverageProblem):
         self.prob = prob
         self.dim = prob.n_agents
         self.theta_dim = prob.n_bins
-        self._last = (None,)  # (x bytes, order, xs, segments, c)
 
-    def _at(self, x: np.ndarray):
-        key = x.tobytes()
-        last = self._last
-        if last[0] != key:
-            order, xs, segments = _partition(self.prob, x)
-            last = self._last = (key, order, xs, segments,
-                                 _cost(xs, segments, self.prob.n_bins))
-        return last[1:]
+    def _cost_at(self, x: np.ndarray) -> list:
+        _, xs, segments = _partition(self.prob, x)
+        return _cost(xs, segments, self.prob.n_bins)
+
+    def _value(self, x: np.ndarray, c: list, theta) -> float:
+        v = float(np.asarray(c) @ np.asarray(theta, dtype=float))
+        if self.prob.penalty_enabled:
+            v += self.prob.penalty_weight * penalty(self.prob, x)
+        return v
 
     def sample_gradients(self, points):
         width = self.dim + self.theta_dim
@@ -545,17 +543,20 @@ class CoverageOracle(ProblemOracle):
                     break
         return out[0] if len(out) == 1 else np.concatenate(out)
 
+    def objective(self, x):
+        """eval_F(x, inner_max(x)) from one partition."""
+        x = np.asarray(x, dtype=float)
+        c = self._cost_at(x)
+        return self._value(x, c, inner_lp_max(self.prob, c))
+
     def eval_F(self, x, theta):
         x = np.asarray(x, dtype=float)
-        v = float(np.asarray(self._at(x)[3]) @ np.asarray(theta, dtype=float))
-        if self.prob.penalty_enabled:
-            v += self.prob.penalty_weight * penalty(self.prob, x)
-        return v
+        return self._value(x, self._cost_at(x), theta)
 
     def grad_x_F(self, x, theta):
         """The gradient of <c, theta> (+ weighted penalty), on D."""
         x = np.asarray(x, dtype=float)
-        order, xs, segments, _ = self._at(x)
+        order, xs, segments = _partition(self.prob, x)
         if not _smooth(self.prob, xs):
             raise ValueError("gradient undefined: x lies on an excluded hyperplane")
         g = _gradient(order, xs, segments, np.asarray(theta, dtype=float).tolist())
@@ -564,10 +565,10 @@ class CoverageOracle(ProblemOracle):
         return np.asarray(g)
 
     def inner_max(self, x):
-        return inner_lp_max(self.prob, self._at(np.asarray(x, dtype=float))[3])
+        return inner_lp_max(self.prob, self._cost_at(np.asarray(x, dtype=float)))
 
     def in_D(self, x):
-        return _smooth(self.prob, self._at(np.asarray(x, dtype=float))[1])
+        return _smooth(self.prob, _partition(self.prob, np.asarray(x, dtype=float))[1])
 
 
 def make_coverage_oracle(prob: CoverageProblem) -> CoverageOracle:

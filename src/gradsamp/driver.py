@@ -374,32 +374,35 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     not the c_k / 2 slack of ``line_search``: the plain Armijo test
     applies.  Stops as Stalled at its first failed line search, whose
     record is the last: x, f and the gradient stay as they are, and the
-    oracles are pure, so every retry would fail the same way.  Also stops
-    when the iterate leaves D, or at max_iters.  As in ``run``, f is
-    evaluated at x1 only, from the first iteration's maximizer, and then
+    oracles are pure, so every retry would fail the same way.  A gradient
+    with an entry that is not finite gives no direction, and its search
+    fails without a trial.  Also stops when the iterate leaves D, or at
+    max_iters.  Each iterate's gradient is one ``oracle.sample_gradients``
+    row, and an empty answer means the iterate is outside D.  As in
+    ``run``, f is evaluated at x1 only, by ``oracle.objective``, and then
     carried from the accepted trials.  Raises ValueError unless x1 is a
     finite vector of shape (oracle.dim,) in D, with oracle.dim at least 1.
     """
     x = _start_point(oracle, x1)
     validate_params(p, x.shape[0])
-    if not oracle.in_D(x):
+    rows = oracle.sample_gradients(x[None])
+    if len(rows) == 0:
         raise ValueError("x1 must lie in the smooth set D")
+    f_here = oracle.objective(x)
 
     trace = Trace(params_snapshot=p.snapshot(), seed=0)
     termination = Termination.MAX_ITERS
-    f_here = None
     for k in range(1, p.max_iters + 1):
         t0 = time.perf_counter_ns()
-        if k > 1 and not oracle.in_D(x):  # x1 was tested on entry
-            termination = Termination.LEFT_DOMAIN
-            break
-        theta = oracle.inner_max(x)
-        grad = np.asarray(oracle.grad_x_F(x, theta), dtype=float)
+        if k > 1:  # x1's gradient was asked for on entry
+            rows = oracle.sample_gradients(x[None])
+            if len(rows) == 0:
+                termination = Termination.LEFT_DOMAIN
+                break
+        grad = np.asarray(rows[0], dtype=float)
         g_norm = _norm(grad)
-        if f_here is None:
-            f_here = oracle.eval_F(x, theta)
         t, x_next, f_next = 0.0, x, f_here
-        if g_norm != 0.0:
+        if g_norm != 0.0 and np.isfinite(grad).all():
             t, _, x_next, f_next = _backtrack(oracle, x, _direction(grad, g_norm), f_here,
                                               g_norm, p.eps1, p, slack=0.0)
         kind = StepKind.DESCENT if t > 0.0 else StepKind.NULL_LINESEARCH
@@ -416,5 +419,5 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
     trace.final_x = x
     trace.final_eps = p.eps1
     trace.final_nu = p.nu1
-    trace.final_f = oracle.objective(x) if f_here is None else f_here
+    trace.final_f = f_here
     return trace

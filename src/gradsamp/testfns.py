@@ -87,10 +87,9 @@ class _MemberMaxOracle(ProblemOracle):
     and gradients (R x M x n) of the M members at the R rows of X, each
     row's with the same bytes whatever block it is evaluated in.
 
-    The values and gradients of the last point asked about are kept, so a
-    line-search trial's inner_max and eval_F, or a single point's in_D,
-    inner_max and grad_x_F, evaluate each member once; ``sample_gradients``
-    evaluates a whole bundle in one ``_block`` pass."""
+    Each method evaluates the members at its point with one ``_block``
+    row, and ``sample_gradients`` evaluates a whole bundle in one
+    ``_block`` pass."""
 
     theta_dim = 1
 
@@ -99,47 +98,41 @@ class _MemberMaxOracle(ProblemOracle):
         self._named = {}
         for i, t in enumerate(self._indices):
             self._named.setdefault(t, []).append(i)
-        self._last = (None, (), None)  # (x bytes, member values, gradients)
 
     def _block(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _evaluated(self, x: np.ndarray):
-        # One read and one write of the memo, so concurrent callers never
-        # get the values of another caller's point.
-        key = x.tobytes()
-        last = self._last
-        if last[0] != key:
-            vals, grads = self._block(x[None])
-            last = self._last = (key, tuple(vals[0].tolist()), grads[0])
-        return last
+    def _evaluated(self, x) -> Tuple[list, np.ndarray]:
+        # The member values, as a list, and gradients at the point x.
+        vals, grads = self._block(np.asarray(x, dtype=float)[None])
+        return vals[0].tolist(), grads[0]
 
-    def _values(self, x: np.ndarray) -> Tuple[float, ...]:
-        return self._evaluated(x)[1]
-
-    def _member(self, x: np.ndarray, theta) -> int:
+    def _member(self, vals: list, theta) -> int:
         named = self._named.get(float(theta[0]))
         if named is None:
             raise ValueError(f"family index {theta[0]} names no member")
         if len(named) == 1:
             return named[0]
-        return max(named, key=self._values(x).__getitem__)
+        return max(named, key=vals.__getitem__)
+
+    def objective(self, x):
+        """eval_F(x, inner_max(x)) from one ``_block`` row."""
+        vals = self._evaluated(x)[0]
+        return vals[self._member(vals, (self._indices[_argmax(vals)],))]
 
     def eval_F(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        return self._values(x)[self._member(x, theta)]
+        vals = self._evaluated(x)[0]
+        return vals[self._member(vals, theta)]
 
     def grad_x_F(self, x, theta):
-        x = np.asarray(x, dtype=float)
-        return self._evaluated(x)[2][self._member(x, theta)].copy()
+        vals, grads = self._evaluated(x)
+        return grads[self._member(vals, theta)]
 
     def inner_max(self, x):
-        i = _argmax(self._values(np.asarray(x, dtype=float)))
-        return np.array([self._indices[i]])
+        return np.array([self._indices[_argmax(self._evaluated(x)[0])]])
 
     def in_D(self, x):
-        _, vals, grads = self._evaluated(np.asarray(x, dtype=float))
-        return _first_max(np.array([vals]), grads[None])[1] == 1
+        return _first_max(*self._block(np.asarray(x, dtype=float)[None]))[1] == 1
 
     def sample_gradients(self, points):
         """The base walk's gradients, from one ``_block`` pass over all the

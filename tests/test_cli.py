@@ -334,3 +334,90 @@ def test_main_run_subcommand(tmp_path):
     assert main(["run", str(cfg), "--max-iters", "5"]) == 0
     assert main(["plot-data", str(out / "trace.csv"),
                  str(tmp_path / "t.dat")]) == 0
+
+
+_HUGE = (1e308, -1e308, 1e154, -1e154)
+
+
+def _fuzz_problem(gen, family):
+    """A seeded problem of one family and a start for it, now and then of
+    dimension 0, with entries at +-1e308 or +-1e154."""
+    def huge_or(v):
+        return float(gen.choice(_HUGE)) if gen.random() < 0.15 else float(v)
+
+    if family == "coverage":
+        n, K = int(gen.integers(0, 5)), int(gen.integers(1, 6))
+        edges = np.cumsum(gen.uniform(0.2, 1.0, size=K + 1)) - 1.0
+        span = edges[-1] - edges[0]
+        lower = gen.uniform(0.0, 0.5, size=K) / span
+        problem = {"type": "coverage", "n_agents": n, "bin_edges": edges.tolist(),
+                   "theta_lower": lower.tolist(),
+                   "theta_upper": (lower + gen.uniform(1.0, 3.0, size=K) / span).tolist(),
+                   "penalty_enabled": bool(gen.random() < 0.5)}
+        x1 = gen.uniform(edges[0] - 0.5, edges[-1] + 0.5, size=n)
+        if n and gen.random() < 0.2:  # an agent on a bin edge, outside D
+            x1[0] = edges[int(gen.integers(0, K + 1))]
+    elif family == "finite_max":
+        n = int(gen.integers(0, 4))
+        pieces = []
+        for _ in range(int(gen.integers(1, 4))):
+            piece = {"a": [huge_or(v) for v in gen.standard_normal(n)],
+                     "b": huge_or(gen.standard_normal())}
+            if gen.random() < 0.5:
+                B = gen.standard_normal((n, n))
+                piece["Q"] = (B + B.T).tolist()
+            pieces.append(piece)
+        problem = {"type": "finite_max", "pieces": pieces}
+        x1 = gen.uniform(-2.0, 2.0, size=n)
+    else:
+        problem = {"type": "cantor", "depth": int(gen.integers(0, 14))}
+        x1 = gen.uniform(-0.2, 1.2, size=1)
+    return problem, [huge_or(v) for v in x1]
+
+
+def _fuzz_valid(cfg):
+    """Whether the CLI should accept cfg, judged from the problem's own
+    constructor and primitives: a problem of dimension 1 or more, and x1 in
+    D where the GD baseline runs."""
+    try:
+        oracle = cli.build_problem_oracle(cfg["problem"])
+    except ValueError:
+        return False
+    x1 = np.array(cfg["x1"], dtype=float)
+    if oracle.dim < 1 or not 0.0 < cfg["params"].get("alpha", 0.1) < 1.0:
+        return False
+    return not cfg["run_baseline_gd"] or oracle.in_D(x1)
+
+
+# The oracles' own arithmetic overflows at entries near 1e308, and NumPy
+# warns of it, as in the tests of test_driver.py.  The topmost mark wins,
+# so a warning from the solver or the CLI fails the test.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning:gradsamp.testfns")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_random_configs_of_every_family_exit_with_their_code(tmp_path, capsys):
+    """Seeded configs of the coverage, finite-max and Cantor families:
+    every valid one exits 0, 2 or 3 with summary.json and its traces
+    written, and every invalid one exits 1 and writes nothing."""
+    gen = np.random.Generator(np.random.Philox(41))
+    outcomes = set()
+    for i in range(90):
+        problem, x1 = _fuzz_problem(gen, ("coverage", "finite_max", "cantor")[i % 3])
+        params = {"max_iters": 25,
+                  "on_nonsmooth_sample": str(gen.choice(["stop", "resample"]))}
+        if gen.random() < 0.05:
+            params["alpha"] = 1.5
+        out = tmp_path / str(i)
+        cfg = {"problem": problem, "params": params, "x1": x1, "seed": int(gen.integers(0, 100)),
+               "output_dir": str(out), "run_baseline_gd": bool(gen.random() < 0.5)}
+        code = run_experiment(str(_write(tmp_path, cfg)))
+        if _fuzz_valid(cfg):
+            assert code in (0, 2, 3), (i, capsys.readouterr().err)
+            summary = json.loads((out / "summary.json").read_text())
+            assert ("baseline_gd" in summary) == cfg["run_baseline_gd"]
+            for name in ("trace.csv", "trace.json") + ("baseline_trace.csv",) * cfg["run_baseline_gd"]:
+                assert (out / name).exists(), (i, name)
+        else:
+            assert code == 1, i
+            assert not out.exists(), i
+        outcomes.add(code)
+    assert outcomes >= {0, 1}

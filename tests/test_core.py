@@ -124,7 +124,7 @@ def test_oracle_purity_double_call():
 
 def _concurrency_case(family):
     """(oracle factory, a few distinct points in D, and the (owner, name) of
-    the function that fills the oracle's memo) for one oracle family."""
+    the function that evaluates a point) for one oracle family."""
     gen = np.random.Generator(np.random.Philox(61))
     if family == "finite_max":
         prob = FiniteMaxProblem(pieces=tuple(
@@ -159,11 +159,11 @@ def _answers(oracle, x):
 
 @pytest.mark.parametrize("family", ["finite_max", "cantor", "coverage"])
 def test_oracle_memos_safe_to_call_concurrently(family, monkeypatch):
-    """The contract allows concurrent calls, and every shipped oracle keeps
-    its last point: threads that share one oracle, each on its own point,
-    get exactly what a fresh oracle gives.  The function that fills the
-    memo sleeps briefly before it returns, so the threads switch while a
-    memo is being filled and not only where the interpreter happens to."""
+    """The contract allows concurrent calls: threads that share one
+    oracle, each on its own point, get exactly what a fresh oracle gives.
+    The function that evaluates a point sleeps briefly before it returns,
+    so the threads switch mid-evaluation and not only where the
+    interpreter happens to."""
     make, points, (owner, name) = _concurrency_case(family)
     want = [_answers(make(), x) for x in points]
     fill = getattr(owner, name)
@@ -198,6 +198,64 @@ def test_oracle_memos_safe_to_call_concurrently(family, monkeypatch):
         sys.setswitchinterval(interval)
     assert all(a[0] for a in want)
     assert wrong == []
+
+
+def _override_case(family):
+    """(oracle, points) for one oracle family: seeded points in D, points
+    off D and, for coverage, points far out, with |x| of 1e154 and more."""
+    gen = np.random.Generator(np.random.Philox(67))
+    if family.startswith("coverage"):
+        # coverage_block is wide enough for one point to take the block path.
+        N, K = (40, 80) if family == "coverage_block" else (6, 8)
+        prob = CoverageProblem(n_agents=N, bin_edges=tuple(float(v) for v in range(K + 1)),
+                               theta_lower=(0.5 / K,) * K, theta_upper=(2.0 / K,) * K,
+                               penalty_enabled=family != "coverage_no_penalty")
+        points = [gen.uniform(-0.5, K + 0.5, size=N) for _ in range(4)]
+        on_edge, coincide, mid_on_edge = (points[i].copy() for i in range(3))
+        on_edge[1] = 3.0
+        coincide[2] = coincide[0]
+        mid_on_edge[:2] = 1.25, 2.75  # sorted neighbours by construction
+        mid_on_edge[2:] = np.sort(gen.uniform(3.5, K + 0.5, size=N - 2))
+        far = [gen.uniform(-1.0, 1.0, size=N) * scale for scale in (1e154, 3e154, 1e200)]
+        return make_coverage_oracle(prob), points + [on_edge, coincide, mid_on_edge] + far
+    if family == "finite_max":
+        # Pieces 0 and 4 are equal, and pieces 0 and 1 tie where
+        # 2 x_0 + 1.5 x_1 = 0, with unequal gradients.
+        prob = FiniteMaxProblem(pieces=(
+            MaxPiece(a=(1.0, 2.0, 0.0)), MaxPiece(a=(-1.0, 0.5, 0.0)),
+            MaxPiece(a=(0.0, 0.0, 1.0), b=-50.0, Q=((1.0, 0.0, 0.0), (0.0, 2.0, 0.0),
+                                                   (0.0, 0.0, 0.5))),
+            MaxPiece(a=(0.5, 0.5, 0.5), b=-20.0), MaxPiece(a=(1.0, 2.0, 0.0))))
+        points = [gen.uniform(-2.0, 2.0, size=3) for _ in range(6)]
+        points += [gen.uniform(-1.0, 1.0, size=3) * 1e100 for _ in range(2)]
+        points += [np.array([0.75 * s, -s, float(gen.uniform(-1.0, 1.0))]) for s in (1.0, 2.0, 4.0)]
+        return finite_max_oracle(prob), points
+    oracle = cantor_stress_oracle(CantorStressProblem(depth=4))
+    points = [np.array([v]) for v in gen.uniform(-0.1, 1.1, size=6)]
+    for k in (1, 2, 4):
+        mids, delta, _, _ = oracle.level(k)
+        points += [np.array([mids[0] + delta / 3.0]), np.array([mids[-1]])]
+    return oracle, points + [np.array([1e300])]
+
+
+@pytest.mark.parametrize("family", ["coverage", "coverage_no_penalty", "coverage_block",
+                                    "finite_max", "cantor"])
+def test_overrides_agree_with_the_primitives(family):
+    """Each shipped oracle's objective and sample_gradients give the bytes
+    of the base definitions from its primitives: f(x) = eval_F(x,
+    inner_max(x)), no row exactly when x is outside D, and otherwise the
+    row grad_x_F(x, inner_max(x))."""
+    oracle, points = _override_case(family)
+    outside = 0
+    for x in points:
+        theta = oracle.inner_max(x)
+        assert repr(oracle.objective(x)) == repr(oracle.eval_F(x, theta))
+        rows = oracle.sample_gradients(x[None])
+        assert len(rows) == int(oracle.in_D(x))
+        if len(rows):
+            assert np.asarray(rows[0]).tobytes() == oracle.grad_x_F(x, theta).tobytes()
+        outside += len(rows) == 0
+    assert 3 <= outside <= len(points) - 4
 
 
 def test_trace_iteration_numbers_strictly_increasing():

@@ -308,6 +308,7 @@ def test_penalty_examples():
     one = CoverageProblem(n_agents=1, bin_edges=(0.0, 6.0),
                           theta_lower=(1.0 / 6.0,), theta_upper=(1.0 / 6.0,))
     assert penalty(one, np.array([-3.0])) == 3.0
+    assert penalty(prob, np.array([-1e308, 1e308, 1e308])) == math.inf  # no warning
 
 
 def test_penalty_slope_one_pass_matches_two_masks():
@@ -731,7 +732,7 @@ def test_block_path_safe_to_call_concurrently(monkeypatch):
     assert wrong == []
 
 
-# -- the oracle's last-point memo --------------------------------------------
+# -- the oracle's answers on interleaved and changed points -----------------
 
 def _memo_problem():
     gen = np.random.Generator(np.random.Philox(27))
@@ -757,7 +758,7 @@ def _asked(oracle, x, theta):
 
 def test_oracle_memo_interleaved_points_match_fresh_results():
     """Interleaved points get fresh answers, and so do in_D and grad_x_F
-    after a line-search trial's objective call has filled the memo, on a
+    after a line-search trial's objective call on another point, on a
     point in D and on one with an agent on a bin edge."""
     prob, gen = _memo_problem()
     oracle = make_coverage_oracle(prob)

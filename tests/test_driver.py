@@ -568,13 +568,13 @@ class _InfBelowHalf(FiniteMaxOracle):
 
 
 class _NanAtOne(FiniteMaxOracle):
-    """|x|, but f is NaN at x = 1; ``evals`` counts the evaluations of F."""
+    """|x|, but f is NaN at x = 1; ``evals`` counts the evaluations of f."""
 
     evals = 0
 
-    def eval_F(self, x, theta):
+    def objective(self, x):
         self.evals += 1
-        return math.nan if x.tolist() == [1.0] else super().eval_F(x, theta)
+        return math.nan if np.asarray(x).tolist() == [1.0] else super().objective(x)
 
 
 def test_numerical_failure_keeps_the_records_so_far():
@@ -840,6 +840,27 @@ def test_gd_stalls_at_its_first_failed_line_search():
     assert kinds[-1] == StepKind.NULL_LINESEARCH and len(kinds) > 1
     assert tr.records[-1].x.tobytes() == tr.final_x.tobytes()
     assert tr.records[-1].f_approx == tr.final_f
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gd_stalls_at_a_gradient_that_is_not_finite():
+    """Q x overflows to inf at x1 = 3, which gives no direction: the
+    baseline's search fails there without a trial, and without NumPy's
+    warning of inf / inf, as one Stalled record at x1."""
+    counted = []
+
+    class Counted(FiniteMaxOracle):
+        def objective(self, x):
+            counted.append(x)
+            return super().objective(x)
+
+    tr = gradient_descent_baseline(Counted(FiniteMaxProblem(pieces=tuple(HUGE_Q[0]))),
+                                   GsParams(), HUGE_Q[1])
+    assert tr.termination == Termination.STALLED
+    assert [(r.step_kind, r.g_norm, r.t) for r in tr.records] == \
+        [(StepKind.NULL_LINESEARCH, math.inf, 0.0)]
+    assert len(counted) == 1 and tr.final_x.tobytes() == HUGE_Q[1].tobytes()
 
 
 def test_gd_rejects_start_outside_D():
