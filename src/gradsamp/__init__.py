@@ -12,7 +12,6 @@ from .core import (
     GsParams,
     IterationRecord,
     NonsmoothPolicy,
-    NonsmoothSampleError,
     ParamError,
     ProblemOracle,
     StepKind,
@@ -20,12 +19,7 @@ from .core import (
     Trace,
     validate_params,
 )
-from .coverage import (
-    CoverageProblem,
-    inner_lp_max,
-    make_coverage_oracle,
-    penalty,
-)
+from .coverage import CoverageProblem, make_coverage_oracle
 from .driver import Rng, gradient_descent_baseline, run
 from .minnorm import MinNormResult, min_norm_point
 from .testfns import (

@@ -60,7 +60,7 @@ class CoverageProblem:
             raise ValueError("total_mass must be positive and finite")
         # On the sums the LP fills from, so a problem built here never makes
         # it fail; within the slack it returns theta_lower or theta_upper.
-        lo_sum, hi_sum = self._mass_bounds[3:]
+        lo_sum, hi_sum = self._mass_bounds[4:]
         slack = 1e-12 * max(1.0, self.total_mass)
         if not lo_sum - slack <= self.total_mass <= hi_sum + slack:
             raise ValueError("mass constraint infeasible for the given bounds")
@@ -83,10 +83,6 @@ class CoverageProblem:
                 frozenset(2.0 * e for e in self.bin_edges))
 
     @cached_property
-    def _support_cuts(self):
-        return np.array([self.bin_edges[0], np.nextafter(self.bin_edges[-1], math.inf)])
-
-    @cached_property
     def _edge_arrays(self):
         # The sorted edges and doubled edges, for the block path's D test.
         e = np.asarray(self.bin_edges)
@@ -94,20 +90,16 @@ class CoverageProblem:
 
     @cached_property
     def _mass_bounds(self):
-        # For the LPs: the widths (read-only, as every call shares them),
-        # the lower bin masses and the room above them as lists, and the
-        # sums of the lower and upper bin masses, which __post_init__ checks.
+        # For the LPs: the widths as an array (read-only, as every call
+        # shares it) and as a list, the lower bin masses and the room above
+        # them as lists, and the sums of the lower and upper bin masses,
+        # which __post_init__ checks.
         w = self.widths
         w.flags.writeable = False
         lo_m = np.asarray(self.theta_lower) * w
         hi_m = np.asarray(self.theta_upper) * w
-        return (w, lo_m.tolist(), (hi_m - lo_m).tolist(),
+        return (w, w.tolist(), lo_m.tolist(), (hi_m - lo_m).tolist(),
                 float(lo_m.sum()), float(hi_m.sum()))
-
-    @cached_property
-    def _width_list(self):
-        # The widths as a list, for the list LP.
-        return self.widths.tolist()
 
 
 def _partition(prob: CoverageProblem, x: np.ndarray):
@@ -224,19 +216,16 @@ def penalty(prob: CoverageProblem, x: np.ndarray) -> float:
         return float(np.sum(terms))
 
 
-_SLOPES = np.array([-1.0, 0.0, 1.0])
-
-
 def _penalty_grad(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     # The hinge's slope for each coordinate of a point or a block of rows:
-    # -1 below the support, +1 above it and 0 on it, from one search among
-    # the first edge and the float just above the last.
-    return _SLOPES[np.searchsorted(prob._support_cuts, x, side="right")]
+    # -1 below the support, 0 on it and +1 above it, by _add_penalty's
+    # comparisons, so NaN, which fails both, gets +1 here and there.
+    lo, hi = prob.bin_edges[0], prob.bin_edges[-1]
+    return np.where(x < lo, -1.0, np.where(x <= hi, 0.0, 1.0))
 
 
 def _add_penalty(prob: CoverageProblem, g: list, x) -> list:
-    # g + penalty_weight * _penalty_grad(prob, x) on lists, byte for byte:
-    # NaN, which searchsorted puts last, gets the slope +1 there and here.
+    # g + penalty_weight * _penalty_grad(prob, x) on lists, byte for byte.
     lo, hi, wt = prob.bin_edges[0], prob.bin_edges[-1], prob.penalty_weight
     return [gi + wt * (-1.0 if v < lo else 0.0 if v <= hi else 1.0)
             for gi, v in zip(g, np.asarray(x, dtype=float).tolist())]
@@ -248,20 +237,27 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     In per-bin mass variables m_k = theta_k * width_k the objective is
     sum_k (c_k / width_k) m_k with box bounds and a fixed total, so the
     greedy fill by decreasing rate c_k / width_k is exact (ties broken at
-    the lowest index).  Up to _LP_LIST_MAX bins the fill runs on Python
-    floats (_lp), and above it on arrays, with the same bytes."""
-    if len(c) <= _LP_LIST_MAX:  # _cost gives c as a list
-        return np.asarray(_lp(prob, c if isinstance(c, list)
-                              else np.asarray(c, dtype=float).tolist()))
-    c = np.asarray(c, dtype=float)
-    w = prob._mass_bounds[0]
-    return np.asarray(_fill(prob, np.argsort(-(c / w), kind="stable").tolist())) / w
+    the lowest index).  The fill runs on Python floats (_lp)."""
+    return np.asarray(_lp(prob, c if isinstance(c, list)  # _cost gives c as a list
+                          else np.asarray(c, dtype=float).tolist()))
 
 
-def _fill(prob: CoverageProblem, order) -> list:
-    # The bin masses of the greedy fill in the given order: the lower
-    # masses, then each bin's room while some of the total is left.
-    _, lo_m, room, lo_sum, _ = prob._mass_bounds
+def _lp(prob: CoverageProblem, c: list) -> list:
+    """inner_lp_max with c and theta as lists, byte for byte.
+
+    The rate c_k / w_k, its negation and theta_k = m_k / w_k are one IEEE
+    operation per entry, as in NumPy, and a stable sort of the negated
+    rates is np.argsort's order once none is NaN (argsort puts NaN last);
+    a NaN or an inf - inf in their sum leaves the order to np.argsort.
+    The fill starts from the lower masses and adds each bin's room in that
+    order while some of the total is left."""
+    _, wl, lo_m, room, lo_sum, _ = prob._mass_bounds
+    rates = list(map(neg, map(truediv, c, wl)))  # -(c_k / w_k)
+    total = sum(rates)
+    if total == total:
+        order = sorted(range(len(rates)), key=rates.__getitem__)
+    else:
+        order = np.argsort(rates, kind="stable").tolist()
     resid = prob.total_mass - lo_sum
     masses = list(lo_m)
     for k in order:
@@ -271,34 +267,7 @@ def _fill(prob: CoverageProblem, order) -> list:
         step = resid if resid < r else r  # min(r, resid)
         masses[k] += step
         resid -= step
-    return masses
-
-
-# Up to _LP_LIST_MAX bins, inner_lp_max takes the list LP and _lp sorts
-# the fill order in Python; above it, both sort with np.argsort, and
-# inner_lp_max fills on arrays.  From c as a list to theta as an array, on
-# seeded c on a shared 2-core x86 box pinned to one core, the list LP took
-# 0.5x the time of the array LP at K = 2, 0.7x at 6, 0.85x at 12, about the
-# same at 20, 1.1x at 32 and 1.65x at 100.
-_LP_LIST_MAX = 20
-
-
-def _lp(prob: CoverageProblem, c: list) -> list:
-    """inner_lp_max with c and theta as lists, byte for byte.
-
-    The rate c_k / w_k, its negation and theta_k = m_k / w_k are one IEEE
-    operation per entry, as in NumPy, and a stable sort of the negated
-    rates is np.argsort's order once none is NaN (argsort puts NaN last);
-    a NaN or an inf - inf in their sum, or more than _LP_LIST_MAX bins,
-    leaves the order to np.argsort."""
-    wl = prob._width_list
-    rates = list(map(neg, map(truediv, c, wl)))  # -(c_k / w_k)
-    total = sum(rates)
-    if total == total and len(rates) <= _LP_LIST_MAX:
-        order = sorted(range(len(rates)), key=rates.__getitem__)
-    else:
-        order = np.argsort(rates, kind="stable").tolist()
-    return list(map(truediv, _fill(prob, order), wl))
+    return list(map(truediv, masses, wl))
 
 
 # CoverageOracle.sample_gradients takes the block path once len(points) *
@@ -388,7 +357,7 @@ def _block_lp(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     of the rooms: a step adds its whole room while some mass is left after
     it, the step that exhausts it adds what was left, and later steps add
     nothing."""
-    w, lo_m, room, lo_sum, _ = prob._mass_bounds
+    w, _, lo_m, room, lo_sum, _ = prob._mass_bounds
     resid = prob.total_mass - lo_sum
     R, K = c.shape
     fill = np.argsort(-(c / w), axis=1, kind="stable")

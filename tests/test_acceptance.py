@@ -23,12 +23,12 @@ from gradsamp import (
     cantor_stress_oracle,
     finite_max_oracle,
     gradient_descent_baseline,
-    inner_lp_max,
     make_coverage_oracle,
     min_norm_point,
     run,
 )
 from gradsamp.cli import run_experiment
+from gradsamp.coverage import inner_lp_max
 from oracles import abs_value_problem, min_norm_bruteforce, two_agent_cost
 
 SEED = 42

@@ -273,7 +273,7 @@ def test_state_fields():
 def test_public_api_exports_no_submodules():
     assert not [n for n in gradsamp.__all__
                 if isinstance(getattr(gradsamp, n), ModuleType)]
-    assert len(gradsamp.__all__) == 24
+    assert len(gradsamp.__all__) == 21
 
 
 def test_public_api_is_pinned():
@@ -282,10 +282,9 @@ def test_public_api_is_pinned():
     assert set(gradsamp.__all__) == {
         "CantorStressProblem", "CoverageProblem", "FiniteMaxProblem",
         "GsParams", "IterationRecord", "MaxPiece",
-        "MinNormResult", "NonsmoothPolicy", "NonsmoothSampleError", "ParamError",
+        "MinNormResult", "NonsmoothPolicy", "ParamError",
         "ProblemOracle", "Rng", "StepKind", "Termination", "Trace",
         "cantor_stress_oracle", "finite_max_oracle",
-        "gradient_descent_baseline", "inner_lp_max",
-        "make_coverage_oracle", "min_norm_point", "penalty", "run",
-        "validate_params",
+        "gradient_descent_baseline", "make_coverage_oracle",
+        "min_norm_point", "run", "validate_params",
     }

@@ -22,12 +22,11 @@ from gradsamp import (
     GsParams,
     Rng,
     Termination,
-    inner_lp_max,
     make_coverage_oracle,
-    penalty,
     run,
 )
 from gradsamp import ProblemOracle, coverage
+from gradsamp.coverage import inner_lp_max, penalty
 from oracles import (
     excluded_hyperplanes,
     reference_c_vector,
@@ -314,27 +313,36 @@ def test_penalty_examples():
 def test_penalty_slope_one_pass_matches_two_masks():
     """The hinge slope, for a point and for a block of rows, equals byte
     for byte the sum of a mask below the support and one above it, on the
-    support's ends, one float either side of them, and far away.  The
-    hinge value equals the NumPy formula byte for byte on every triple of
-    those values, NaN and +-1e308, also on supports that start at -0.0
-    and at 0.0, and on seeded rows of 50 agents."""
+    support's ends, one float either side of them, and far away; NaN gets
+    the slope +1.  For each row, the list path's g + w * slope has the
+    bytes of the array path's.  The hinge value equals the NumPy formula
+    byte for byte on every triple of those values, NaN and +-1e308, also
+    on supports that start at -0.0 and at 0.0, and on seeded rows of 50
+    agents."""
     prob = CoverageProblem(n_agents=3, bin_edges=(-0.5, 2.0, 4.0),
-                           theta_lower=(0.0,) * 2, theta_upper=(1.0,) * 2)
+                           theta_lower=(0.0,) * 2, theta_upper=(1.0,) * 2,
+                           penalty_weight=0.3)
     lo, hi = -0.5, 4.0
     values = [v for e in (lo, hi) for v in (np.nextafter(e, -np.inf), e,
                                             np.nextafter(e, np.inf))]
-    values += [-np.inf, -1e300, -0.0, 0.0, 1.0, 1e300, np.inf]
+    values += [-np.inf, -1e300, -0.0, 0.0, 1.0, 1e300, np.inf, np.nan]
     X = np.array(values).reshape(-1, 1) + np.zeros(3)
     X[:, 1] = X[::-1, 0]
     want = np.where(X < lo, -1.0, 0.0) + np.where(X > hi, 1.0, 0.0)
+    want[np.isnan(X)] = 1.0
     assert coverage._penalty_grad(prob, X).tobytes() == want.tobytes()
-    for x, w in zip(X, want):
-        assert coverage._penalty_grad(prob, x).tobytes() == w.tobytes()
+    G = np.random.Generator(np.random.Philox(43)).standard_normal(X.shape)
+    G[:, 2] = -0.0  # on the support, -0.0 + w * 0.0 is +0.0 on both paths
+    for x, w, g in zip(X, want, G):
+        slope = coverage._penalty_grad(prob, x)
+        assert slope.tobytes() == w.tobytes()
+        listed = np.asarray(coverage._add_penalty(prob, g.tolist(), x))
+        assert listed.tobytes() == (g + prob.penalty_weight * slope).tobytes(), x
     for start in (lo, -0.0, 0.0):
         prob = CoverageProblem(n_agents=3, bin_edges=(start, 2.0, 4.0),
                                theta_lower=(0.0,) * 2, theta_upper=(1.0,) * 2)
         ends = [np.nextafter(start, -np.inf), start, np.nextafter(start, np.inf)]
-        for x in itertools.product(values + ends + [np.nan, -1e308, 1e308], repeat=3):
+        for x in itertools.product(values + ends + [-1e308, 1e308], repeat=3):
             x = np.array(x)
             with np.errstate(over="ignore"):  # np.sum of two terms past 1e308
                 assert repr(penalty(prob, x)) == repr(reference_penalty(prob, x)), x
@@ -849,7 +857,11 @@ def test_lower_masses_that_use_up_the_total_construct_and_solve():
     LP's own sum puts 2 ulps above it: the problem constructs, both LP paths
     and the reference LP return theta_lower, and a run ends with a
     termination.  Then a seeded search over such problems, where every one
-    constructs and both LP paths and the reference agree byte for byte."""
+    constructs and both LP paths and the reference agree byte for byte.
+    Then a second seeded pass at 21 to 120 bins, with masses that use up
+    the total or leave some of it to fill, and rows of tied rates (c_k =
+    n_k w_k with n_k in -2..2, so c_k / w_k is exactly n_k) or with one NaN
+    entry, which np.argsort orders in the list LP."""
     prob = CoverageProblem(n_agents=2, bin_edges=(0.0, 0.9, 1.2), theta_lower=(1e7, 2e7),
                            theta_upper=(2e7, 3e7), total_mass=14999999.999999998)
     lower = np.array(prob.theta_lower)
@@ -871,6 +883,28 @@ def test_lower_masses_that_use_up_the_total_construct_and_solve():
                                theta_upper=tuple(upper),
                                total_mass=float(np.dot(lower, np.diff(edges))))
         c = gen.standard_normal((3, K))
+        block = coverage._block_lp(prob, c)
+        for row, theta in zip(c, block):
+            assert inner_lp_max(prob, row).tobytes() == theta.tobytes()
+            assert reference_lp_max(prob, row).tobytes() == theta.tobytes()
+            assert theta_feasible(prob, theta, tol=1e-12 * prob.total_mass)
+
+    gen = np.random.Generator(np.random.Philox(37))
+    for _ in range(300):
+        K = int(gen.integers(21, 121))
+        edges = np.cumsum(np.concatenate([[gen.uniform(-5.0, 5.0)], gen.uniform(0.1, 2.0, K)]))
+        w = np.diff(edges)
+        lower = gen.uniform(0.0, 1.0, K) * 10.0 ** gen.uniform(-8.0, 8.0)
+        upper = lower * np.where(gen.random(K) < 0.3, 1.0, gen.uniform(1.0, 3.0, K))
+        share = 0.0 if gen.random() < 0.3 else gen.random()
+        prob = CoverageProblem(n_agents=1, bin_edges=tuple(edges), theta_lower=tuple(lower),
+                               theta_upper=tuple(upper),
+                               total_mass=float(np.dot(lower, w) + share * np.dot(upper - lower, w)))
+        c = gen.standard_normal((4, K))
+        c[1] = w * gen.integers(-2, 3, K)
+        c[2, gen.integers(K)] = math.nan
+        c[3] = w * gen.integers(-2, 3, K)
+        c[3, gen.integers(K)] = math.nan
         block = coverage._block_lp(prob, c)
         for row, theta in zip(c, block):
             assert inner_lp_max(prob, row).tobytes() == theta.tobytes()

@@ -13,9 +13,9 @@ from gradsamp import (
     CoverageProblem,
     GsParams,
     MaxPiece,
+    MinNormResult,
     FiniteMaxProblem,
     NonsmoothPolicy,
-    NonsmoothSampleError,
     ProblemOracle,
     Rng,
     StepKind,
@@ -27,7 +27,7 @@ from gradsamp import (
 )
 from gradsamp import driver
 from gradsamp.cli import build_params, build_problem_oracle, run_experiment
-from gradsamp.core import GsState
+from gradsamp.core import GsState, NonsmoothSampleError
 from gradsamp.driver import line_search, sample_ball, step
 from gradsamp.minnorm import NonFiniteError, min_norm_point
 from gradsamp.testfns import FiniteMaxOracle
@@ -639,6 +639,43 @@ def test_a_step_past_the_decrease_bound_ends_as_numerical_failure():
     assert tr.termination == Termination.NUMERICAL_FAILURE
     assert [r.step_kind for r in tr.records] == [StepKind.NULL_TOLERANCE] * 2
     assert (tr.final_x.tolist(), tr.final_f, tr.final_eps) == ([0.0], oracle.F0, oracle.EPS)
+
+
+def test_a_capped_qp_point_is_still_the_direction(monkeypatch):
+    """A min-norm QP that comes back capped, with a hull point that is not
+    the least-norm one, still gives the step its direction.  The point is a
+    convex combination of the bundle, so its norm is never below the true
+    minimum: NullTolerance cannot fire early, and the line search's test
+    guards every step.  Here each QP answers with the bundle's centroid,
+    flagged capped and uncertified: the run ends with a termination, takes
+    Descent steps, and each one meets the decrease bound of run's
+    docstring."""
+    oracle = finite_max_oracle(FiniteMaxProblem(pieces=(
+        MaxPiece(a=(1.0, 0.0)), MaxPiece(a=(-1.0, 0.0)),
+        MaxPiece(a=(0.0, 2.0)), MaxPiece(a=(0.0, -2.0)))))
+    capped = []
+
+    def centroid(points):
+        P = np.asarray(points)
+        least = min_norm_point(P)
+        point = P.mean(axis=0)
+        assert np.linalg.norm(point) >= np.linalg.norm(least.point) - 1e-12 * abs(P).max()
+        capped.append(point)
+        return MinNormResult(point=point, weights=np.full(len(P), 1.0 / len(P)),
+                             gap=1.0, iterations=64 * len(P), capped=True)
+
+    monkeypatch.setattr(driver, "min_norm_point", centroid)
+    p = GsParams(max_iters=200)
+    tr = run(oracle, p, np.array([1.0, 0.5]), Rng(5))
+    assert isinstance(tr.termination, Termination)
+    assert len(capped) == len(tr.records)
+    after = [r.f_approx for r in tr.records[1:]] + [tr.final_f]
+    descents = 0
+    for rec, f_new in zip(tr.records, after):
+        if rec.t > 0.0:
+            descents += 1
+            assert f_new <= rec.f_approx - p.alpha * p.beta * rec.t * rec.g_norm
+    assert descents > 0 and tr.final_f < tr.records[0].f_approx
 
 
 def test_a_nan_f_at_x_ends_the_line_search_before_its_trials():
