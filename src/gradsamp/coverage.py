@@ -60,7 +60,7 @@ class CoverageProblem:
             raise ValueError("total_mass must be positive and finite")
         # On the sums the LP fills from, so a problem built here never makes
         # it fail; within the slack it returns theta_lower or theta_upper.
-        lo_sum, hi_sum = self._mass_bounds[4:]
+        lo_sum, hi_sum = self._mass_bounds[6:]
         slack = 1e-12 * max(1.0, self.total_mass)
         if not lo_sum - slack <= self.total_mass <= hi_sum + slack:
             raise ValueError("mass constraint infeasible for the given bounds")
@@ -90,15 +90,17 @@ class CoverageProblem:
 
     @cached_property
     def _mass_bounds(self):
-        # For the LPs: the widths as an array (read-only, as every call
-        # shares it) and as a list, the lower bin masses and the room above
-        # them as lists, and the sums of the lower and upper bin masses,
-        # which __post_init__ checks.
+        # For the LPs: the widths, the lower bin masses and the room above
+        # them, each as an array for _block_lp (read-only, as every call
+        # shares it) and as a list for _lp, then the sums of the lower and
+        # upper bin masses, which __post_init__ checks.
         w = self.widths
-        w.flags.writeable = False
         lo_m = np.asarray(self.theta_lower) * w
         hi_m = np.asarray(self.theta_upper) * w
-        return (w, w.tolist(), lo_m.tolist(), (hi_m - lo_m).tolist(),
+        room = hi_m - lo_m
+        for a in (w, lo_m, room):
+            a.flags.writeable = False
+        return (w, w.tolist(), lo_m, lo_m.tolist(), room, room.tolist(),
                 float(lo_m.sum()), float(hi_m.sum()))
 
 
@@ -183,7 +185,7 @@ def _gradient(order, xs, segments, th: list) -> list:
         pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
         g[order[owner]] += (pa - pb) * t
         if a_idx >= 0:
-            d = (0.5 * -pa) * t
+            d = (-0.5 * pa) * t
             g[order[a_idx]] += d
             g[order[a_idx + 1]] += d
         if b_idx >= 0:
@@ -251,7 +253,7 @@ def _lp(prob: CoverageProblem, c: list) -> list:
     a NaN or an inf - inf in their sum leaves the order to np.argsort.
     The fill starts from the lower masses and adds each bin's room in that
     order while some of the total is left."""
-    _, wl, lo_m, room, lo_sum, _ = prob._mass_bounds
+    _, wl, _, lo_m, _, room, lo_sum, _ = prob._mass_bounds
     rates = list(map(neg, map(truediv, c, wl)))  # -(c_k / w_k)
     total = sum(rates)
     if total == total:
@@ -339,15 +341,16 @@ def _block_segments(prob: CoverageProblem, mids: np.ndarray):
     starts = np.ones(T, dtype=bool)
     starts[first + n_cuts - 1] = False
     lo = np.flatnonzero(starts)
+    hi = lo + 1
     del starts
-    alpha, beta = value[lo], value[lo + 1]
+    alpha, beta = value[lo], value[hi]
     del value
-    owner = end_owner[lo + 1]
+    owner = end_owner[hi]
     del end_owner
     row = np.repeat(np.arange(R), n_cuts - 1)
     for i in np.flatnonzero((alpha + beta) / 2.0 == alpha).tolist():
         owner[i] = np.searchsorted(mids[row[i]], alpha[i], side="left")
-    return row, bin_of[lo], alpha, beta, owner, mid_idx[lo], mid_idx[lo + 1]
+    return row, bin_of[lo], alpha, beta, owner, mid_idx[lo], mid_idx[hi]
 
 
 def _block_lp(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
@@ -357,15 +360,15 @@ def _block_lp(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     of the rooms: a step adds its whole room while some mass is left after
     it, the step that exhausts it adds what was left, and later steps add
     nothing."""
-    w, _, lo_m, room, lo_sum, _ = prob._mass_bounds
+    w, _, lo_m, _, room, _, lo_sum, _ = prob._mass_bounds
     resid = prob.total_mass - lo_sum
     R, K = c.shape
     fill = np.argsort(-(c / w), axis=1, kind="stable")
-    room_f = np.asarray(room)[fill]
+    room_f = room[fill]
     left = np.subtract.accumulate(
         np.concatenate([np.full((R, 1), resid), room_f], axis=1), axis=1)
     positive = left > 0.0
-    lo_f = np.asarray(lo_m)[fill]
+    lo_f = lo_m[fill]
     add = np.where(positive[:, 1:], room_f, left[:, :-1])
     masses = np.empty((R, K))
     masses[np.arange(R)[:, None], fill] = np.where(positive[:, :-1], lo_f + add, lo_f)
@@ -373,9 +376,13 @@ def _block_lp(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
 
 
 def _hits(sorted_values: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Elementwise: does v equal one of sorted_values?
-    return (np.searchsorted(sorted_values, v, side="left")
-            != np.searchsorted(sorted_values, v, side="right"))
+    # Elementwise: does v equal one of sorted_values?  The first entry not
+    # below v equals v exactly when some entry does.  searchsorted orders
+    # NaN last, so a NaN v lands past the end and the last entry, read in
+    # its place, is not equal to it; an inf v finds an entry that
+    # overflowed to inf, as a doubled edge can.
+    i = np.searchsorted(sorted_values, v, side="left")
+    return sorted_values[np.minimum(i, len(sorted_values) - 1, out=i)] == v
 
 
 # The (S, 5) gather arrays are a block's largest, 306 KB each at N = 50:
@@ -423,13 +430,23 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     del sums
     # The cells of each segment's parts, in _gradient's order: its owner,
     # the two agents of a midpoint alpha, then those of a midpoint beta.
+    # A missing midpoint's index -1 still reads valid cells, the row's
+    # first agent and the last agent of the row before (of the last row in
+    # row 0), which then get +0.0.
     cells, parts = _gather_buffers(len(row))
-    agent, base = order.ravel(), row * N
-    s = xs.ravel()[base + owner]
-    for col, i in enumerate((owner, a_idx, a_idx + 1, b_idx, b_idx + 1)):
-        cells[:, col] = base + agent[base + i]
+    agent = (order + np.arange(R)[:, None] * N).ravel()  # global agent cells
+    base = row * N
+    at = base + owner
+    s = xs.ravel()[at]
+    cells[:, 0] = agent[at]
+    at = base + a_idx
+    cells[:, 1] = agent[at]
+    cells[:, 2] = agent[at + 1]
+    at = base + b_idx
+    cells[:, 3] = agent[at]
+    cells[:, 4] = agent[at + 1]
     has_a, has_b, bin_cell = a_idx >= 0, b_idx >= 0, row * K + k
-    del row, k, owner, a_idx, b_idx, base, i
+    del row, k, owner, a_idx, b_idx, base, at
 
     # c summed per bin in segment order, as _cost does, then the LP.
     da, db = alpha - s, beta - s
@@ -446,7 +463,7 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     pa, pb = 2.0 * np.abs(da), 2.0 * np.abs(db)
     del da, db
     parts[:, 0] = (pa - pb) * t
-    parts[:, 1] = parts[:, 2] = np.where(has_a, (0.5 * -pa) * t, 0.0)
+    parts[:, 1] = parts[:, 2] = np.where(has_a, (-0.5 * pa) * t, 0.0)
     parts[:, 3] = parts[:, 4] = np.where(has_b, (0.5 * pb) * t, 0.0)
     G = np.bincount(cells.ravel(), weights=parts.ravel(), minlength=R * N).reshape(R, N)
     if prob.penalty_enabled:

@@ -15,7 +15,9 @@ Gram matrix of the augmented vectors (1, p_i), which is positive definite
 exactly when the points of S are affinely independent.  Its lower
 Cholesky factor is kept as Python lists, since S holds a handful of
 points: an entering point appends one row by forward substitution, and a
-drop refactors from G_S.
+drop refactors from G_S.  The factor reads only the rows of G of active
+points, so a row becomes a list of Python floats when its point first
+enters, and the rest of G stays an array, read by the optimality test.
 
 A bundle with a coordinate of magnitude outside [1e-100, 1e100] is first
 divided by a power of two, so the Gram matrix neither overflows nor
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -52,10 +54,11 @@ class MinNormResult:
     capped: bool = False    # True when the major-cycle cap was hit
 
 
-def _extend_factor(L: List[List[float]], z: List[float], Gl: List[List[float]],
+def _extend_factor(L: List[List[float]], z: List[float], Gl: Dict[int, List[float]],
                    active: List[int]) -> bool:
     """Extend the lower Cholesky factor L of G_S + 1 1^T, and z = L^{-1} 1,
-    from the leading len(L) points of ``active`` to all of them.
+    from the leading len(L) points of ``active`` to all of them.  Gl maps
+    each point of ``active`` to its row of G as a list.
 
     Returns False at the first point whose pivot is at most _PIVOT times
     its diagonal entry: that point is numerically affinely dependent on the
@@ -95,11 +98,13 @@ def _wolfe(G: np.ndarray, max_iter: int):
     and their weights.  Stops when the Wolfe test passes, when the
     entering point is already active or affinely dependent on the active
     set (a numerical stall that the caller's certificate reports), or
-    after max_iter major cycles.
+    after max_iter major cycles.  A row of G becomes a list, once, when its
+    point first enters: the Cholesky factor reads only the rows of the
+    active points.
     """
-    Gl = G.tolist()
-    diag = [row[i] for i, row in enumerate(Gl)]
+    diag = G.diagonal().tolist()
     active = [diag.index(min(diag))]
+    Gl = {active[0]: G[active[0]].tolist()}
     lam = [1.0]
     L: List[List[float]] = []
     z: List[float] = []
@@ -119,6 +124,8 @@ def _wolfe(G: np.ndarray, max_iter: int):
         if j in active:
             break  # numerically stalled; certificate reported by the caller
         active.append(j)
+        if j not in Gl:
+            Gl[j] = G[j].tolist()
         if not _extend_factor(L, z, Gl, active):
             active.pop()
             break  # affinely dependent on the active set; likewise reported

@@ -529,7 +529,9 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
     paths, among them agents at 1e200, where c is inf or NaN, rates that
     tie, and LPs without room, where the list LP also gives a _block_lp
     row's bytes.  Then bundles of N + 2 rows at N = 50, one block, and at
-    N = 400, in chunks of 13 rows, whole and with a miss of D at row 30."""
+    N = 400, in chunks of 13 rows, whole and with a miss of D at row 30.
+    Last, a problem whose doubled last edge overflows to inf, with agent
+    pairs whose sums overflow and an agent on that edge."""
     blocks = []
     block = coverage._block_gradients
 
@@ -646,6 +648,61 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
         got = [g.tobytes() for g in oracle.sample_gradients(points)]
         assert got == _per_point(oracle, points) and len(got) == 30
         assert blocks == chunks[N][1]
+
+    # A last edge whose double overflows: the doubled edges are 0, 2 and
+    # inf, so a pair whose sum overflows to inf is outside D, as is an
+    # agent on 1e308, while a pair whose sum overflows to -inf is in D.
+    # Each miss goes at a random row of a bundle of points in D, walked (5
+    # rows) or as one block (30 rows).
+    huge = CoverageProblem(n_agents=3, bin_edges=(0.0, 1.0, 1e308),
+                           theta_lower=(0.0, 0.0), theta_upper=(1.0, 1e-300))
+    assert 2.0 * huge.bin_edges[-1] == math.inf
+    oracle = make_coverage_oracle(huge)
+    inside = [np.array(x) for x in ([0.5, 2.0, 1e300], [-1e308, 0.25, 1.5e307],
+                                    [0.75, 5e307, 8e307], [0.3, 0.6, 1.7e308],
+                                    [-1.7e308, -1.6e308, 0.5])]
+    misses = [np.array(x) for x in ([0.5, 0.9e308, 0.95e308], [0.5, 1.2e308, 1.7e308],
+                                    [0.5, 2.0, 1e308], [1e308, 0.5, 1.7e308])]
+    assert all(_in_D(huge, x) for x in inside)
+    assert not any(_in_D(huge, x) for x in misses)
+    for size in (5, 30):
+        points = [inside[i % len(inside)] for i in range(size)]
+        blocks.clear()
+        got = [g.tobytes() for g in oracle.sample_gradients(points)]
+        assert got == _per_point(oracle, points) and len(got) == size
+        assert bool(blocks) == (size == 30)
+        for miss in misses:
+            at = int(gen.integers(0, size))
+            bundle = points[:at] + [miss] + points[at + 1:]
+            got = [g.tobytes() for g in oracle.sample_gradients(bundle)]
+            assert got == _per_point(oracle, bundle) and len(got) == at, (size, at)
+
+
+def test_hits_is_membership_by_equality():
+    """_hits, one search per value, gives np.isin's answer on the sorted
+    edges and doubled edges of problems whose doubled edges overflow to
+    -inf and inf, twice, or are subnormal: for every entry, its float
+    neighbours, +-0.0, +-inf and NaN."""
+    hits = 0
+    for edges in ((0.0, 1.0, 1e308), (-1.5e308, 0.0, 1e308, 1.5e308),
+                  (-2.0, -0.5, 3.0), (5e-324, 1.0)):
+        K = len(edges) - 1
+        upper = tuple(1.0 / (b - a) for a, b in zip(edges, edges[1:]))  # unit masses
+        prob = CoverageProblem(n_agents=1, bin_edges=edges,
+                               theta_lower=(0.0,) * K, theta_upper=upper)
+        with np.errstate(over="ignore"):  # a doubled edge past 1e308 is inf
+            arrays = prob._edge_arrays
+        for a in arrays:
+            v = np.concatenate([a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf),
+                                [0.0, -0.0, np.inf, -np.inf, np.nan]])
+            want = np.isin(v, a)
+            assert np.array_equal(coverage._hits(a, v), want), (edges, a.tolist())
+            assert np.array_equal(coverage._hits(a, v.reshape(1, -1)), want[None, :])
+            hits += int(want[len(a):].sum())
+    # Beyond the entries themselves: +-0.0 on an edge at 0, inf (and a
+    # neighbour of inf, which is inf) on doubled edges that overflowed,
+    # -inf likewise.
+    assert hits >= 8
 
 
 def test_block_path_memory_is_bounded():

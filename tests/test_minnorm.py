@@ -1,9 +1,12 @@
 """Minimum-norm-point solver against closed forms and the lattice oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gradsamp import MinNormResult, min_norm_point
+from gradsamp import minnorm
 from gradsamp.minnorm import _TOL
 from oracles import min_norm_bruteforce
 
@@ -162,3 +165,50 @@ def test_scale_guard_is_exact():
     np.testing.assert_array_equal(big.weights, base.weights)
     assert big.gap == np.ldexp(base.gap, 800)
     assert big.iterations == base.iterations
+
+
+def test_wolfe_converts_only_the_rows_of_points_that_enter(monkeypatch):
+    """_wolfe turns a row of the Gram matrix into Python floats only when
+    its point enters the active set, and only once, besides the diagonal;
+    it never converts the whole m x m matrix.  Seen through an ndarray
+    subclass that records every tolist() of memory inside G, on a seeded
+    bundle of 402 points in 400 dimensions, the size of an N = 400
+    coverage bundle, where some points leave the active set and enter it
+    again."""
+    gen = np.random.Generator(np.random.Philox(414))
+    Q = gen.normal(size=(402, 400)) + 0.3
+    G = Q @ Q.T
+    m = len(G)
+    converted = []
+
+    class Counting(np.ndarray):
+        def tolist(self):
+            if np.shares_memory(self, counted):
+                offset = self.__array_interface__["data"][0] - start
+                converted.append((self.shape, self.strides, offset))
+            return super().tolist()
+
+    counted = G.view(Counting)
+    start = counted.__array_interface__["data"][0]
+    history = []
+    extend = minnorm._extend_factor
+
+    def recording(L, z, Gl, active):
+        history.append(list(active))
+        return extend(L, z, Gl, active)
+
+    monkeypatch.setattr(minnorm, "_extend_factor", recording)
+    active, lam, it, capped = minnorm._wolfe(counted, 64 * m)
+    # The same answer as on the plain array.
+    assert (active, lam, it, capped) == minnorm._wolfe(G, 64 * m)
+    entered = set().union(*history)
+    returned = [p for p in entered if re.search(
+        "10+1", "".join("1" if p in a else "0" for a in history))]
+    assert not capped and returned
+    diagonal = [c for c in converted if c[1] == ((m + 1) * G.itemsize,)]
+    rows = [c for c in converted if c[1] == (G.itemsize,)]
+    assert len(diagonal) == 1 and len(diagonal) + len(rows) == len(converted)
+    assert all(shape == (m,) and offset % (m * G.itemsize) == 0
+               for shape, _, offset in rows)
+    row_ids = [offset // (m * G.itemsize) for _, _, offset in rows]
+    assert len(set(row_ids)) == len(row_ids) and set(row_ids) <= entered
