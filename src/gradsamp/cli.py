@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -30,9 +28,6 @@ from .testfns import (
     cantor_stress_oracle,
     finite_max_oracle,
 )
-
-log = logging.getLogger("gradsamp")
-
 
 class ConfigError(ValueError):
     pass
@@ -194,7 +189,6 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         return 1
 
     out.mkdir(parents=True, exist_ok=True)
-    log.info("running experiment: %s -> %s", config_path, out)
     t0 = time.perf_counter()
     trace = run(oracle, params, x1, rng)
     wall = time.perf_counter() - t0
@@ -262,9 +256,6 @@ def emit_plot_data(trace_path, out_path) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("GRADSAMP_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     parser = argparse.ArgumentParser(
         prog="gradsamp",
         description="Gradient-sampling experiments for min-max objectives")

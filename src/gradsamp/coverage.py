@@ -86,22 +86,26 @@ class CoverageProblem:
     def _edge_arrays(self):
         # The sorted edges and doubled edges, for the block path's D test.
         e = np.asarray(self.bin_edges)
-        return e, 2.0 * e
+        with np.errstate(over="ignore"):  # a doubled edge past 1e308 is inf
+            return e, 2.0 * e
 
     @cached_property
     def _mass_bounds(self):
         # For the LPs: the widths, the lower bin masses and the room above
         # them, each as an array for _block_lp (read-only, as every call
         # shares it) and as a list for _lp, then the sums of the lower and
-        # upper bin masses, which __post_init__ checks.
+        # upper bin masses, which __post_init__ checks.  A mass or sum past
+        # 1e308 is inf, without NumPy's warning; an inf lower mass makes
+        # the problem infeasible, whatever its room (inf - inf = NaN) reads.
         w = self.widths
-        lo_m = np.asarray(self.theta_lower) * w
-        hi_m = np.asarray(self.theta_upper) * w
-        room = hi_m - lo_m
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo_m = np.asarray(self.theta_lower) * w
+            hi_m = np.asarray(self.theta_upper) * w
+            room = hi_m - lo_m
+            sums = float(lo_m.sum()), float(hi_m.sum())
         for a in (w, lo_m, room):
             a.flags.writeable = False
-        return (w, w.tolist(), lo_m, lo_m.tolist(), room, room.tolist(),
-                float(lo_m.sum()), float(hi_m.sum()))
+        return (w, w.tolist(), lo_m, lo_m.tolist(), room, room.tolist()) + sums
 
 
 def _partition(prob: CoverageProblem, x: np.ndarray):

@@ -11,7 +11,6 @@ step-size limits is included for comparison.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from typing import Tuple
@@ -110,91 +109,100 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
     return center + offset
 
 
-def _backtrack(oracle: ProblemOracle, x: np.ndarray, d: np.ndarray, f0: float,
-               g_norm: float, eps: float, p: GsParams,
-               slack: float) -> Tuple[float, int, np.ndarray, float]:
-    """Backtracking along d from t = t_init_factor * eps by factors gamma
-    until f(x + t d) <= f0 - beta * t * g_norm + slack.  Returns (t, trials,
-    x + t d, f(x + t d)) for the accepted trial, and (0, trials, x, f0)
-    once the next trial would undercut the floor gamma * eps / 3.  A NaN
-    trial value fails the test, so the f returned is NaN only if f0 is."""
-    t = p.t_init_factor * eps
-    t_min = p.gamma * eps / 3.0
+def _scaled(g: np.ndarray) -> Tuple[np.ndarray, float, int]:
+    """(s, n, e) with g = s * 2**e and n = ||s||: the one scaling of g that
+    its norm, the search direction and the line search's test all read.
+
+    e = 0 where g is 0 or its largest magnitude lies in (1e-150, 1e150).
+    Then s is g, and n is sqrt(g.g), which has np.linalg.norm's bytes,
+    since g.g neither overflows nor leaves the normal range for fewer than
+    1e8 entries.  Otherwise 2**e moves the largest entry into [0.5, 1), so
+    s.s lies in [0.25, len(g)) and n keeps its digits where ||g|| would
+    overflow or fall among the subnormals.  An inf or NaN entry gives
+    n = inf or NaN; the overflow of s.s on the way is not warned of.
+    min and max skip a NaN unless it comes first, and then return it,
+    which fails the range test, so every large entry is seen.  ||g|| is
+    ``_ldexp(n, e)``."""
+    gl = g.tolist()
+    hi = max(max(gl), -min(gl))
+    if 1e-150 < hi < 1e150 or hi == 0.0:
+        return g, math.sqrt(g.dot(g)), 0
+    e = math.frexp(hi)[1]  # 0 for an inf or NaN hi
+    s = np.ldexp(g, -e)
+    with np.errstate(over="ignore"):
+        return s, math.sqrt(s.dot(s)), e
+
+
+def _ldexp(v: float, e: int) -> float:
+    """v * 2**e, rounded once, and inf where it overflows (math.ldexp
+    raises there).  Each factor 2**(e/2) is a normal float for the e of
+    ``_scaled``, so the first product is exact unless the result is far
+    below the normal range.  For e = 0 this is v, byte for byte."""
+    h = e // 2
+    return v * 2.0 ** h * 2.0 ** (e - h)
+
+
+def line_search(oracle: ProblemOracle, x: np.ndarray, f_x: float,
+                g: Tuple[np.ndarray, float, int], eps_k: float, p: GsParams,
+                slack: bool = True) -> LineSearchOutcome:
+    """Limited backtracking search from x, where f(x) = f_x, along
+    d = -s / n, for a gradient scaled by ``_scaled`` as g = (s, n, e), with
+    0 < n < inf.
+
+    Starts at t = t_init_factor * eps_k and shrinks by gamma until the
+    sufficient-decrease test f(x + t d) <= f_x - beta * t * ||g|| + c_k / 2
+    passes, where c_k = gamma * (1 - alpha) * beta * ||g|| * eps_k / 3;
+    returns t = 0 once the next trial would undercut the floor
+    gamma * eps_k / 3.  With ``slack=False`` c_k is 0: the plain Armijo
+    test of the GD baseline.  Each trial costs one ``oracle.objective``
+    call, and f_x costs none: the outcome carries the accepted trial's
+    point and value, so the caller never evaluates f there again.  f_x is
+    not checked here; a NaN f_x fails every test, so the search ends at
+    t = 0, and a NaN trial fails it too, so the f returned is NaN only if
+    f_x is.
+
+    The test's terms are read from the scaling, as (beta * t * n) * 2**e
+    and (c(n) * 2**e) / 2, with c(n) the c_k formula at n.  For e = 0
+    these are the plain products.  Where only ||g|| = n * 2**e overflows,
+    they stay finite, so the test decides, where -inf + inf would read NaN.
+
+    An accepted step decreases f by at least alpha * beta * t * ||g||.  No
+    t below gamma * eps_k / 3 is tried, so the slack c_k / 2 is at most
+    (1 - alpha) * beta * t * ||g|| / 2, and an accepted trial has
+    f_t <= f_x - beta * t * ||g|| * (1 + alpha) / 2, which is below
+    f_x - alpha * beta * t * ||g|| by (1 - alpha) * beta * t * ||g|| / 2.
+    In floating point the test is off by a few roundings of 2**-53
+    relative to |f_x|, beta * t * ||g|| and c_k; that margin covers those
+    on the last two, and a tolerance of 1e-9 * (1 + |f_x|) those on f_x,
+    unless 1 - alpha is itself a few 2**-53.  At f_x = +inf every trial
+    passes and the bound is +inf; where f_x = -inf, or beta * t * ||g||
+    overflows, only a trial at -inf passes, and -inf is not above the
+    bound.  So the bound holds to within the tolerance unless alpha lies
+    within a few 2**-53 of 1: with alpha = 1 - 2**-52 and
+    ||g|| = 3.3e13, a trial at the test's own limit can be 3e-5 above it.
+    Such a trial is not taken: the search raises NonFiniteError, which
+    ends a run as NumericalFailure.
+    """
+    s, n, e = g
+    d = -s / n
+    c_half = 0.0
+    if slack:
+        c_half = _ldexp(p.gamma * (1.0 - p.alpha) * p.beta * n * eps_k / 3.0, e) / 2.0
+    t = p.t_init_factor * eps_k
+    t_min = p.gamma * eps_k / 3.0
     trials = 0
     while True:
         trials += 1
         x_t = x + t * d
         f_t = oracle.objective(x_t)
-        if f_t <= f0 - p.beta * t * g_norm + slack:
-            return t, trials, x_t, f_t
+        drop = _ldexp(p.beta * t * n, e)
+        if f_t <= f_x - drop + c_half:
+            if f_t > f_x - _ldexp(p.alpha * p.beta * t * n, e) + 1e-9 * (1.0 + abs(f_x)):
+                raise NonFiniteError("the accepted step breaks the decrease bound")
+            return LineSearchOutcome(t=t, trials=trials, accepted=True, x=x_t, f=f_t)
         if p.gamma * t < t_min:
-            return 0.0, trials, x, f0
+            return LineSearchOutcome(t=0.0, trials=trials, accepted=False, x=x, f=f_x)
         t *= p.gamma
-
-
-def _norm(v: np.ndarray) -> float:
-    """The Euclidean norm as np.linalg.norm gives it, and the scaled norm of
-    math.hypot where v.v overflows (entries above about 1e154) or falls
-    below the smallest normal double (entries below about 1e-154), whose
-    square root has lost digits.  That overflow is recovered from, so NumPy
-    does not warn of it.  The errstate that silences it costs more than the
-    dot, so only a v with an entry of magnitude 1e150 or more enters it;
-    otherwise v.v < len(v) * 1e300 is finite (for fewer than 1e8 entries).
-    min and max skip a NaN unless it comes first, and then return it,
-    which fails the test, so every large entry is seen."""
-    vl = v.tolist()
-    if -1e150 < min(vl) and max(vl) < 1e150:
-        s = v.dot(v)  # the same operations as np.linalg.norm
-    else:
-        with np.errstate(over="ignore"):
-            s = v.dot(v)
-    return math.sqrt(s) if sys.float_info.min <= s < math.inf else math.hypot(*vl)
-
-
-def _direction(g: np.ndarray, g_norm: float) -> np.ndarray:
-    """-g / ||g|| for g_norm = _norm(g) > 0, a unit vector whenever g is
-    finite and non-zero.  Where ||g|| is not a normal float, as when it
-    overflows to inf or has lost digits below the smallest normal double,
-    g is first divided by a power of two near its largest magnitude, which
-    puts that entry in [0.5, 1) and ||g|| in [0.5, sqrt(n)).  Otherwise the
-    quotient is the plain -g / g_norm."""
-    if sys.float_info.min <= g_norm < math.inf:
-        return -g / g_norm
-    g = np.ldexp(g, -math.frexp(max(map(abs, g.tolist())))[1])
-    return -g / _norm(g)
-
-
-def _f_at(oracle: ProblemOracle, x: np.ndarray) -> float:
-    """f(x), raising NonFiniteError if it is NaN.  An infinite f still
-    orders the line search's trials, so a run can descend from it."""
-    f_x = oracle.objective(x)
-    if math.isnan(f_x):
-        raise NonFiniteError("f is NaN at the iterate")
-    return f_x
-
-
-def line_search(oracle: ProblemOracle, x: np.ndarray, f_x: float, d: np.ndarray,
-                g_norm: float, eps_k: float, p: GsParams) -> LineSearchOutcome:
-    """Limited backtracking search along the unit direction d from x, where
-    f(x) = f_x.
-
-    Starts at t = t_init_factor * eps_k and shrinks by gamma until the
-    sufficient-decrease test f(x + t d) <= f_x - beta * t * g_norm + c_k / 2
-    passes, where c_k = gamma * (1 - alpha) * beta * g_norm * eps_k / 3;
-    returns t = 0 once the next trial would undercut the floor
-    gamma * eps_k / 3.  Each trial costs one ``oracle.objective`` call, and
-    f_x costs none: the outcome carries the accepted trial's point and
-    value, so the caller never evaluates f there again.  f_x is not checked
-    here; a NaN f_x fails every test, so the search ends at t = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if abs(_norm(d) - 1.0) > 1e-12:
-        raise ValueError("search direction must be a unit vector")
-    c_k = p.gamma * (1.0 - p.alpha) * p.beta * g_norm * eps_k / 3.0
-    t, trials, x_t, f_t = _backtrack(oracle, x, d, f_x, g_norm, eps_k, p,
-                                     slack=c_k / 2.0)
-    return LineSearchOutcome(t=t, trials=trials, accepted=t > 0.0, x=x_t, f=f_t)
 
 
 def step(oracle: ProblemOracle, state: GsState, p: GsParams,
@@ -212,15 +220,18 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     been computed by then.  The min-norm QP takes one (k, n) array:
     ``state.kept`` and then the m fresh gradients, joined by one
     concatenate.  A NullLineSearch step keeps its fresh rows for the next
-    step, and every other step keeps none.
+    step, and every other step keeps none.  The QP's point g is scaled
+    once, by ``_scaled``; the recorded ||g||, the NullTolerance test and
+    the line search all read that one scaling.
 
     f(x) is ``state.f``.  Only when that is None, before a run's first
     step, is it evaluated, once, after the bundle.  The new state carries
     f at the new x: the accepted trial's value after a Descent step, the
     unchanged f after a null step.  Raises NonFiniteError on a non-finite
-    fresh gradient (the kept ones passed the step before) or a NaN f at
-    the first x; a carried f is never NaN, because a NaN trial fails the
-    line search's test and is never accepted.
+    fresh gradient (the kept ones passed the step before), a NaN f at the
+    first x, or an accepted trial that breaks the line search's decrease
+    bound; a carried f is never NaN, because a NaN trial fails the line
+    search's test and is never accepted.
     """
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
@@ -244,11 +255,14 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
         done += len(parts[-1]) + 1
     bundle = np.concatenate([b for b in parts if len(b)])
 
-    res = min_norm_point(bundle)
-    g = res.point
-    g_norm = _norm(g)
+    g = _scaled(min_norm_point(bundle).point)
+    g_norm = _ldexp(g[1], g[2])
 
-    f_x = _f_at(oracle, x) if state.f is None else state.f
+    f_x = state.f
+    if f_x is None:
+        f_x = oracle.objective(x)
+        if math.isnan(f_x):  # an infinite f still orders the trials
+            raise NonFiniteError("f is NaN at the iterate")
 
     if g_norm <= state.nu:
         new_state = GsState(k=state.k + 1, x=x, eps=p.mu * state.eps,
@@ -256,7 +270,7 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
         kind = StepKind.NULL_TOLERANCE
         t = 0.0
     else:
-        ls = line_search(oracle, x, f_x, _direction(g, g_norm), g_norm, state.eps, p)
+        ls = line_search(oracle, x, f_x, g, state.eps, p)
         t = ls.t
         if t > 0.0:
             kind, kept = StepKind.DESCENT, ()
@@ -294,31 +308,15 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     redrawn into D under 'resample', or (as Stalled) before a step whose
     radius eps has underflowed to 0, or (as NumericalFailure) at a NaN f
     at x1, a non-finite bundle gradient or a step that breaks the decrease
-    bound below, keeping the records before it.  f is evaluated at x1
+    bound of ``line_search``, keeping the records before it.  So every
+    recorded Descent step decreases f by at least alpha * beta * t_k *
+    ||g^k||, to within that bound's tolerance.  f is evaluated at x1
     only, and the first step tests that one value for NaN; every later
     value, ``trace.final_f`` included, is one the line search accepted,
     which is never NaN because a NaN trial fails its test.  So no iterate
     costs an oracle call of its own.  Raises ValueError, before the oracle
     is called, unless x1 is a finite vector of shape (oracle.dim,) and
     oracle.dim is at least 1.
-
-    The line search guarantees that the recorded objective decreases by
-    at least alpha * beta * t_k * ||g^k|| on every accepted step.  It
-    tries no t below gamma * eps_k / 3, so its slack c_k / 2 is at most
-    (1 - alpha) * beta * t * ||g|| / 2, and an accepted trial has
-    f_t <= f0 - beta * t * ||g|| * (1 + alpha) / 2, which is below
-    f0 - alpha * beta * t * ||g|| by (1 - alpha) * beta * t * ||g|| / 2.
-    In floating point the test is off by a few roundings of 2**-53
-    relative to |f0|, beta * t * ||g|| and c_k; that margin covers those on
-    the last two, and a tolerance of 1e-9 * (1 + |f0|) those on f0, unless
-    1 - alpha is itself a few 2**-53.  A NaN trial fails the test, and f0
-    is never NaN.  At f0 = +inf every trial passes and the bound is +inf;
-    where f0 = -inf, or beta * t * ||g|| overflows, only a trial at -inf
-    passes, and -inf is not above the bound.  So the bound holds to within
-    the tolerance unless alpha lies within a few 2**-53 of 1: with
-    alpha = 1 - 2**-52 and ||g|| = 3.3e13, a trial at the test's own
-    limit is 1.2e-4 above it.  Such a step is not taken; the run ends as
-    NumericalFailure.
     """
     x1 = _start_point(oracle, x1)
     validate_params(p, x1.shape[0])
@@ -337,10 +335,6 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
             break
         except NonFiniteError:
             termination = Termination.NUMERICAL_FAILURE
-            break
-        if rec.t > 0.0 and new.f > (rec.f_approx - p.alpha * p.beta * rec.t * rec.g_norm
-                                    + 1e-9 * (1.0 + abs(rec.f_approx))):
-            termination = Termination.NUMERICAL_FAILURE  # alpha near 1: see above
             break
         state = new
         trace.records.append(rec)
@@ -367,21 +361,22 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
                               x1: np.ndarray) -> Trace:
     """Plain normalized gradient descent under the same step-size limits.
 
-    The direction is the negated gradient of F at the inner maximizer of
-    the current iterate; there is no sampling and no tolerance
-    discounting.  The backtracking search uses the same step-size limits
-    [gamma * eps1 / 3, t_init_factor * eps1] and the same beta/gamma, but
-    not the c_k / 2 slack of ``line_search``: the plain Armijo test
-    applies.  Stops as Stalled at its first failed line search, whose
-    record is the last: x, f and the gradient stay as they are, and the
-    oracles are pure, so every retry would fail the same way.  A gradient
-    with an entry that is not finite gives no direction, and its search
-    fails without a trial.  Also stops when the iterate leaves D, or at
-    max_iters.  Each iterate's gradient is one ``oracle.sample_gradients``
-    row, and an empty answer means the iterate is outside D.  As in
-    ``run``, f is evaluated at x1 only, by ``oracle.objective``, and then
-    carried from the accepted trials.  Raises ValueError unless x1 is a
-    finite vector of shape (oracle.dim,) in D, with oracle.dim at least 1.
+    The direction is the negated gradient of F at the inner maximizer of the
+    current iterate; there is no sampling and no tolerance discounting.
+    Each step is one ``line_search`` along the scaled gradient, with t in
+    [gamma * eps1 / 3, t_init_factor * eps1], the same beta/gamma and
+    ``slack=False``: the plain Armijo test applies.  Stops as Stalled at its
+    first failed line search, whose record is the last: x, f and the
+    gradient stay as they are, and the oracles are pure, so every retry
+    would fail the same way.  A zero gradient, or one with an entry that is
+    not finite, gives no direction (its scaled norm n is not in (0, inf)),
+    and its search fails without a trial.  Also stops when the iterate
+    leaves D, or at max_iters.  Each iterate's gradient is one
+    ``oracle.sample_gradients`` row, and an empty answer means the iterate
+    is outside D.  As in ``run``, f is evaluated at x1 only, by
+    ``oracle.objective``, and then carried from the accepted trials.  Raises
+    ValueError unless x1 is a finite vector of shape (oracle.dim,) in D,
+    with oracle.dim at least 1.
     """
     x = _start_point(oracle, x1)
     validate_params(p, x.shape[0])
@@ -399,15 +394,14 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
             if len(rows) == 0:
                 termination = Termination.LEFT_DOMAIN
                 break
-        grad = np.asarray(rows[0], dtype=float)
-        g_norm = _norm(grad)
+        g = _scaled(np.asarray(rows[0], dtype=float))
         t, x_next, f_next = 0.0, x, f_here
-        if g_norm != 0.0 and np.isfinite(grad).all():
-            t, _, x_next, f_next = _backtrack(oracle, x, _direction(grad, g_norm), f_here,
-                                              g_norm, p.eps1, p, slack=0.0)
+        if 0.0 < g[1] < math.inf:
+            ls = line_search(oracle, x, f_here, g, p.eps1, p, slack=False)
+            t, x_next, f_next = ls.t, ls.x, ls.f
         kind = StepKind.DESCENT if t > 0.0 else StepKind.NULL_LINESEARCH
         trace.records.append(IterationRecord(
-            k=k, x=x, f_approx=f_here, eps=p.eps1, nu=p.nu1, g_norm=g_norm,
+            k=k, x=x, f_approx=f_here, eps=p.eps1, nu=p.nu1, g_norm=_ldexp(g[1], g[2]),
             t=t, step_kind=kind, sample_count=0,
             wall_time_us=(time.perf_counter_ns() - t0) // 1000))
         x, f_here = x_next, f_next

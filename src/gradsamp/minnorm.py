@@ -42,7 +42,8 @@ _SAFE = (1e-100, 1e100)  # coordinate magnitudes solved without rescaling
 
 class NonFiniteError(ValueError):
     """A NaN or infinite coordinate in the input points, or (raised by the
-    driver) a NaN objective value at the start point."""
+    driver) a NaN objective value at the start point or an accepted step
+    that breaks the line search's decrease bound."""
 
 
 @dataclass

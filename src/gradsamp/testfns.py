@@ -118,7 +118,7 @@ class _MemberMaxOracle(ProblemOracle):
     def objective(self, x):
         """eval_F(x, inner_max(x)) from one ``_block`` row."""
         vals = self._evaluated(x)[0]
-        return vals[self._member(vals, (self._indices[_argmax(vals)],))]
+        return vals[_argmax(vals)]
 
     def eval_F(self, x, theta):
         vals = self._evaluated(x)[0]
@@ -171,15 +171,18 @@ class FiniteMaxOracle(_MemberMaxOracle):
         of the per-piece formula: a ddot for a_i'x, a dgemv for Q_i x and a
         ddot for x'(Q_i x).  A piece without Q gets a_i'x + b_i and a_i
         with nothing added: a zero Q would add NaN at an infinite
-        coordinate."""
+        coordinate.  Where an entry near the float range overflows to inf,
+        or inf meets -inf as NaN, NumPy does not warn: the solvers handle
+        those values."""
         Xc = X[:, None, :, None]
-        vals = np.matmul(self._A[:, None, :], Xc)[..., 0, 0] + self._b
         grads = self._A[None].repeat(len(X), axis=0)
-        if self._Qs is not None:
-            QX = np.matmul(self._Qs, Xc)
-            q = self._quad
-            vals[:, q] += 0.5 * np.matmul(X[:, None, None, :], QX)[..., 0, 0]
-            grads[:, q] += QX[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.matmul(self._A[:, None, :], Xc)[..., 0, 0] + self._b
+            if self._Qs is not None:
+                QX = np.matmul(self._Qs, Xc)
+                q = self._quad
+                vals[:, q] += 0.5 * np.matmul(X[:, None, None, :], QX)[..., 0, 0]
+                grads[:, q] += QX[..., 0]
         return vals, grads
 
 

@@ -1,6 +1,7 @@
 """Config-driven runner: exit codes, artifacts, CSV schema, plot data."""
 
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -143,18 +144,40 @@ def test_dimension_0_exit_1_writes_nothing(tmp_path, capsys):
 
 
 def test_gradient_norm_past_float_range_ends_with_a_termination(tmp_path):
-    """||g|| of a = (1.5e308, 1.5e308) overflows to inf, yet the search
-    direction is a unit vector: the run and the baseline end with a
-    termination reason, and every artifact is written."""
+    """||g|| of a = (1.5e308, 1.5e308) overflows to inf, yet the scaled
+    gradient gives a unit direction and finite terms for the line search's
+    test: the run and the baseline take only Descent steps, down to
+    f = -inf, end with a termination reason, and write every artifact."""
     out = tmp_path / "out"
     cfg = _minimal_config(out, x1=[0.0, 0.0], run_baseline_gd=True)
     cfg["problem"]["pieces"] = [{"a": [1.5e308, 1.5e308]}]
+    cfg["params"]["max_iters"] = 30
     assert run_experiment(str(_write(tmp_path, cfg))) == 0
-    for name in ("trace.csv", "trace.json", "baseline_trace.csv"):
-        assert (out / name).exists()
+    assert (out / "trace.json").exists()
+    for name in ("trace.csv", "baseline_trace.csv"):
+        rows = [r.split(",") for r in (out / name).read_text().splitlines()[1:]]
+        assert [r[-1] for r in rows] == ["Descent"] * 30, name
+        assert rows[-1][3] == "-inf", name  # k, x_0, x_1, f, ...
     summary = json.loads((out / "summary.json").read_text())
     for block in ("sampling", "baseline_gd"):
         Termination(summary[block]["termination"])
+
+
+def test_bin_masses_past_float_range_run_to_an_exit_code(tmp_path):
+    """Coverage bins about 1e308 wide with upper densities of 1: the upper
+    masses sum past the float range.  The problem builds without NumPy's
+    overflow warning, an error in this suite, and the run ends as
+    NumericalFailure (f is NaN at x1) with every artifact written."""
+    out = tmp_path / "out"
+    cfg = _minimal_config(out, x1=[-1.0, 3.0], run_baseline_gd=True)
+    cfg["problem"] = {"type": "coverage", "n_agents": 2,
+                      "bin_edges": [-1.5e308, 0.0, 1e308, 1.5e308],
+                      "theta_lower": [1e-309] * 3, "theta_upper": [1.0] * 3}
+    assert run_experiment(str(_write(tmp_path, cfg))) == 3
+    for name in ("trace.csv", "trace.json", "baseline_trace.csv"):
+        assert (out / name).exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["sampling"]["termination"] == "NumericalFailure"
 
 
 def test_unknown_problem_type_exit_1(tmp_path):
@@ -336,6 +359,16 @@ def test_main_run_subcommand(tmp_path):
                  str(tmp_path / "t.dat")]) == 0
 
 
+def test_main_ignores_a_gradsamp_log_variable(tmp_path, monkeypatch):
+    """The CLI reads no environment: a GRADSAMP_LOG of any value leaves the
+    run's exit code as it is.  The root logger has no handler here, as in
+    a plain shell, and not pytest's own."""
+    monkeypatch.setenv("GRADSAMP_LOG", "verbose")
+    monkeypatch.setattr(logging.root, "handlers", [])
+    cfg = _write(tmp_path, _minimal_config(tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+
+
 _HUGE = (1e308, -1e308, 1e154, -1e154)
 
 
@@ -389,11 +422,6 @@ def _fuzz_valid(cfg):
     return not cfg["run_baseline_gd"] or oracle.in_D(x1)
 
 
-# The oracles' own arithmetic overflows at entries near 1e308, and NumPy
-# warns of it, as in the tests of test_driver.py.  The topmost mark wins,
-# so a warning from the solver or the CLI fails the test.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning:gradsamp.testfns")
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_random_configs_of_every_family_exit_with_their_code(tmp_path, capsys):
     """Seeded configs of the coverage, finite-max and Cantor families:
     every valid one exits 0, 2 or 3 with summary.json and its traces

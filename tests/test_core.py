@@ -235,6 +235,10 @@ def _override_case(family):
     for k in (1, 2, 4):
         mids, delta, _, _ = oracle.level(k)
         points += [np.array([mids[0] + delta / 3.0]), np.array([mids[-1]])]
+        # Near either end of a bump its exp factor underflows, so g_k is
+        # -0.0 or +0.0 there: at k = 2 and 4 the pair of members at
+        # t = 1/k ties, and both tie with the member at t = 0.
+        points += [np.array([mids[0] + s * 0.9995 * delta]) for s in (-1.0, 1.0)]
     return oracle, points + [np.array([1e300])]
 
 

@@ -690,9 +690,7 @@ def test_hits_is_membership_by_equality():
         upper = tuple(1.0 / (b - a) for a, b in zip(edges, edges[1:]))  # unit masses
         prob = CoverageProblem(n_agents=1, bin_edges=edges,
                                theta_lower=(0.0,) * K, theta_upper=upper)
-        with np.errstate(over="ignore"):  # a doubled edge past 1e308 is inf
-            arrays = prob._edge_arrays
-        for a in arrays:
+        for a in prob._edge_arrays:
             v = np.concatenate([a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf),
                                 [0.0, -0.0, np.inf, -np.inf, np.nan]])
             want = np.isin(v, a)
@@ -703,6 +701,20 @@ def test_hits_is_membership_by_equality():
     # neighbour of inf, which is inf) on doubled edges that overflowed,
     # -inf likewise.
     assert hits >= 8
+
+
+def test_masses_and_edges_past_the_float_range_build_without_a_warning():
+    """bin_edges (-1.5e308, 0, 1e308, 1.5e308): with upper densities of 1
+    the upper masses sum past 1e308, and with unit upper masses only the
+    doubled edges overflow.  Both problems build, and their edge arrays
+    read, without NumPy's overflow warning, an error in this suite."""
+    edges = (-1.5e308, 0.0, 1e308, 1.5e308)
+    unit = tuple(1.0 / (b - a) for a, b in zip(edges, edges[1:]))
+    for upper, hi_sum in (((1.0,) * 3, math.inf), (unit, 3.0)):
+        prob = CoverageProblem(n_agents=1, bin_edges=edges, theta_lower=(0.0,) * 3,
+                               theta_upper=upper)
+        assert prob._mass_bounds[-1] == pytest.approx(hi_sum)
+        assert prob._edge_arrays[1].tolist() == [-math.inf, 0.0, math.inf, math.inf]
 
 
 def test_block_path_memory_is_bounded():

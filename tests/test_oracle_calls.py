@@ -110,14 +110,14 @@ def test_gd_baseline_evaluates_f_at_x1_only(config, monkeypatch):
     oracle, p, x1, _ = _counting(config)
     p.max_iters = 300
     trials = []
-    backtrack = gradsamp.driver._backtrack
+    line_search = gradsamp.driver.line_search
 
-    def counted_backtrack(*args, **kwargs):
-        out = backtrack(*args, **kwargs)
-        trials.append(out[1])
+    def counted_line_search(*args, **kwargs):
+        out = line_search(*args, **kwargs)
+        trials.append(out.trials)
         return out
 
-    monkeypatch.setattr(gradsamp.driver, "_backtrack", counted_backtrack)
+    monkeypatch.setattr(gradsamp.driver, "line_search", counted_line_search)
     gd = gradient_descent_baseline(oracle, p, x1)
     assert gd.termination in (Termination.STALLED, Termination.MAX_ITERS)
     c = oracle.calls

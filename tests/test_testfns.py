@@ -141,8 +141,6 @@ def test_in_D_tie_detection():
     assert not oracle.in_D(np.array([0.0]))  # both pieces tie, gradients differ
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
 def test_nan_member_value_is_outside_D():
     """A point where some member value is NaN lies outside D, whichever
     member it is: in_D says so, a bundle stops before it, and a run from it
