@@ -112,10 +112,8 @@ def _partition(prob: CoverageProblem, x: np.ndarray):
     """Nearest-agent partition of the bins, shared by c, dc/dx and the D test.
 
     Returns (order, xs, segments): ``order`` sorts the agents, ``xs`` holds
-    their sorted positions, and each segment (k, alpha, beta, owner, a_idx,
-    b_idx) is a piece [alpha, beta] of bin k nearest to sorted agent
-    ``owner``.  a_idx/b_idx are the left sorted-agent index of the midpoint
-    an endpoint equals, or -1 when the endpoint is a (constant) bin edge.
+    their sorted positions, and each segment (k, alpha, beta, owner) is a
+    piece [alpha, beta] of bin k nearest to sorted agent ``owner``.
 
     One pointer j walks the sorted midpoints across all bins: the midpoints
     strictly inside a bin cut it, and the segment just below midpoint j,
@@ -134,15 +132,15 @@ def _partition(prob: CoverageProblem, x: np.ndarray):
     segments = []
     j = bisect_right(mids, edges[0])
     for k in range(prob.n_bins):
-        alpha, a_idx, b = edges[k], -1, edges[k + 1]
+        alpha, b = edges[k], edges[k + 1]
         while mids[j] < b:
             beta = mids[j]
             owner = j if (alpha + beta) / 2.0 != alpha else bisect_left(mids, alpha)
-            segments.append((k, alpha, beta, owner, a_idx, j))
-            alpha, a_idx = beta, j
+            segments.append((k, alpha, beta, owner))
+            alpha = beta
             j += 1
         owner = j if (alpha + b) / 2.0 != alpha else bisect_left(mids, alpha)
-        segments.append((k, alpha, b, owner, a_idx, -1))
+        segments.append((k, alpha, b, owner))
         while mids[j] == b:  # a midpoint on an edge cuts nothing
             j += 1
     return order, xs, segments
@@ -153,7 +151,7 @@ def _cost(xs, segments, n_bins: int) -> list:
     # over the segments of bin k, the integral of 2|s - y| over
     # [alpha, beta], by position of the owner s.
     c = [0.0] * n_bins
-    for k, alpha, beta, owner, _a, _b in segments:
+    for k, alpha, beta, owner in segments:
         s = xs[owner]
         da, db = alpha - s, beta - s
         ha, hb = da * da, db * db  # not ** 2: libm pow, which NumPy cannot repeat
@@ -177,25 +175,16 @@ def _smooth(prob: CoverageProblem, xs) -> bool:
 
 def _gradient(order, xs, segments, th: list) -> list:
     # The gradient of <c, theta> in the agents as a list, for theta as a
-    # list.  Each segment integral of 2|s - y| over [alpha, beta] has
-    # partials 2|beta - s| in beta and -2|alpha - s| in alpha, and, being
-    # shift invariant, their negated sum in the owner s.  A midpoint endpoint moves half with each of its two
-    # neighbouring agents.  Each part times theta_k is added to its agent in
-    # segment order: the owner, the two agents of a midpoint alpha, then
-    # those of a midpoint beta.
+    # list.  On D the integrand 2 min_i |x_i - y| is continuous across each
+    # cell boundary, so the Leibniz terms of a moving midpoint, equal and
+    # opposite from the two segments that meet there, cancel.  What is left
+    # is the owner's part: the segment integral of 2|s - y| over
+    # [alpha, beta] has derivative 2|alpha - s| - 2|beta - s| in s.  Each
+    # part times theta_k is added to its owner in segment order.
     g = [0.0] * len(xs)
-    for k, alpha, beta, owner, a_idx, b_idx in segments:
-        s, t = xs[owner], th[k]
-        pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
-        g[order[owner]] += (pa - pb) * t
-        if a_idx >= 0:
-            d = (-0.5 * pa) * t
-            g[order[a_idx]] += d
-            g[order[a_idx + 1]] += d
-        if b_idx >= 0:
-            d = (0.5 * pb) * t
-            g[order[b_idx]] += d
-            g[order[b_idx + 1]] += d
+    for k, alpha, beta, owner in segments:
+        s = xs[owner]
+        g[order[owner]] += (2.0 * abs(alpha - s) - 2.0 * abs(beta - s)) * th[k]
     return g
 
 
@@ -286,9 +275,9 @@ _BLOCK_MIN = 120
 # A block holds about a dozen arrays of R * (N + K) segments at once, so
 # the rows of a large bundle go in chunks of at most _CHUNK_SEGMENTS
 # segments.  For one seeded bundle of N + 2 rows with K = 2N (same box),
-# the tracemalloc peak of one block is 0.8, 3.1, 12 and 49 MiB at N = 50,
+# the tracemalloc peak of one block is 0.8, 3.0, 12 and 49 MiB at N = 50,
 # 100, 200 and 400 once the thread's gather buffers exist; with this cap
-# it is 0.8, 1.6, 1.9 and 2.7 MiB (1.4 to 3.9 MiB on a thread's first
+# it is 0.8, 1.6, 1.9 and 2.7 MiB (0.9 to 3.0 MiB on a thread's first
 # bundle, which makes them).  At N = 400 a bundle took a median of 121 ms,
 # against 199 ms as one block, 142 ms at a cap of 8 192 (2.5 MiB) and 117
 # ms at 32 768 (4.4 MiB).  An N = 50 bundle, 7 800 segments, is still one
@@ -298,7 +287,7 @@ _CHUNK_SEGMENTS = 16384
 
 def _block_segments(prob: CoverageProblem, mids: np.ndarray):
     """_partition's segments for every row of sorted midpoints, as flat
-    arrays in walk order: (row, k, alpha, beta, owner, a_idx, b_idx).
+    arrays in walk order: (row, k, alpha, beta, owner).
 
     A row's cuts are its K + 1 edges and the midpoints strictly inside a
     bin, in increasing order, and each pair of neighbouring cuts is a
@@ -321,11 +310,10 @@ def _block_segments(prob: CoverageProblem, mids: np.ndarray):
     inside_below = inside_below[:, :K + 1].cumsum(axis=1)
     n_cuts = K + 1 + inside_below[:, -1]
     first = np.cumsum(n_cuts) - n_cuts  # each row's first cut
-    # Per cut: its value, the midpoint it is (-1 at an edge), the bin of the
-    # segment it starts, and the owner of the segment it ends.
+    # Per cut: its value, the bin of the segment it starts, and the owner of
+    # the segment it ends.
     T = int(n_cuts.sum())
     value = np.empty(T)
-    mid_idx = np.full(T, -1)
     bin_of = np.empty(T, dtype=np.intp)
     end_owner = np.empty(T, dtype=np.intp)
     at = first[:, None] + np.arange(K + 1) + inside_below
@@ -338,7 +326,6 @@ def _block_segments(prob: CoverageProblem, mids: np.ndarray):
     at = first[r] + kr[r, j] + (np.cumsum(inside, axis=1) - 1)[r, j]
     del inside
     value[at] = mids[r, j]
-    mid_idx[at] = j
     bin_of[at] = kr[r, j] - 1
     end_owner[at] = j
     del at, r, j, kr
@@ -354,7 +341,7 @@ def _block_segments(prob: CoverageProblem, mids: np.ndarray):
     row = np.repeat(np.arange(R), n_cuts - 1)
     for i in np.flatnonzero((alpha + beta) / 2.0 == alpha).tolist():
         owner[i] = np.searchsorted(mids[row[i]], alpha[i], side="left")
-    return row, bin_of[lo], alpha, beta, owner, mid_idx[lo], mid_idx[hi]
+    return row, bin_of[lo], alpha, beta, owner
 
 
 def _block_lp(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
@@ -389,21 +376,22 @@ def _hits(sorted_values: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sorted_values[np.minimum(i, len(sorted_values) - 1, out=i)] == v
 
 
-# The (S, 5) gather arrays are a block's largest, 306 KB each at N = 50:
-# made fresh for every bundle, each pair was mapped and unmapped by the
-# allocator and its pages faulted in anew.  So each thread keeps one pair,
-# of at most 5 * max(_CHUNK_SEGMENTS, N + K) entries each.
+# A block's last bincount reads one owner cell and one part per segment.
+# Arrays made fresh for every bundle can have their pages handed back by
+# the allocator and faulted in anew by the next bundle, as far as its trim
+# threshold, which the process's history sets, allows.  So each thread
+# keeps one pair, of at most max(_CHUNK_SEGMENTS, N + K) entries each.
 _gather = threading.local()
 
 
 def _gather_buffers(S: int):
-    """This thread's (S, 5) cell and part arrays for _block_gradients' last
-    bincount, as views of one pair of buffers that grows to the largest S
-    met.  Every entry of a view is written before it is read, and no view
-    is kept past the call."""
+    """This thread's (S,) owner-cell and part arrays for _block_gradients'
+    last bincount, as views of one pair of buffers that grows to the
+    largest S met.  Every entry of a view is written before it is read,
+    and no view is kept past the call."""
     bufs = getattr(_gather, "bufs", None)
     if bufs is None or len(bufs[0]) < S:
-        bufs = _gather.bufs = (np.empty((S, 5), dtype=np.intp), np.empty((S, 5)))
+        bufs = _gather.bufs = (np.empty(S, dtype=np.intp), np.empty(S))
     return bufs[0][:S], bufs[1][:S]
 
 
@@ -430,27 +418,17 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     if R == 0:
         return np.empty((0, N))
     X, order, xs = X[:R], order[:R], xs[:R]
-    row, k, alpha, beta, owner, a_idx, b_idx = _block_segments(prob, sums[:R] / 2.0)
+    row, k, alpha, beta, owner = _block_segments(prob, sums[:R] / 2.0)
     del sums
-    # The cells of each segment's parts, in _gradient's order: its owner,
-    # the two agents of a midpoint alpha, then those of a midpoint beta.
-    # A missing midpoint's index -1 still reads valid cells, the row's
-    # first agent and the last agent of the row before (of the last row in
-    # row 0), which then get +0.0.
+    # Each segment's one part goes to its owner's cell among the block's
+    # global agent cells.  Every index is in range: mode "clip" only spares
+    # the copy through a temporary that take makes for its default "raise".
     cells, parts = _gather_buffers(len(row))
-    agent = (order + np.arange(R)[:, None] * N).ravel()  # global agent cells
-    base = row * N
-    at = base + owner
+    at = row * N + owner
     s = xs.ravel()[at]
-    cells[:, 0] = agent[at]
-    at = base + a_idx
-    cells[:, 1] = agent[at]
-    cells[:, 2] = agent[at + 1]
-    at = base + b_idx
-    cells[:, 3] = agent[at]
-    cells[:, 4] = agent[at + 1]
-    has_a, has_b, bin_cell = a_idx >= 0, b_idx >= 0, row * K + k
-    del row, k, owner, a_idx, b_idx, base, at
+    np.take((order + np.arange(R)[:, None] * N).ravel(), at, out=cells, mode="clip")
+    bin_cell = row * K + k
+    del row, k, owner, at
 
     # c summed per bin in segment order, as _cost does, then the LP.
     da, db = alpha - s, beta - s
@@ -460,16 +438,10 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     theta = _block_lp(prob, np.bincount(bin_cell, weights=v, minlength=R * K).reshape(R, K))
     del v
 
-    # The parts of each segment times theta_k.  A missing midpoint adds
-    # +0.0, which leaves every sum as it is, as no sum is ever -0.0.
-    t = theta.ravel()[bin_cell]
-    del bin_cell
-    pa, pb = 2.0 * np.abs(da), 2.0 * np.abs(db)
-    del da, db
-    parts[:, 0] = (pa - pb) * t
-    parts[:, 1] = parts[:, 2] = np.where(has_a, (-0.5 * pa) * t, 0.0)
-    parts[:, 3] = parts[:, 4] = np.where(has_b, (0.5 * pb) * t, 0.0)
-    G = np.bincount(cells.ravel(), weights=parts.ravel(), minlength=R * N).reshape(R, N)
+    # Each owner part times theta_k, summed per agent in segment order.
+    np.multiply(2.0 * np.abs(da) - 2.0 * np.abs(db), theta.ravel()[bin_cell], out=parts)
+    del da, db, bin_cell
+    G = np.bincount(cells, weights=parts, minlength=R * N).reshape(R, N)
     if prob.penalty_enabled:
         G = G + prob.penalty_weight * _penalty_grad(prob, X)
     return G
@@ -506,7 +478,11 @@ class CoverageOracle(ProblemOracle):
         return _cost(xs, segments, self.prob.n_bins)
 
     def _value(self, x: np.ndarray, c: list, theta) -> float:
-        v = float(np.asarray(c) @ np.asarray(theta, dtype=float))
+        if sum(c) < math.inf:  # as every c_k >= 0, each one is finite
+            v = float(np.asarray(c) @ np.asarray(theta, dtype=float))
+        else:  # far out f is inf or NaN: an inf c_k times theta_k = 0 is NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = float(np.asarray(c) @ np.asarray(theta, dtype=float))
         if self.prob.penalty_enabled:
             v += self.prob.penalty_weight * penalty(self.prob, x)
         return v

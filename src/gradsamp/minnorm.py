@@ -186,21 +186,23 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
     """
     if len(points) == 0:
         raise ValueError("empty point set")
-    P = np.asarray(points, dtype=float)
+    P = np.ascontiguousarray(points, dtype=float)  # for the void view below
     if P.ndim != 2:
         raise ValueError("points must share a common dimension")
     m = P.shape[0]
-    # One pass for the finite check and the scale guard: a NaN coordinate
-    # makes the largest magnitude NaN, an infinite one makes it inf.
-    top = float(np.abs(P).max())
+    # The largest magnitude, for the finite check and the scale guard,
+    # without a temporary |P|: a NaN coordinate makes it NaN (P.max() is
+    # NaN, and max keeps its first argument), an infinite one inf.
+    top = max(float(P.max()), -float(P.min()))
     if not top < math.inf:
         raise NonFiniteError("non-finite coordinates in input points")
 
     # Deduplicate bitwise-equal points; weights flow to the first occurrence.
-    raw, size = P.tobytes(), P.itemsize * P.shape[1]
+    # Each row's bytes are one key, read through a void view: no copy of
+    # the whole bundle, which is 1.3 MB at 402 points of 400.
     first = {}
-    for i in range(m):
-        first.setdefault(raw[i * size:(i + 1) * size], i)
+    for i, key in enumerate(P.view(f"V{P.itemsize * P.shape[1]}").ravel().tolist()):
+        first.setdefault(key, i)
     first_idx = list(first.values())
     Q = P if len(first_idx) == m else P[first_idx]
 

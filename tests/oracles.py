@@ -18,6 +18,9 @@
   no feasibility check of its own (``CoverageProblem`` refuses infeasible
   mass bounds); they check, byte for byte, the library's single-walk
   partition, Python-float gradient sum and list-based LP.
+- ``midpoint_grad_x``: the coverage gradient with the Leibniz terms of
+  the moving midpoints, which cancel on D, still summed (checks that the
+  library's owner-only gradient stays within a rounding bound of it).
 - ``reference_piece``: the value and gradient of one finite-max piece by
   its formula, one NumPy call per term (checks, byte for byte, the stacked
   pass over all pieces).
@@ -195,10 +198,11 @@ def theta_feasible(prob: CoverageProblem, theta: np.ndarray,
     return abs(float(theta @ prob.widths) - prob.total_mass) <= tol
 
 
-def _reference_partition(prob: CoverageProblem, x: np.ndarray):
-    # Segments (k, alpha, beta, owner, a_idx, b_idx) as in the library: the
-    # midpoints strictly inside each bin cut it, and the owner is the
-    # sorted agent whose cell holds the segment's centre.
+def _reference_cuts(prob: CoverageProblem, x: np.ndarray):
+    # Segments (k, alpha, beta, owner, a_idx, b_idx): the midpoints strictly
+    # inside each bin cut it, and the owner is the sorted agent whose cell
+    # holds the segment's centre.  a_idx/b_idx is the left sorted agent of
+    # the midpoint an endpoint is, or -1 at a bin edge.
     xl = np.asarray(x, dtype=float).tolist()
     order = sorted(range(len(xl)), key=xl.__getitem__)
     xs = [xl[i] for i in order]
@@ -215,10 +219,16 @@ def _reference_partition(prob: CoverageProblem, x: np.ndarray):
     return order, xs, segments
 
 
+def _reference_partition(prob: CoverageProblem, x: np.ndarray):
+    # The library's segments (k, alpha, beta, owner).
+    order, xs, segments = _reference_cuts(prob, x)
+    return order, xs, [seg[:4] for seg in segments]
+
+
 def reference_c_vector(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     _, xs, segments = _reference_partition(prob, x)
     c = [0.0] * prob.n_bins
-    for k, alpha, beta, owner, _a, _b in segments:
+    for k, alpha, beta, owner in segments:
         s = xs[owner]
         ha, hb = (alpha - s) * (alpha - s), (beta - s) * (beta - s)
         c[k] += hb - ha if s <= alpha else ha - hb if s >= beta else hb + ha
@@ -234,20 +244,44 @@ def reference_grad_x(prob: CoverageProblem, x: np.ndarray,
     order, xs, segments = _reference_partition(prob, x)
     theta = np.asarray(theta, dtype=float)
     g = [0.0] * prob.n_agents
-    for k, alpha, beta, owner, a_idx, b_idx in segments:
+    for k, alpha, beta, owner in segments:
         s = xs[owner]
         pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
         g[order[owner]] += float((pa - pb) * theta[k])
-        for idx, part in ((a_idx, 0.5 * -pa), (b_idx, 0.5 * pb)):
-            if idx >= 0:
-                g[order[idx]] += float(part * theta[k])
-                g[order[idx + 1]] += float(part * theta[k])
     g = np.array(g)
     if prob.penalty_enabled:
         lo, hi = prob.bin_edges[0], prob.bin_edges[-1]
         g = g + prob.penalty_weight * (np.where(x < lo, -1.0, 0.0)
                                        + np.where(x > hi, 1.0, 0.0))
     return g
+
+
+def midpoint_grad_x(prob: CoverageProblem, x: np.ndarray, theta: np.ndarray):
+    """The gradient of <c, theta>, without the penalty, with the Leibniz
+    terms of every interior midpoint kept, as the library once summed it.
+
+    A midpoint endpoint moves half with each of its two neighbouring
+    agents, so after its owner's part a segment adds -0.5 * 2|alpha - s| *
+    theta_k to both agents of a midpoint alpha, then 0.5 * 2|beta - s| *
+    theta_k to both of a midpoint beta.  On D these terms cancel in pairs
+    up to the rounding of the midpoint.  Returns (g, n, scale), per agent:
+    the sum, the count of its terms, and the sum over them of |term|, plus
+    theta_k |m| for a term of midpoint m."""
+    order, xs, segments = _reference_cuts(prob, x)
+    theta = np.asarray(theta, dtype=float).tolist()
+    g, n, scale = [0.0] * len(xs), [0] * len(xs), [0.0] * len(xs)
+    for k, alpha, beta, owner, a_idx, b_idx in segments:
+        s, t = xs[owner], theta[k]
+        pa, pb = 2.0 * abs(alpha - s), 2.0 * abs(beta - s)
+        terms = [(owner, (pa - pb) * t, 0.0)]
+        for idx, part, m in ((a_idx, -0.5 * pa, alpha), (b_idx, 0.5 * pb, beta)):
+            if idx >= 0:
+                terms += [(i, part * t, t * abs(m)) for i in (idx, idx + 1)]
+        for i, term, extra in terms:
+            g[order[i]] += term
+            n[order[i]] += 1
+            scale[order[i]] += abs(term) + extra
+    return np.array(g), np.array(n), np.array(scale)
 
 
 def reference_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:

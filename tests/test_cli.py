@@ -180,6 +180,22 @@ def test_bin_masses_past_float_range_run_to_an_exit_code(tmp_path):
     assert summary["sampling"]["termination"] == "NumericalFailure"
 
 
+def test_infinite_cost_on_a_zero_density_runs_to_an_exit_code(tmp_path):
+    """Bins about 1e308 wide with theta_lower 0 and theta_upper 1e-308: c is
+    (inf, inf, NaN) at x1 and the LP puts theta = 0 in some bins, so c @
+    theta meets inf * 0.  The run, with warnings as errors, ends as
+    NumericalFailure (f is NaN at x1) with its summary and trace written."""
+    out = tmp_path / "out"
+    cfg = _minimal_config(out, x1=[-1.0, 3.0])
+    cfg["problem"] = {"type": "coverage", "n_agents": 2,
+                      "bin_edges": [-1.5e308, 0.0, 1e308, 1.5e308],
+                      "theta_lower": [0.0] * 3, "theta_upper": [1e-308] * 3}
+    assert run_experiment(str(_write(tmp_path, cfg))) == 3
+    assert (out / "trace.csv").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["sampling"]["termination"] == "NumericalFailure"
+
+
 def test_unknown_problem_type_exit_1(tmp_path):
     cfg = _minimal_config(tmp_path / "out")
     cfg["problem"] = {"type": "mystery"}

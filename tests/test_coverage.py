@@ -29,6 +29,7 @@ from gradsamp import ProblemOracle, coverage
 from gradsamp.coverage import inner_lp_max, penalty
 from oracles import (
     excluded_hyperplanes,
+    midpoint_grad_x,
     reference_c_vector,
     reference_grad_x,
     reference_lp_max,
@@ -512,6 +513,44 @@ def test_coverage_matches_bisect_reference_bytewise():
         outside += grad == "ValueError"
         repeated += np.max(np.unique(x, return_counts=True)[1]) >= 3
     assert inside >= 1000 and outside >= 1000 and repeated >= 500
+
+
+def test_gradient_without_midpoint_terms_stays_within_rounding():
+    """Dropping the Leibniz terms of the moving midpoints, which cancel on
+    D, moves each agent's gradient by rounding only: |g_i - g_old_i| <=
+    2 n_i eps scale_i over agent i's n_i terms of the midpoint formula,
+    whose scale sums |term| and, for a midpoint term, theta_k |m|, as a
+    midpoint's two distances differ by the rounding of m.  On every
+    _reference_cases() point in D, through the walk, and on seeded bundles
+    at N = 5, 50 and 400, through the block path."""
+    def check(g, old, n, scale):
+        diff = np.abs(g - old)
+        assert np.all(diff <= 2.0 * n * np.finfo(float).eps * scale), (g, old)
+        return int(np.count_nonzero(diff))
+
+    moved = points = 0
+    for prob, x, theta in _reference_cases():
+        order, xs, segments = coverage._partition(prob, x)
+        if coverage._smooth(prob, xs):
+            g = coverage._gradient(order, xs, segments, theta.tolist())
+            moved += check(np.array(g), *midpoint_grad_x(prob, x, theta))
+            points += 1
+    gen = np.random.Generator(np.random.Philox(27))
+    for N, rows in ((5, 12), (50, 52), (400, 10)):
+        K = 2 * N
+        prob = CoverageProblem(n_agents=N, bin_edges=tuple(float(e) for e in range(K + 1)),
+                               theta_lower=tuple(gen.uniform(0.0, 0.5, K) / K),
+                               theta_upper=tuple(gen.uniform(1.5, 3.0, K) / K))
+        oracle = make_coverage_oracle(prob)
+        x = np.sort(gen.uniform(-5.0, K + 5.0, N))
+        bundle = [x + gen.normal(0.0, 0.3, N) for _ in range(rows)]
+        assert rows * (N + K) >= coverage._BLOCK_MIN
+        G = oracle.sample_gradients(bundle)
+        assert len(G) == rows
+        for g, p in zip(G, bundle):
+            moved += check(g, *midpoint_grad_x(prob, p, oracle.inner_max(p)))
+            points += 1
+    assert points >= 1500 and moved >= 100
 
 
 def _per_point(oracle, points):

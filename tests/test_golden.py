@@ -142,8 +142,8 @@ GOLDEN = {
         "iterations": 38,
         "termination": "TolerancesReached",
         "kinds": "DDDDDDDDDDDDDTTDDDTDDDTTDDDDDDTTDDDDDT",
-        "final_x": ["0.99883429782643718", "3.0003647605289783"],
-        "final_f": "1.0000010919412345",
+        "final_x": ["0.99883429782643662", "3.0003647605289783"],
+        "final_f": "1.0000010919412348",
         "gd_termination": "Stalled",
         "gd_final_f": "1.0033766276749507",
     },
@@ -155,8 +155,8 @@ GOLDEN = {
             "DDDDDDDLDLDDTDDDLDDDLDDLDLDLTDLDLDLDDLDDLDLLTDLLLTDLDDLTDDLT"
         ),
         "final_x": [
-            "0.73102249844267098", "1.8861286866081712", "2.9995838083819657",
-            "4.1146053351760692", "5.2687615207633272",
+            "0.73102249844267242", "1.8861286866081741", "2.9995838083819679",
+            "4.1146053351760692", "5.2687615207633263",
         ],
         "final_f": "0.60745073860059673",
     },
@@ -172,7 +172,7 @@ GOLDEN = {
         "termination": "MaxIters",
         "kinds": "DDDDDDDDDDDDDDDDDDDD",
         "final_x": [
-            "0.041388673363023869", "0.99253738393999535", "4.250812956138394",
+            "0.041388673363023862", "0.99253738393999535", "4.2508129561383932",
             "4.4977993968721606", "5.9451359241150055", "8.3147046233052091",
             "11.26288478624091", "18.265028494790446", "22.657089870916337",
             "25.254232100019401", "25.779576627667918", "26.217985379046869",

@@ -167,6 +167,34 @@ def test_scale_guard_is_exact():
     assert big.iterations == base.iterations
 
 
+def test_largest_magnitude_reads_both_signs(monkeypatch):
+    """The finite check and the scale guard take the largest magnitude from
+    the largest and the negated smallest coordinate: a NaN anywhere, +inf
+    and -inf raise NonFiniteError; a bundle whose largest magnitude is
+    negative is scaled as its negation is; an all-zero bundle takes no
+    shift."""
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in np.ndindex(2, 2):
+            P = np.array([[1e300, -2.0], [-1e300, 3.0]])
+            P[at] = bad
+            with pytest.raises(minnorm.NonFiniteError):
+                min_norm_point(P)
+    for s in (1e160, 1e300, 1e-200):
+        res = min_norm_point([np.array([-s, 0.0]), np.array([0.0, -s])])
+        np.testing.assert_allclose(res.point, [-s / 2, -s / 2], rtol=1e-12, atol=0.0)
+
+    shifts, ldexp = [], np.ldexp
+
+    def recorded(a, e):
+        shifts.append(e)
+        return ldexp(a, e)
+
+    monkeypatch.setattr(np, "ldexp", recorded)
+    res = min_norm_point(np.zeros((3, 2)))
+    assert res.point.tolist() == [0.0, 0.0] and res.gap == 0.0
+    assert shifts in ([], [0])
+
+
 def test_wolfe_converts_only_the_rows_of_points_that_enter(monkeypatch):
     """_wolfe turns a row of the Gram matrix into Python floats only when
     its point enters the active set, and only once, besides the diagonal;
