@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 from .core import (
     GsParams,
     IterationRecord,
-    NonsmoothPolicy,
     ParamError,
     ProblemOracle,
     StepKind,

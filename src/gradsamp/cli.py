@@ -68,6 +68,8 @@ def build_problem_oracle(problem: dict):
 
 
 def build_params(d: dict) -> GsParams:
+    if not isinstance(d, dict):
+        raise ConfigError(f"params must be an object of named fields: {d!r}")
     p = GsParams()
     allowed = set(p.snapshot().keys())
     for key, val in d.items():

@@ -21,8 +21,7 @@ class ParamError(ValueError):
 
 
 class NonsmoothSampleError(RuntimeError):
-    """A sampled point left the smooth set D under the 'stop' policy, or
-    missed it on every allowed redraw under 'resample'."""
+    """A sampled point left the smooth set D."""
 
 
 class ProblemOracle:
@@ -76,7 +75,9 @@ class ProblemOracle:
 
         The result may be a (k, n) array or a list of k rows; the solver
         accepts either.  The result is shorter than ``points`` exactly
-        when a point misses D.
+        when a point misses D, and the solver reads that as the stop: a
+        step that gets fewer than m rows ends its run as
+        NonsmoothSampleStop.
         """
         out = []
         for p in points:
@@ -89,13 +90,6 @@ class ProblemOracle:
         """f(x) = F(x, inner_max(x))."""
         x = np.asarray(x, dtype=float)
         return self.eval_F(x, self.inner_max(x))
-
-
-class NonsmoothPolicy(str, Enum):
-    """What to do when a sampled point falls outside D."""
-
-    STOP = "stop"
-    RESAMPLE = "resample"
 
 
 class StepKind(str, Enum):
@@ -137,15 +131,12 @@ class GsParams:
     max_iters: int = 1000
     eps_min: float = 0.0
     nu_min: float = 0.0
-    on_nonsmooth_sample: NonsmoothPolicy = NonsmoothPolicy.STOP
 
     def effective_m(self, n: int) -> int:
         return self.m if self.m is not None else n + 2
 
     def snapshot(self) -> dict:
-        d = asdict(self)
-        d["on_nonsmooth_sample"] = NonsmoothPolicy(self.on_nonsmooth_sample).value
-        return d
+        return asdict(self)
 
 
 def _is_count(v) -> bool:
@@ -181,10 +172,6 @@ def validate_params(p: GsParams, n: int) -> None:
         errs.append(f"max_iters negative: {p.max_iters}")
     if not (0.0 <= p.eps_min < math.inf and 0.0 <= p.nu_min < math.inf):
         errs.append("eps_min/nu_min must be nonnegative and finite")
-    try:
-        NonsmoothPolicy(p.on_nonsmooth_sample)
-    except ValueError:
-        errs.append(f"unknown nonsmooth-sample policy: {p.on_nonsmooth_sample!r}")
     if errs:
         raise ParamError("; ".join(errs))
 

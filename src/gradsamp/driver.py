@@ -21,7 +21,6 @@ from .core import (
     GsParams,
     GsState,
     IterationRecord,
-    NonsmoothPolicy,
     NonsmoothSampleError,
     ProblemOracle,
     StepKind,
@@ -32,16 +31,14 @@ from .core import (
 )
 from .minnorm import NonFiniteError, min_norm_point
 
-_MAX_REDRAWS = 100  # in a row, per sample; a miss of D has probability 0
-
 
 class Rng:
     """Seedable counter-based random stream with a documented draw order.
 
     Backed by the Philox bit generator, so identical seeds give identical
     streams across runs and platforms.  Draw-order contract: only
-    ``ball_draws`` reads the stream, once per ``sample_ball`` call, so a
-    step's m samples are one call and each redraw of a sample one more.
+    ``ball_draws`` reads the stream, once per ``sample_ball`` call, and a
+    step's m samples are one call.
     """
 
     def __init__(self, seed: int):
@@ -209,15 +206,12 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
          rng: Rng) -> Tuple[GsState, IterationRecord]:
     """One full iteration: sample, bundle, min-norm direction, line search.
 
-    All m ball samples are drawn first and handed to
-    ``oracle.sample_gradients``, which evaluates them in index order up to
-    the first one outside D.  That sample is redrawn while it misses (under
-    'resample'), the redraw is evaluated the same way, and the rest follow.
-    Raises NonsmoothSampleError when a sample leaves D under the 'stop'
-    policy; under 'resample', only the offending points are redrawn, and it
-    is raised once one point misses D on _MAX_REDRAWS redraws in a row.
-    Either way the gradients of the samples before the offending one have
-    been computed by then.  The min-norm QP takes one (k, n) array:
+    All m ball samples are drawn first and handed to one
+    ``oracle.sample_gradients`` call, which evaluates them in index order up
+    to the first one outside D.  Raises NonsmoothSampleError when fewer
+    than m gradients come back: a sample left D, an event of probability 0
+    since D has full measure, and the gradients of the samples before it
+    have been computed by then.  The min-norm QP takes one (k, n) array:
     ``state.kept`` and then the m fresh gradients, joined by one
     concatenate.  A NullLineSearch step keeps its fresh rows for the next
     step, and every other step keeps none.  The QP's point g is scaled
@@ -236,24 +230,12 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
     m = p.effective_m(x.shape[0])
-    policy = NonsmoothPolicy(p.on_nonsmooth_sample)
 
-    samples = sample_ball(x, state.eps, m, rng)
-    draws = m
-    parts = [state.kept, oracle.sample_gradients(samples)]
-    done = len(parts[-1])
-    while done < m:  # samples[done] missed D
-        got, redraws = [], 0
-        while len(got) == 0:
-            if policy is NonsmoothPolicy.STOP or redraws == _MAX_REDRAWS:
-                raise NonsmoothSampleError(f"sample left the smooth set D at "
-                                           f"iteration {state.k} ({redraws} redraws)")
-            got = oracle.sample_gradients(sample_ball(x, state.eps, 1, rng))
-            draws += 1
-            redraws += 1
-        parts += [got, oracle.sample_gradients(samples[done + 1:])]
-        done += len(parts[-1]) + 1
-    bundle = np.concatenate([b for b in parts if len(b)])
+    fresh = oracle.sample_gradients(sample_ball(x, state.eps, m, rng))
+    if len(fresh) < m:
+        raise NonsmoothSampleError(f"sample {len(fresh)} left the smooth set D "
+                                   f"at iteration {state.k}")
+    bundle = np.concatenate([b for b in (state.kept, fresh) if len(b)])
 
     g = _scaled(min_norm_point(bundle).point)
     g_norm = _ldexp(g[1], g[2])
@@ -281,7 +263,7 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
 
     rec = IterationRecord(
         k=state.k, x=x, f_approx=f_x, eps=state.eps, nu=state.nu,
-        g_norm=g_norm, t=t, step_kind=kind, sample_count=draws,
+        g_norm=g_norm, t=t, step_kind=kind, sample_count=m,
         wall_time_us=(time.perf_counter_ns() - t0) // 1000)
     return new_state, rec
 
@@ -304,19 +286,18 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     """Iterate ``step`` from x1 until a stopping condition fires.
 
     Stops at max_iters, or when both tolerances drop to their configured
-    floors, or when a sample leaves D under the 'stop' policy or cannot be
-    redrawn into D under 'resample', or (as Stalled) before a step whose
-    radius eps has underflowed to 0, or (as NumericalFailure) at a NaN f
-    at x1, a non-finite bundle gradient or a step that breaks the decrease
-    bound of ``line_search``, keeping the records before it.  So every
-    recorded Descent step decreases f by at least alpha * beta * t_k *
-    ||g^k||, to within that bound's tolerance.  f is evaluated at x1
-    only, and the first step tests that one value for NaN; every later
-    value, ``trace.final_f`` included, is one the line search accepted,
-    which is never NaN because a NaN trial fails its test.  So no iterate
-    costs an oracle call of its own.  Raises ValueError, before the oracle
-    is called, unless x1 is a finite vector of shape (oracle.dim,) and
-    oracle.dim is at least 1.
+    floors, or (as NonsmoothSampleStop) when a sample leaves D, or (as
+    Stalled) before a step whose radius eps has underflowed to 0, or (as
+    NumericalFailure) at a NaN f at x1, a non-finite bundle gradient or a
+    step that breaks the decrease bound of ``line_search``, keeping the
+    records before it.  So every recorded Descent step decreases f by at
+    least alpha * beta * t_k * ||g^k||, to within that bound's tolerance.
+    f is evaluated at x1 only, and the first step tests that one value
+    for NaN; every later value, ``trace.final_f`` included, is one the
+    line search accepted, which is never NaN because a NaN trial fails its
+    test.  So no iterate costs an oracle call of its own.  Raises
+    ValueError, before the oracle is called, unless x1 is a finite vector
+    of shape (oracle.dim,) and oracle.dim is at least 1.
     """
     x1 = _start_point(oracle, x1)
     validate_params(p, x1.shape[0])

@@ -113,6 +113,8 @@ def test_bad_params_exit_1(tmp_path, capsys):
     cfg.update(output_dir=str(out), run_baseline_gd=False)
     cfg["problem"]["bin_edges"] = [0.0, nan, 4.0]
     cases.append((cfg, "bin_edges"))
+    for params in ([], "abc", 5, None):
+        cases.append((_minimal_config(out, params=params), "params must be an object"))
     for cfg, expected in cases:
         assert run_experiment(str(_write(tmp_path, cfg))) == 1
         assert expected in capsys.readouterr().err
@@ -120,7 +122,7 @@ def test_bad_params_exit_1(tmp_path, capsys):
 
 
 def test_unknown_param_field_exit_1(tmp_path, capsys):
-    for field in ("stepsize", "delta1", "delta_decay"):
+    for field in ("stepsize", "delta1", "delta_decay", "on_nonsmooth_sample"):
         cfg = _minimal_config(tmp_path / "out")
         cfg["params"][field] = 0.1
         assert run_experiment(str(_write(tmp_path, cfg))) == 1
@@ -194,6 +196,20 @@ def test_infinite_cost_on_a_zero_density_runs_to_an_exit_code(tmp_path):
     assert (out / "trace.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["sampling"]["termination"] == "NumericalFailure"
+
+
+def test_a_sample_outside_D_exits_2_with_its_artifacts(tmp_path):
+    """A finite max whose first piece is -inf + inf, NaN, at x1 = 3: x1 lies
+    outside D, so the first step's bundle stops there and the run, with
+    warnings as errors, ends as NonsmoothSampleStop with every artifact
+    written."""
+    out = tmp_path / "out"
+    cfg = _minimal_config(out, x1=[3.0])
+    cfg["problem"]["pieces"] = [{"a": [-1e308], "Q": [[1e308]]}, {"a": [1.0]}]
+    assert run_experiment(str(_write(tmp_path, cfg))) == 2
+    assert (out / "trace.csv").exists() and (out / "trace.json").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["sampling"]["termination"] == "NonsmoothSampleStop"
 
 
 def test_unknown_problem_type_exit_1(tmp_path):
@@ -446,8 +462,8 @@ def test_random_configs_of_every_family_exit_with_their_code(tmp_path, capsys):
     outcomes = set()
     for i in range(90):
         problem, x1 = _fuzz_problem(gen, ("coverage", "finite_max", "cantor")[i % 3])
-        params = {"max_iters": 25,
-                  "on_nonsmooth_sample": str(gen.choice(["stop", "resample"]))}
+        params = {"max_iters": 25}
+        gen.choice(["stop", "resample"])  # keeps the stream of the seeded configs
         if gen.random() < 0.05:
             params["alpha"] = 1.5
         out = tmp_path / str(i)

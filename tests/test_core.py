@@ -14,7 +14,6 @@ from gradsamp import (
     FiniteMaxProblem,
     GsParams,
     MaxPiece,
-    NonsmoothPolicy,
     ParamError,
     Rng,
     cantor_stress_oracle,
@@ -79,17 +78,12 @@ def test_effective_m_defaults_to_n_plus_two():
     assert GsParams(m=9).effective_m(4) == 9
 
 
-def test_snapshot_round_trips_policy_as_string():
-    snap = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE).snapshot()
-    assert snap["on_nonsmooth_sample"] == "resample"
-
-
 def test_param_fields_are_pinned():
     """The parameter surface is the solver's: no field for an inner-oracle
     accuracy schedule, which exact oracles would ignore."""
     assert set(GsParams().snapshot()) == {
         "alpha", "beta", "gamma", "eps1", "nu1", "mu", "vartheta", "m",
-        "t_init_factor", "max_iters", "eps_min", "nu_min", "on_nonsmooth_sample",
+        "t_init_factor", "max_iters", "eps_min", "nu_min",
     }
 
 
@@ -277,7 +271,7 @@ def test_state_fields():
 def test_public_api_exports_no_submodules():
     assert not [n for n in gradsamp.__all__
                 if isinstance(getattr(gradsamp, n), ModuleType)]
-    assert len(gradsamp.__all__) == 21
+    assert len(gradsamp.__all__) == 20
 
 
 def test_public_api_is_pinned():
@@ -286,7 +280,7 @@ def test_public_api_is_pinned():
     assert set(gradsamp.__all__) == {
         "CantorStressProblem", "CoverageProblem", "FiniteMaxProblem",
         "GsParams", "IterationRecord", "MaxPiece",
-        "MinNormResult", "NonsmoothPolicy", "ParamError",
+        "MinNormResult", "ParamError",
         "ProblemOracle", "Rng", "StepKind", "Termination", "Trace",
         "cantor_stress_oracle", "finite_max_oracle",
         "gradient_descent_baseline", "make_coverage_oracle",

@@ -15,7 +15,6 @@ from gradsamp import (
     MaxPiece,
     MinNormResult,
     FiniteMaxProblem,
-    NonsmoothPolicy,
     ProblemOracle,
     Rng,
     StepKind,
@@ -234,48 +233,6 @@ def test_step_stop_policy_raises_on_nonsmooth_sample():
         step(oracle, state, GsParams(), Rng(9))
 
 
-def test_step_resample_policy_redraws_offenders():
-    base = finite_max_oracle(abs_value_problem())
-
-    class FlakyD(type(base)):
-        sample_gradients = ProblemOracle.sample_gradients  # asks in_D
-
-        def __init__(self, prob):
-            super().__init__(prob)
-            self.calls = 0
-
-        def in_D(self, x):
-            self.calls += 1
-            return self.calls > 2  # first two membership checks fail
-
-    oracle = FlakyD(abs_value_problem())
-    p = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
-    state = GsState(k=1, x=np.array([1.0]), eps=0.2, nu=0.1)
-    new, rec = step(oracle, state, p, Rng(10))
-    assert rec.sample_count > p.effective_m(1)  # extra draws happened
-
-
-def test_resample_policy_gives_up_after_capped_redraws():
-    """With D empty near x, 'resample' ends the run with NonsmoothSampleStop
-    after a bounded number of redraws instead of looping for ever."""
-
-    class NeverInD(FiniteMaxOracle):
-        sample_gradients = ProblemOracle.sample_gradients  # asks in_D
-        calls = 0
-
-        def in_D(self, x):
-            self.calls += 1
-            if self.calls > 10_000:  # fail instead of hanging
-                raise AssertionError("redraws of one sample are unbounded")
-            return False
-
-    oracle = NeverInD(abs_value_problem())
-    p = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE, max_iters=3)
-    tr = run(oracle, p, np.array([1.0]), Rng(11))
-    assert tr.termination == Termination.NONSMOOTH_SAMPLE_STOP
-    assert oracle.calls == 101  # the first draw and 100 redraws
-
-
 class _Logged(ProblemOracle):
     """Logs every call with its point; misses D as a verdict list says, and
     its gradient at a point is the point itself."""
@@ -316,34 +273,24 @@ def _stop_at_min_norm(monkeypatch):
 
 
 def test_step_tests_and_evaluates_each_sample_in_turn(monkeypatch):
-    """Each sample is tested for D, redrawn while it misses, then evaluated
-    before the next one is tested.  The draws keep their documented order,
-    all m ball samples first and the redraws after them in index order, so
-    the bundle is the one of testing every sample before evaluating any."""
-    misses = {1: 1, 3: 2}  # sample index -> D tests it fails in a row
+    """Each sample is tested for D, then evaluated before the next one is
+    tested.  The draws keep their documented order, all m ball samples in
+    one block, so the bundle is the one of testing every sample before
+    evaluating any."""
     x = np.array([1.0, 0.5])
     state = GsState(k=1, x=x, eps=0.2, nu=0.1)
-    p = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
+    p = GsParams()
     m = p.effective_m(2)
-    rng = Rng(21)
-    samples = sample_ball(x, state.eps, m, rng)
-    calls, bundle, verdicts = [], [], []
-    for i, s in enumerate(samples):
-        for _ in range(misses.get(i, 0)):
-            calls.append(("in_D", s.tobytes()))
-            verdicts.append(False)
-            s = sample_ball(x, state.eps, 1, rng)[0]
-        calls += [("in_D", s.tobytes()), ("inner_max", s.tobytes()),
-                  ("grad_x_F", s.tobytes())]
-        verdicts.append(True)
-        bundle.append(s)
+    samples = sample_ball(x, state.eps, m, Rng(21))
+    calls = [(name, s.tobytes()) for s in samples
+             for name in ("in_D", "inner_max", "grad_x_F")]
 
-    oracle = _Logged(verdicts)
+    oracle = _Logged([True] * m)
     bundles = _stop_at_min_norm(monkeypatch)
     with pytest.raises(_Bundled):
         step(oracle, state, p, Rng(21))
     assert oracle.calls == calls and oracle.verdicts == []
-    assert [g.tobytes() for g in bundles[0]] == [s.tobytes() for s in bundle]
+    assert [g.tobytes() for g in bundles[0]] == [s.tobytes() for s in samples]
 
 
 def test_step_stop_policy_evaluates_the_samples_before_the_miss(monkeypatch):
@@ -385,13 +332,13 @@ def test_step_draws_only_the_ball_samples():
 def test_kept_gradients_lead_the_bundle_and_leave_the_sampling_alone(monkeypatch):
     """A state that carries gradients puts them before the fresh ones in the
     QP, and changes nothing else: the same oracle calls on the same points,
-    with a miss of D redrawn, and the same draws from the stream."""
+    and the same draws from the stream."""
     x = np.array([1.0, 0.5])
     kept = (np.array([3.0, -1.0]), np.array([-2.0, 4.0]))
-    p = GsParams(on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
+    p = GsParams()
     runs = []
     for carried in (kept, ()):
-        oracle = _Logged([True, False, True, True, True])
+        oracle = _Logged([True] * p.effective_m(2))
         bundles = _stop_at_min_norm(monkeypatch)
         rng = Rng(31)
         with pytest.raises(_Bundled):
@@ -794,10 +741,10 @@ def _random_finite_maxima(seed, count):
 
 
 def test_random_finite_max_runs_end_with_a_termination():
-    """_random_finite_maxima: 50 iterations under 'resample' end with a
-    termination reason, and every record has the bytes of the same run
-    with the bundles walked point by point."""
-    p = GsParams(max_iters=50, on_nonsmooth_sample=NonsmoothPolicy.RESAMPLE)
+    """_random_finite_maxima: 50 iterations end with a termination reason,
+    and every record has the bytes of the same run with the bundles walked
+    point by point."""
+    p = GsParams(max_iters=50)
     for pieces, x1, seed in _random_finite_maxima(23, 40):
         prob = FiniteMaxProblem(pieces=tuple(pieces))
         tr = run(FiniteMaxOracle(prob), p, x1, Rng(seed))
@@ -820,7 +767,7 @@ def test_random_finite_max_configs_end_with_an_exit_code(tmp_path):
             for pc in pieces]}
         out = tmp_path / str(i)
         cfg = {"problem": problem, "x1": x1.tolist(), "seed": seed, "output_dir": str(out),
-               "params": {"max_iters": 50, "on_nonsmooth_sample": "resample"}}
+               "params": {"max_iters": 50}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         with warnings.catch_warnings():

@@ -144,7 +144,7 @@ def test_in_D_tie_detection():
 def test_nan_member_value_is_outside_D():
     """A point where some member value is NaN lies outside D, whichever
     member it is: in_D says so, a bundle stops before it, and a run from it
-    ends at NonsmoothSampleStop under either policy, not in a traceback."""
+    ends at NonsmoothSampleStop, not in a traceback."""
     nan_piece = MaxPiece(a=(-1e308,), Q=((1e308,),))  # -inf + inf at x = 3
     for pieces in ((nan_piece, MaxPiece(a=(1.0,))), (MaxPiece(a=(1.0,)), nan_piece)):
         prob = FiniteMaxProblem(pieces=pieces)
@@ -158,9 +158,8 @@ def test_nan_member_value_is_outside_D():
         assert oracle.in_D(inside)
         got = oracle.sample_gradients([inside, x, inside])
         assert [g.tolist() for g in got] == [[1.0]]
-        for policy in ("stop", "resample"):
-            tr = run(finite_max_oracle(prob), GsParams(on_nonsmooth_sample=policy), x, Rng(1))
-            assert tr.termination == Termination.NONSMOOTH_SAMPLE_STOP
+        tr = run(finite_max_oracle(prob), GsParams(), x, Rng(1))
+        assert tr.termination == Termination.NONSMOOTH_SAMPLE_STOP
 
 
 def _block_case(gen, kind):
