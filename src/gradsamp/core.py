@@ -74,7 +74,8 @@ class ProblemOracle:
         that lie in D, stopping before the first point outside D.
 
         The result may be a (k, n) array or a list of k rows; the solver
-        accepts either.  The result is shorter than ``points`` exactly
+        accepts either, and may keep it for its next step, so no later
+        call may write into it.  The result is shorter than ``points`` exactly
         when a point misses D, and the solver reads that as the stop: a
         step that gets fewer than m rows ends its run as
         NonsmoothSampleStop.

@@ -108,55 +108,65 @@ class CoverageProblem:
         return (w, w.tolist(), lo_m, lo_m.tolist(), room, room.tolist()) + sums
 
 
-def _partition(prob: CoverageProblem, x: np.ndarray):
-    """Nearest-agent partition of the bins, shared by c, dc/dx and the D test.
+def _walk(prob: CoverageProblem, x, parts=None):
+    """One pass over the nearest-agent partition of the bins at x, shared
+    by c, dc/dx and the D test.
 
-    Returns (order, xs, segments): ``order`` sorts the agents, ``xs`` holds
-    their sorted positions, and each segment (k, alpha, beta, owner) is a
-    piece [alpha, beta] of bin k nearest to sorted agent ``owner``.
+    Returns (xs, c): the agents' sorted positions, and the per-bin cost c
+    as a list, with F(x, theta) = <c, theta>.  Given a list ``parts``, it
+    also appends to it one (k, i, part) per segment, in walk order, for
+    the gradient (_sum_parts); the callers that read only c pass none.
 
-    One pointer j walks the sorted midpoints across all bins: the midpoints
-    strictly inside a bin cut it, and the segment just below midpoint j,
-    the first one not yet passed, lies in the cell of sorted agent j.  The
-    owner is defined as ``bisect_left(mids, centre)`` with centre =
-    (alpha + beta) / 2, which is j unless the centre rounds down onto
-    alpha (beta is then alpha's float successor, or equal to it); only
-    then is it looked up.
+    Each segment is a piece [alpha, beta] of bin k nearest to one sorted
+    agent, the owner s, which is agent i.  One pointer j walks the sorted
+    midpoints across all bins: the midpoints strictly inside a bin cut it,
+    and the segment just below midpoint j, the first one not yet passed,
+    lies in the cell of sorted agent j.  The owner is defined as
+    ``bisect_left(mids, centre)`` with centre = (alpha + beta) / 2, which
+    is j unless the centre rounds down onto alpha (beta is then alpha's
+    float successor, or equal to it); only then is it looked up.  c_k
+    sums, over the segments of bin k in walk order, the integral of
+    2|s - y| over [alpha, beta], by position of the owner.  On D the
+    integrand 2 min_i |x_i - y| is continuous across each cell boundary,
+    so the Leibniz terms of a moving midpoint, equal and opposite from the
+    two segments that meet there, cancel.  What is left of the segment's
+    derivative in the agents is the owner's part, 2|alpha - s| - 2|beta - s|.
     """
     xl = np.asarray(x, dtype=float).tolist()
     order = sorted(range(len(xl)), key=xl.__getitem__)
     xs = [xl[i] for i in order]
     mids = [(u + v) / 2.0 for u, v in zip(xs, xs[1:])]
-    mids.append(math.inf)  # stops both walks below: the edges are finite
+    mids.append(math.inf)  # stops both loops below: the edges are finite
     edges = prob.bin_edges
-    segments = []
+    c = [0.0] * prob.n_bins
     j = bisect_right(mids, edges[0])
     for k in range(prob.n_bins):
         alpha, b = edges[k], edges[k + 1]
+        ck = 0.0
+        # The segments that end at a midpoint, then the one that ends at b,
+        # with the same arithmetic: one loop that tests for the last
+        # segment took about 1.5x the time at N = 50.
         while mids[j] < b:
             beta = mids[j]
             owner = j if (alpha + beta) / 2.0 != alpha else bisect_left(mids, alpha)
-            segments.append((k, alpha, beta, owner))
+            s = xs[owner]
+            da, db = alpha - s, beta - s
+            ha, hb = da * da, db * db  # not ** 2: libm pow, which NumPy cannot repeat
+            ck += hb - ha if s <= alpha else ha - hb if s >= beta else hb + ha
+            if parts is not None:
+                parts.append((k, order[owner], 2.0 * abs(da) - 2.0 * abs(db)))
             alpha = beta
             j += 1
         owner = j if (alpha + b) / 2.0 != alpha else bisect_left(mids, alpha)
-        segments.append((k, alpha, b, owner))
+        s = xs[owner]
+        da, db = alpha - s, b - s
+        ha, hb = da * da, db * db
+        c[k] = ck + (hb - ha if s <= alpha else ha - hb if s >= b else hb + ha)
+        if parts is not None:
+            parts.append((k, order[owner], 2.0 * abs(da) - 2.0 * abs(db)))
         while mids[j] == b:  # a midpoint on an edge cuts nothing
             j += 1
-    return order, xs, segments
-
-
-def _cost(xs, segments, n_bins: int) -> list:
-    # The per-bin cost c as a list, with F(x, theta) = <c, theta>: c_k sums,
-    # over the segments of bin k, the integral of 2|s - y| over
-    # [alpha, beta], by position of the owner s.
-    c = [0.0] * n_bins
-    for k, alpha, beta, owner in segments:
-        s = xs[owner]
-        da, db = alpha - s, beta - s
-        ha, hb = da * da, db * db  # not ** 2: libm pow, which NumPy cannot repeat
-        c[k] += hb - ha if s <= alpha else ha - hb if s >= beta else hb + ha
-    return c
+    return xs, c
 
 
 def _smooth(prob: CoverageProblem, xs) -> bool:
@@ -173,18 +183,13 @@ def _smooth(prob: CoverageProblem, xs) -> bool:
             and doubled.isdisjoint(map(add, xs, rest)))
 
 
-def _gradient(order, xs, segments, th: list) -> list:
-    # The gradient of <c, theta> in the agents as a list, for theta as a
-    # list.  On D the integrand 2 min_i |x_i - y| is continuous across each
-    # cell boundary, so the Leibniz terms of a moving midpoint, equal and
-    # opposite from the two segments that meet there, cancel.  What is left
-    # is the owner's part: the segment integral of 2|s - y| over
-    # [alpha, beta] has derivative 2|alpha - s| - 2|beta - s| in s.  Each
-    # part times theta_k is added to its owner in segment order.
-    g = [0.0] * len(xs)
-    for k, alpha, beta, owner in segments:
-        s = xs[owner]
-        g[order[owner]] += (2.0 * abs(alpha - s) - 2.0 * abs(beta - s)) * th[k]
+def _sum_parts(parts, th: list, n: int) -> list:
+    # The gradient of <c, theta> in the n agents as a list, for theta as a
+    # list: each of a walk's owner parts times theta_k, added to its agent
+    # in segment order.
+    g = [0.0] * n
+    for k, i, part in parts:
+        g[i] += part * th[k]
     return g
 
 
@@ -233,7 +238,7 @@ def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
     sum_k (c_k / width_k) m_k with box bounds and a fixed total, so the
     greedy fill by decreasing rate c_k / width_k is exact (ties broken at
     the lowest index).  The fill runs on Python floats (_lp)."""
-    return np.asarray(_lp(prob, c if isinstance(c, list)  # _cost gives c as a list
+    return np.asarray(_lp(prob, c if isinstance(c, list)  # _walk gives c as a list
                           else np.asarray(c, dtype=float).tolist()))
 
 
@@ -286,7 +291,7 @@ _CHUNK_SEGMENTS = 16384
 
 
 def _block_segments(prob: CoverageProblem, mids: np.ndarray):
-    """_partition's segments for every row of sorted midpoints, as flat
+    """_walk's segments for every row of sorted midpoints, as flat
     arrays in walk order: (row, k, alpha, beta, owner).
 
     A row's cuts are its K + 1 edges and the midpoints strictly inside a
@@ -430,7 +435,7 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     bin_cell = row * K + k
     del row, k, owner, at
 
-    # c summed per bin in segment order, as _cost does, then the LP.
+    # c summed per bin in segment order, as _walk does, then the LP.
     da, db = alpha - s, beta - s
     ha, hb = da * da, db * db
     v = np.where(s <= alpha, hb - ha, np.where(s >= beta, ha - hb, hb + ha))
@@ -447,35 +452,23 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     return G
 
 
-def _walk(prob: CoverageProblem, x):
-    """The per-point gradient at the inner maximizer of x as a list, in one
-    pass on Python floats, or None outside D."""
-    order, xs, segments = _partition(prob, x)
-    if not _smooth(prob, xs):
-        return None
-    g = _gradient(order, xs, segments, _lp(prob, _cost(xs, segments, prob.n_bins)))
-    return _add_penalty(prob, g, x) if prob.penalty_enabled else g
-
-
 class CoverageOracle(ProblemOracle):
     """Oracle contract for the coverage family: exact greedy inner LP and
     analytic gradients.
 
-    The oracle keeps no state of its own: each method builds the partition
-    of its point, and ``objective`` builds it once for the LP and the
-    value.  ``sample_gradients`` evaluates a small bundle point by point,
-    each in one pass on Python floats, and a large one as NumPy blocks (see
-    _BLOCK_MIN and _CHUNK_SEGMENTS), with the same bytes.  It returns the
-    gradients as one (k, n) array."""
+    The oracle keeps no state of its own: each method but ``in_D``, which
+    only sorts, makes one ``_walk`` of its point, which gives the sorted
+    positions for the D test, c, and the gradient's parts where the method
+    reads them; ``objective`` reads both the LP and the value from one
+    walk.  ``sample_gradients`` walks a
+    small bundle point by point, on Python floats, and evaluates a large
+    one as NumPy blocks (see _BLOCK_MIN and _CHUNK_SEGMENTS), with the
+    same bytes.  It returns the gradients as one (k, n) array."""
 
     def __init__(self, prob: CoverageProblem):
         self.prob = prob
         self.dim = prob.n_agents
         self.theta_dim = prob.n_bins
-
-    def _cost_at(self, x: np.ndarray) -> list:
-        _, xs, segments = _partition(self.prob, x)
-        return _cost(xs, segments, self.prob.n_bins)
 
     def _value(self, x: np.ndarray, c: list, theta) -> float:
         if sum(c) < math.inf:  # as every c_k >= 0, each one is finite
@@ -487,15 +480,21 @@ class CoverageOracle(ProblemOracle):
             v += self.prob.penalty_weight * penalty(self.prob, x)
         return v
 
+    def _grad(self, x, parts, th: list) -> list:
+        # The gradient of <c, theta> (+ weighted penalty) from x's parts.
+        g = _sum_parts(parts, th, self.dim)
+        return _add_penalty(self.prob, g, x) if self.prob.penalty_enabled else g
+
     def sample_gradients(self, points):
         width = self.dim + self.theta_dim
         if len(points) * width < _BLOCK_MIN:
             rows = []
             for x in points:
-                g = _walk(self.prob, x)
-                if g is None:
+                parts = []
+                xs, c = _walk(self.prob, x, parts)
+                if not _smooth(self.prob, xs):
                     break
-                rows.append(g)
+                rows.append(self._grad(x, parts, _lp(self.prob, c)))
             return np.array(rows).reshape(len(rows), self.dim)
         step = max(1, _CHUNK_SEGMENTS // width)
         out = []
@@ -510,31 +509,30 @@ class CoverageOracle(ProblemOracle):
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     def objective(self, x):
-        """eval_F(x, inner_max(x)) from one partition."""
+        """eval_F(x, inner_max(x)) from one walk."""
         x = np.asarray(x, dtype=float)
-        c = self._cost_at(x)
+        c = _walk(self.prob, x)[1]
         return self._value(x, c, inner_lp_max(self.prob, c))
 
     def eval_F(self, x, theta):
         x = np.asarray(x, dtype=float)
-        return self._value(x, self._cost_at(x), theta)
+        return self._value(x, _walk(self.prob, x)[1], theta)
 
     def grad_x_F(self, x, theta):
         """The gradient of <c, theta> (+ weighted penalty), on D."""
         x = np.asarray(x, dtype=float)
-        order, xs, segments = _partition(self.prob, x)
+        parts = []
+        xs, _ = _walk(self.prob, x, parts)
         if not _smooth(self.prob, xs):
             raise ValueError("gradient undefined: x lies on an excluded hyperplane")
-        g = _gradient(order, xs, segments, np.asarray(theta, dtype=float).tolist())
-        if self.prob.penalty_enabled:
-            g = _add_penalty(self.prob, g, x)
-        return np.asarray(g)
+        return np.asarray(self._grad(x, parts, np.asarray(theta, dtype=float).tolist()))
 
     def inner_max(self, x):
-        return inner_lp_max(self.prob, self._cost_at(np.asarray(x, dtype=float)))
+        return inner_lp_max(self.prob, _walk(self.prob, x)[1])
 
     def in_D(self, x):
-        return _smooth(self.prob, _partition(self.prob, np.asarray(x, dtype=float))[1])
+        # The D test reads only the sorted positions: x sorted as _walk sorts it.
+        return _smooth(self.prob, sorted(np.asarray(x, dtype=float).tolist()))
 
 
 def make_coverage_oracle(prob: CoverageProblem) -> CoverageOracle:

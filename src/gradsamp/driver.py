@@ -211,12 +211,13 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     to the first one outside D.  Raises NonsmoothSampleError when fewer
     than m gradients come back: a sample left D, an event of probability 0
     since D has full measure, and the gradients of the samples before it
-    have been computed by then.  The min-norm QP takes one (k, n) array:
-    ``state.kept`` and then the m fresh gradients, joined by one
-    concatenate.  A NullLineSearch step keeps its fresh rows for the next
-    step, and every other step keeps none.  The QP's point g is scaled
-    once, by ``_scaled``; the recorded ||g||, the NullTolerance test and
-    the line search all read that one scaling.
+    have been computed by then.  The min-norm QP takes ``state.kept`` and
+    then the m fresh gradients, joined by one concatenate, or the fresh
+    gradients as they came when nothing is kept.  A NullLineSearch step
+    keeps its fresh rows for the next step, and every other step keeps
+    none.  The QP's point g is scaled once, by ``_scaled``; the recorded
+    ||g||, the NullTolerance test and the line search all read that one
+    scaling.
 
     f(x) is ``state.f``.  Only when that is None, before a run's first
     step, is it evaluated, once, after the bundle.  The new state carries
@@ -235,7 +236,7 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     if len(fresh) < m:
         raise NonsmoothSampleError(f"sample {len(fresh)} left the smooth set D "
                                    f"at iteration {state.k}")
-    bundle = np.concatenate([b for b in (state.kept, fresh) if len(b)])
+    bundle = np.concatenate((state.kept, fresh)) if len(state.kept) else fresh
 
     g = _scaled(min_norm_point(bundle).point)
     g_norm = _ldexp(g[1], g[2])

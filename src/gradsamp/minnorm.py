@@ -172,17 +172,19 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
 
     The Gram matrix of the deduplicated points is built once, and Wolfe's
     method runs on it with a Cholesky-factored active set (see the module
-    docstring).  The returned point g satisfies the Wolfe criterion
-    <g, p_i - g> >= -_TOL * (1 + ||g||^2) for every input point, unless the
-    method stalls numerically or hits its cap of 64 * m major cycles;
-    ``gap`` reports the worst violation before clipping at zero, so a
-    stall shows there.  A point that misses the criterion gets one step of
-    iterative refinement on its active set, kept if it shrinks the gap.  A
-    bundle with a coordinate of magnitude outside [1e-100, 1e100] is solved
-    divided by a power of two, and the point and gap are scaled back
-    exactly; the criterion then holds in the scaled units.  Deterministic
-    for a fixed input order; vertex selection breaks ties at the lowest
-    index.
+    docstring).  Bitwise-equal points are merged, each set's weight going
+    to its first; when no two points share a first coordinate, none can
+    be equal, and the per-row byte keys are not built.  The returned point
+    g satisfies the Wolfe criterion <g, p_i - g> >= -_TOL * (1 + ||g||^2)
+    for every input point, unless the method stalls numerically or hits
+    its cap of 64 * m major cycles; ``gap`` reports the worst violation
+    before clipping at zero, so a stall shows there.  A point that misses
+    the criterion gets one step of iterative refinement on its active set,
+    kept if it shrinks the gap.  A bundle with a coordinate of magnitude
+    outside [1e-100, 1e100] is solved divided by a power of two, and the
+    point and gap are scaled back exactly; the criterion then holds in the
+    scaled units.  Deterministic for a fixed input order; vertex selection
+    breaks ties at the lowest index.
     """
     if len(points) == 0:
         raise ValueError("empty point set")
@@ -198,12 +200,15 @@ def min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
         raise NonFiniteError("non-finite coordinates in input points")
 
     # Deduplicate bitwise-equal points; weights flow to the first occurrence.
-    # Each row's bytes are one key, read through a void view: no copy of
-    # the whole bundle, which is 1.3 MB at 402 points of 400.
-    first = {}
-    for i, key in enumerate(P.view(f"V{P.itemsize * P.shape[1]}").ravel().tolist()):
-        first.setdefault(key, i)
-    first_idx = list(first.values())
+    # Rows whose first coordinates all differ as floats hold no duplicate.
+    # Else each row's bytes are one key, read through a void view: no copy
+    # of the whole bundle, which is 1.3 MB at 402 points of 400.
+    first_idx = range(m)
+    if len(set(P[:, 0].tolist())) < m:
+        first = {}
+        for i, key in enumerate(P.view(f"V{P.itemsize * P.shape[1]}").ravel().tolist()):
+            first.setdefault(key, i)
+        first_idx = list(first.values())
     Q = P if len(first_idx) == m else P[first_idx]
 
     # Scale guard: an exact power-of-two rescaling of extreme bundles.  The

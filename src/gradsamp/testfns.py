@@ -66,7 +66,12 @@ def _first_max(vals: np.ndarray, grads: np.ndarray) -> Tuple[np.ndarray, int]:
     rows = np.arange(len(vals))
     first = vals.argmax(axis=1)  # a row's first NaN, if it has one
     out = grads[rows, first]
-    tied = vals == vals[rows, first][:, None]
+    top = vals[rows, first]
+    tied = vals == top[:, None]
+    # A row ties 0 members to a NaN maximum, 2 or more on a tie, and else 1,
+    # so R in all with no NaN maximum means one maximal member per row.
+    if np.count_nonzero(tied) == len(vals) and not np.isnan(top).any():
+        return out, len(vals)
     # 0 where one member is maximal, more on a tie, -1 on a NaN.
     extra = tied.sum(axis=1) - 1
     for r in np.flatnonzero(extra).tolist():
@@ -85,11 +90,14 @@ class _MemberMaxOracle(ProblemOracle):
     members disagree on the gradient.  Subclasses pass each member's family
     index, in member order, and supply ``_block(X)``, the values (R x M)
     and gradients (R x M x n) of the M members at the R rows of X, each
-    row's with the same bytes whatever block it is evaluated in.
+    row's with the same bytes whatever block it is evaluated in.  They may
+    also supply ``_values(X)``, the values of ``_block(X)`` without the
+    gradients.
 
     Each method evaluates the members at its point with one ``_block``
-    row, and ``sample_gradients`` evaluates a whole bundle in one
-    ``_block`` pass."""
+    row, except ``objective``, ``eval_F`` and ``inner_max``, which read
+    only values and take one ``_values`` row; ``sample_gradients``
+    evaluates a whole bundle in one ``_block`` pass."""
 
     theta_dim = 1
 
@@ -102,10 +110,12 @@ class _MemberMaxOracle(ProblemOracle):
     def _block(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _evaluated(self, x) -> Tuple[list, np.ndarray]:
-        # The member values, as a list, and gradients at the point x.
-        vals, grads = self._block(np.asarray(x, dtype=float)[None])
-        return vals[0].tolist(), grads[0]
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        return self._block(X)[0]
+
+    def _values_at(self, x) -> list:
+        # The member values at the point x, as a list.
+        return self._values(np.asarray(x, dtype=float)[None])[0].tolist()
 
     def _member(self, vals: list, theta) -> int:
         named = self._named.get(float(theta[0]))
@@ -116,20 +126,20 @@ class _MemberMaxOracle(ProblemOracle):
         return max(named, key=vals.__getitem__)
 
     def objective(self, x):
-        """eval_F(x, inner_max(x)) from one ``_block`` row."""
-        vals = self._evaluated(x)[0]
+        """eval_F(x, inner_max(x)) from one ``_values`` row."""
+        vals = self._values_at(x)
         return vals[_argmax(vals)]
 
     def eval_F(self, x, theta):
-        vals = self._evaluated(x)[0]
+        vals = self._values_at(x)
         return vals[self._member(vals, theta)]
 
     def grad_x_F(self, x, theta):
-        vals, grads = self._evaluated(x)
-        return grads[self._member(vals, theta)]
+        vals, grads = self._block(np.asarray(x, dtype=float)[None])
+        return grads[0, self._member(vals[0].tolist(), theta)]
 
     def inner_max(self, x):
-        return np.array([self._indices[_argmax(self._evaluated(x)[0])]])
+        return np.array([self._indices[_argmax(self._values_at(x))]])
 
     def in_D(self, x):
         return _first_max(*self._block(np.asarray(x, dtype=float)[None]))[1] == 1
@@ -147,9 +157,11 @@ class _MemberMaxOracle(ProblemOracle):
 class FiniteMaxOracle(_MemberMaxOracle):
     """Exact enumeration oracle; theta is the (1-d) piece index.
 
-    ``_block`` evaluates every piece in one stacked pass, making for each
+    ``_pieces`` evaluates every piece in one stacked pass, making for each
     point and piece the BLAS calls of the per-piece formulas, so a point's
-    values and gradients have the same bytes whichever block it is in."""
+    values and gradients have the same bytes whichever block it is in.
+    ``_values`` reads the values from it, and ``_block`` adds the
+    gradients."""
 
     def __init__(self, prob: FiniteMaxProblem):
         super().__init__(range(len(prob.pieces)))
@@ -163,26 +175,37 @@ class FiniteMaxOracle(_MemberMaxOracle):
         # A slice when every piece has Q, so the updates in _block are views.
         self._quad = slice(None) if len(quad) == len(pieces) else quad
 
-    def _block(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Values (R x P) and gradients (R x P x n) of the P pieces at the R
-        rows of X.
+    def _pieces(self, X: np.ndarray):
+        """Values (R x P) of the P pieces at the R rows of X, and Q_i x as
+        an (R x Q x n x 1) array for the Q pieces with Q (None if none has).
 
         Each batched matmul makes one BLAS call per (row, piece), the call
         of the per-piece formula: a ddot for a_i'x, a dgemv for Q_i x and a
-        ddot for x'(Q_i x).  A piece without Q gets a_i'x + b_i and a_i
-        with nothing added: a zero Q would add NaN at an infinite
-        coordinate.  Where an entry near the float range overflows to inf,
-        or inf meets -inf as NaN, NumPy does not warn: the solvers handle
-        those values."""
+        ddot for x'(Q_i x).  A piece without Q gets a_i'x + b_i: a zero Q
+        would add NaN at an infinite coordinate.  Where an entry near the
+        float range overflows to inf, or inf meets -inf as NaN, NumPy does
+        not warn, here or in ``_block``: the solvers handle those values."""
         Xc = X[:, None, :, None]
-        grads = self._A[None].repeat(len(X), axis=0)
+        QX = None
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.matmul(self._A[:, None, :], Xc)[..., 0, 0] + self._b
             if self._Qs is not None:
                 QX = np.matmul(self._Qs, Xc)
-                q = self._quad
-                vals[:, q] += 0.5 * np.matmul(X[:, None, None, :], QX)[..., 0, 0]
-                grads[:, q] += QX[..., 0]
+                vals[:, self._quad] += 0.5 * np.matmul(X[:, None, None, :], QX)[..., 0, 0]
+        return vals, QX
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        return self._pieces(X)[0]
+
+    def _block(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Values (R x P) and gradients (R x P x n) of the P pieces at the R
+        rows of X: a_i + Q_i x, or a_i with nothing added for a piece
+        without Q."""
+        vals, QX = self._pieces(X)
+        grads = self._A[None].repeat(len(X), axis=0)
+        if QX is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads[:, self._quad] += QX[..., 0]
         return vals, grads
 
 

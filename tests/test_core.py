@@ -127,7 +127,7 @@ def _concurrency_case(family):
             for _ in range(5)))
         return (lambda: finite_max_oracle(prob),
                 [gen.uniform(-2.0, 2.0, size=3) for _ in range(3)],
-                (testfns.FiniteMaxOracle, "_block"))
+                (testfns.FiniteMaxOracle, "_pieces"))
     if family == "cantor":
         prob = CantorStressProblem(depth=4)
         levels = cantor_stress_oracle(prob)
@@ -142,7 +142,7 @@ def _concurrency_case(family):
                            penalty_enabled=True)
     return (lambda: make_coverage_oracle(prob),
             [gen.uniform(-0.5, 8.5, size=6) for _ in range(3)],
-            (coverage, "_partition"))
+            (coverage, "_walk"))
 
 
 def _answers(oracle, x):

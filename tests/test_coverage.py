@@ -40,9 +40,8 @@ from oracles import (
 
 
 def _c(prob, x):
-    """The per-bin cost c(x), from a fresh partition."""
-    _, xs, segments = coverage._partition(prob, x)
-    return np.asarray(coverage._cost(xs, segments, prob.n_bins))
+    """The per-bin cost c(x), from a fresh walk."""
+    return np.asarray(coverage._walk(prob, x)[1])
 
 
 def _in_D(prob, x):
@@ -530,9 +529,10 @@ def test_gradient_without_midpoint_terms_stays_within_rounding():
 
     moved = points = 0
     for prob, x, theta in _reference_cases():
-        order, xs, segments = coverage._partition(prob, x)
+        parts = []
+        xs, _ = coverage._walk(prob, x, parts)
         if coverage._smooth(prob, xs):
-            g = coverage._gradient(order, xs, segments, theta.tolist())
+            g = coverage._sum_parts(parts, theta.tolist(), len(xs))
             moved += check(np.array(g), *midpoint_grad_x(prob, x, theta))
             points += 1
     gen = np.random.Generator(np.random.Philox(27))
@@ -655,8 +655,7 @@ def test_block_path_matches_per_point_path_bytewise(monkeypatch):
             got = [g.tobytes() for g in oracle.sample_gradients(points)]
             assert got == _per_point(oracle, points), (prob.bin_edges, x.tolist())
             assert bool(blocks) == (count > 1) and len(got) == len(points)
-        _, xs, segments = coverage._partition(prob, x)
-        c = coverage._cost(xs, segments, prob.n_bins)
+        c = coverage._walk(prob, x)[1]
         theta = np.asarray(coverage._lp(prob, c))
         assert theta.tobytes() == coverage._block_lp(prob, np.array([c]))[0].tobytes()
         rates = np.array(c) / prob.widths
@@ -909,16 +908,17 @@ def test_oracle_memo_not_poisoned_by_in_place_change():
 
 
 def test_one_partition_per_bundle_sample_and_per_objective(monkeypatch):
+    """One walk per sample of a small bundle, and one per objective."""
     prob, gen = _memo_problem()
     oracle = make_coverage_oracle(prob)
     built = []
-    partition = coverage._partition
+    walk = coverage._walk
 
-    def counted(prob, x):
+    def counted(prob, x, parts=None):
         built.append(np.array(x))
-        return partition(prob, x)
+        return walk(prob, x, parts)
 
-    monkeypatch.setattr(coverage, "_partition", counted)
+    monkeypatch.setattr(coverage, "_walk", counted)
     samples = [gen.uniform(-0.5, 8.5, size=6) for _ in range(5)]
     assert len(oracle.sample_gradients(samples)) == len(samples)
     assert len(built) == len(samples)

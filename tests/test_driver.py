@@ -1,5 +1,6 @@
 """Sampling, line search, single steps, full runs, and the GD baseline."""
 
+import itertools
 import json
 import math
 import re
@@ -398,6 +399,54 @@ def test_reuse_carries_only_a_null_line_search_steps_fresh_gradients(monkeypatch
         else:
             assert len(bundle) == m
     assert follows == set(StepKind)  # each kind of step has followed one
+
+
+def test_step_hands_the_qp_the_fresh_rows_as_they_came_when_nothing_is_kept(monkeypatch):
+    """Without kept rows the QP gets the answer of sample_gradients itself,
+    an array from the coverage oracle and a list of rows from the default
+    one; with kept rows it gets them and then the fresh ones, joined.  In
+    each case the new state and the record are, byte for byte, those of a
+    step whose QP gets one concatenated copy of the kept and fresh rows."""
+    cov, p, x1, seed = _five_agent()
+    absv = finite_max_oracle(abs_value_problem())
+    cases = [(cov, x1, cov.sample_gradients),
+             (absv, np.array([0.05]), lambda points: ProblemOracle.sample_gradients(absv, points))]
+    kinds = set()
+    for oracle, x, sample_gradients in cases:
+        m = p.effective_m(oracle.dim)
+        earlier = sample_gradients(sample_ball(x, 0.1, m, Rng(seed + 1)))
+        # f - 1 below f(x) fails every line-search trial: a NullLineSearch.
+        for kept, drop in itertools.product(((), earlier), (0.0, 1.0)):
+            state = GsState(k=3, x=x, eps=0.1, nu=1e-6, kept=kept,
+                            f=oracle.objective(x) - drop)
+            outcomes = []
+            for joined in (False, True):
+                answers, bundles = [], []
+
+                def logged(points):
+                    answers.append(sample_gradients(points))
+                    return answers[-1]
+
+                def qp(points):
+                    bundles.append(points)
+                    if joined:
+                        points = np.concatenate([b for b in (kept, answers[-1]) if len(b)])
+                    return min_norm_point(points)
+
+                monkeypatch.setattr(oracle, "sample_gradients", logged)
+                monkeypatch.setattr(driver, "min_norm_point", qp)
+                new, rec = step(oracle, state, p, Rng(seed))
+                if not len(kept):
+                    assert bundles[0] is answers[0]
+                else:
+                    assert ([g.tobytes() for g in bundles[0]]
+                            == [g.tobytes() for g in kept] + [g.tobytes() for g in answers[0]])
+                outcomes.append((new.x.tobytes(), repr(new.f), new.eps, new.nu,
+                                 [g.tobytes() for g in new.kept], rec.step_kind,
+                                 repr(rec.g_norm), repr(rec.t)))
+                kinds.add(rec.step_kind)
+            assert outcomes[0] == outcomes[1]
+    assert kinds == set(StepKind)
 
 
 # -- run ---------------------------------------------------------------------

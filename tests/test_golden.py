@@ -10,6 +10,12 @@ termination and step kinds match ``GOLDEN``, the count of each step kind
 old -> new where they do not, and the largest relative change of the
 final iterate and objective, and exits with status 1 when any case
 differs from its record.
+
+The records hold on CPython 3.10 and 3.11, with numpy 2.4.6.  The
+min-norm QP (``minnorm._extend_factor``, ``_affine_weights`` and
+``_wolfe``) sums floats with the builtin ``sum``, which adds left to
+right there; CPython 3.12 made it a compensated sum, which can round
+otherwise.  ``test_builtin_sum_adds_left_to_right`` checks that first.
 """
 
 import json
@@ -218,6 +224,16 @@ GOLDEN = {
         "final_f": "3.7351148765046197e-07",
     },
 }
+
+
+def test_builtin_sum_adds_left_to_right():
+    """The builtin sum of floats rounds after each addition, left to right,
+    as the golden records assume."""
+    assert sum([1e16, 1.0, -1e16]) == 0.0, (
+        "the builtin sum() of floats is compensated on this interpreter "
+        "(CPython 3.12 and later): minnorm._extend_factor, _affine_weights and "
+        "_wolfe sum with it, and the GOLDEN records of tests/test_golden.py were "
+        "taken on CPython 3.10-3.11, where it adds left to right")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -72,6 +72,47 @@ def test_duplicate_points_deduplicated():
     assert res.weights[1] == 0.0
 
 
+def test_dedup_merges_exactly_the_bitwise_equal_rows():
+    """A bundle's min-norm point, gap and iteration count are, byte for
+    byte, those of its rows with every bitwise duplicate removed, and
+    each weight goes to a row's first occurrence.  On bundles whose rows
+    all differ in the first coordinate, so that the byte keys are
+    skipped, and bundles that share a first coordinate, hold bitwise
+    duplicates, or hold rows that differ only in a 0.0 against a -0.0
+    first coordinate, which are equal as floats but stay two points."""
+    gen = np.random.Generator(np.random.Philox(67))
+    seen = {"shortcut": 0, "shared": 0, "merged": 0, "signed_zero": 0}
+    for case in range(800):
+        m, n = int(gen.integers(2, 9)), int(gen.integers(1, 6))
+        P = gen.standard_normal((m, n))
+        i, j = (int(v) for v in gen.choice(m, size=2, replace=False))
+        kind = case % 4
+        if kind == 1:
+            P[j, 0] = P[i, 0]
+        elif kind == 2:
+            P[j] = P[i]
+        elif kind == 3:
+            P[j] = P[i]
+            P[i, 0], P[j, 0] = 0.0, -0.0
+        first = {}
+        for r, row in enumerate(P):
+            first.setdefault(row.tobytes(), r)
+        idx = list(first.values())
+        res, ref = min_norm_point(P), min_norm_point(P[idx])
+        assert not res.capped and not ref.capped
+        assert res.point.tobytes() == ref.point.tobytes(), P
+        assert repr(res.gap) == repr(ref.gap) and res.iterations == ref.iterations
+        want = np.zeros(m)
+        want[idx] = ref.weights
+        assert res.weights.tobytes() == want.tobytes(), P
+        distinct = len(set(P[:, 0].tolist())) == m
+        seen["shortcut"] += distinct
+        seen["shared"] += not distinct and len(idx) == m
+        seen["merged"] += len(idx) < m
+        seen["signed_zero"] += kind == 3 and len(idx) == m
+    assert min(seen.values()) >= 150, seen
+
+
 def test_wolfe_certificate_holds():
     gen = np.random.Generator(np.random.Philox(13))
     for _ in range(30):

@@ -21,6 +21,7 @@ from gradsamp import (
 from gradsamp.testfns import (
     FiniteMaxOracle,
     _argmax,
+    _first_max,
     bump,
     bump_d1,
     bump_d2,
@@ -86,8 +87,9 @@ def _asked(oracle, x):
 
 def test_each_piece_evaluated_once_per_bundle_sample_and_per_objective(monkeypatch):
     """One objective, and one bundle sample's gradient, make one stacked
-    pass over the pieces, and give what a fresh oracle's primitives give.
-    A bundle's sample_gradients makes one pass over all its points."""
+    pass over the pieces, and give what a fresh oracle's primitives give;
+    the objective builds no gradient block.  A bundle's sample_gradients
+    makes one pass over all its points."""
     prob, gen = _quadratic_pieces()
     oracle = finite_max_oracle(prob)
     cases = []
@@ -95,21 +97,27 @@ def test_each_piece_evaluated_once_per_bundle_sample_and_per_objective(monkeypat
         s, y = gen.uniform(-2.0, 2.0, size=3), gen.uniform(-2.0, 2.0, size=3)
         cases.append((s, y, _asked(finite_max_oracle(prob), s),
                       _asked(finite_max_oracle(prob), y)[2]))
-    evaluated = []
-    block = FiniteMaxOracle._block
+    evaluated, blocks = [], []
+    pieces, block = FiniteMaxOracle._pieces, FiniteMaxOracle._block
 
     def counted(self, X):
         evaluated.append(len(X))
+        return pieces(self, X)
+
+    def counted_block(self, X):
+        blocks.append(len(X))
         return block(self, X)
 
-    monkeypatch.setattr(FiniteMaxOracle, "_block", counted)
+    monkeypatch.setattr(FiniteMaxOracle, "_pieces", counted)
+    monkeypatch.setattr(FiniteMaxOracle, "_block", counted_block)
     for s, y, asked, f in cases:
         assert asked[0]
         assert [g.tobytes() for g in oracle.sample_gradients(s[None])] == [asked[3]]
-        assert evaluated == [1]
+        assert evaluated == blocks == [1]
         evaluated.clear()
+        blocks.clear()
         assert repr(oracle.objective(y)) == f
-        assert evaluated == [1]
+        assert evaluated == [1] and blocks == []
         evaluated.clear()
     got = oracle.sample_gradients([s for s, _, _, _ in cases])
     assert evaluated == [3]
@@ -238,6 +246,75 @@ def test_block_path_matches_per_point_path_bytewise():
             seen["inf"] += bool(np.isinf(vals).any())
             tied = vals == vals.max(axis=1, keepdims=True)
             seen["twin"] += bool((tied.sum(axis=1) > 1).any())
+    assert min(seen.values()) >= 20, seen
+
+
+def _first_max_general(vals, grads):
+    # _first_max without its shortcut: every tied row's gradients are read.
+    rows = np.arange(len(vals))
+    first = vals.argmax(axis=1)
+    out = grads[rows, first]
+    tied = vals == vals[rows, first][:, None]
+    extra = tied.sum(axis=1) - 1
+    for r in np.flatnonzero(extra).tolist():
+        if extra[r] < 0 or (grads[r, tied[r]] != out[r]).any():
+            return out, r
+    return out, len(vals)
+
+
+def test_first_max_shortcut_matches_the_general_path_bytewise():
+    """_first_max returns at once when every row has one maximal member,
+    with the bytes and the count of the path that reads each tied row: on
+    blocks of rows with one maximal member, a tie of equal gradients
+    (among them 0.0 against -0.0), a tie of unequal gradients, and a NaN
+    value, mixed in one block and alone."""
+    gen = np.random.Generator(np.random.Philox(53))
+    seen = {"shortcut": 0, "single": 0, "equal_tie": 0, "unequal_tie": 0, "nan": 0}
+    for case in range(3000):
+        R, M, n = (int(gen.integers(1, k)) for k in (8, 6, 4))
+        vals = gen.integers(-2, 3, size=(R, M)).astype(float)
+        if case % 4 == 0:  # mostly one maximal member per row
+            vals += gen.standard_normal((R, M))
+        elif case % 4 == 3:
+            vals[gen.integers(R), gen.integers(M)] = math.nan
+        grads = gen.choice([-0.0, 0.0, 1.0], size=(R, M, n))
+        got, want = _first_max(vals, grads), _first_max_general(vals, grads)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1], (vals, grads)
+        for v, g in zip(vals, grads):
+            tied = v == np.max(v)
+            if np.isnan(v).any():
+                seen["nan"] += 1
+            elif tied.sum() == 1:
+                seen["single"] += 1
+            else:
+                seen["equal_tie" if (g[tied] == g[tied][0]).all() else "unequal_tie"] += 1
+        seen["shortcut"] += bool(np.count_nonzero(vals == np.max(vals, axis=1)[:, None]) == R
+                                 and not np.isnan(vals).any())
+    assert min(seen.values()) >= 300, seen
+
+
+def test_value_methods_read_the_values_of_the_block():
+    """objective, eval_F and inner_max read the values alone, with the
+    bytes of the values in the full block of values and gradients: over
+    the finite maxima of the block path test, with pieces with and
+    without Q, ties, and rows whose entries overflow to inf or meet as
+    NaN."""
+    gen = np.random.Generator(np.random.Philox(59))
+    seen = {"inf": 0, "nan": 0}
+    for case in range(300):
+        prob, points = _block_case(gen, ("affine", "quadratic", "mixed")[case % 3])
+        oracle = finite_max_oracle(prob)
+        X = np.array(points)
+        vals = oracle._block(X)[0]
+        assert oracle._values(X).tobytes() == vals.tobytes()
+        for x, row in zip(points, vals):
+            i = int(np.argmax(row))
+            assert repr(oracle.objective(x)) == repr(float(row[i]))
+            assert oracle.inner_max(x).tolist() == [float(i)]
+            for t in range(len(prob.pieces)):
+                assert repr(oracle.eval_F(x, [float(t)])) == repr(float(row[t]))
+        seen["inf"] += bool(np.isinf(vals).any())
+        seen["nan"] += bool(np.isnan(vals).any())
     assert min(seen.values()) >= 20, seen
 
 
