@@ -152,7 +152,8 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
 
     0 on completion, 2 when sampling stopped on a nonsmooth point, 3 when
     it ended at a NaN f or a non-finite bundle gradient (the artifacts are
-    written either way), 1 on any config error (diagnostics on stderr)."""
+    written either way), 1 on any config error or an output directory that
+    cannot be created (diagnostics on stderr)."""
     try:
         raw = Path(config_path).read_text()
     except OSError as e:
@@ -190,7 +191,11 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create output directory {out}: {e}", file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     trace = run(oracle, params, x1, rng)
     wall = time.perf_counter() - t0
@@ -253,7 +258,11 @@ def emit_plot_data(trace_path, out_path) -> int:
                                   + [parts[i] for i in coord_cols]
                                   + [parts[f_col], parts[g_col],
                                      parts[e_col], parts[n_col]]))
-    Path(out_path).write_text("\n".join(out_lines) + "\n")
+    try:
+        Path(out_path).write_text("\n".join(out_lines) + "\n")
+    except OSError as e:
+        print(f"error: cannot write {out_path}: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

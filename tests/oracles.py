@@ -29,6 +29,11 @@
 - ``reference_ball_points``: ball samples from given draws, with the
   radius re-checked on every row (checks, byte for byte, ``sample_ball``,
   which skips the re-check where no row can round past the sphere).
+- ``reference_min_norm_point`` and ``reference_wolfe``: the min-norm QP
+  with each product outside Wolfe's loop through ``@`` and every major
+  cycle's dots from one product with the Gram matrix (check, byte for
+  byte, ``min_norm_point`` and ``_wolfe``, whose first cycle reads the
+  start point's Gram row and whose products go through ``ndarray.dot``).
 - ``reference_trace_csv`` and ``reference_trace_json``: the trace files as
   ``f"{v:.17g}"`` per value and as ``json.dumps(payload, indent=1)`` write
   them (check, byte for byte, the CLI's direct writers).
@@ -38,11 +43,15 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Sequence, Tuple
+from operator import mul
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from gradsamp import CoverageProblem, FiniteMaxProblem, MaxPiece, Trace, make_coverage_oracle
+from gradsamp import (CoverageProblem, FiniteMaxProblem, MaxPiece, MinNormResult, Trace,
+                      make_coverage_oracle)
+from gradsamp.minnorm import (_DROP, _SAFE, _TOL, NonFiniteError, _affine_weights,
+                              _extend_factor)
 
 
 def _compositions(total: int, parts: int):
@@ -122,6 +131,118 @@ def min_norm_bruteforce(points: Sequence[np.ndarray],
         d = min(denom, d * 4)
         best, _ = _window_eval(P, d, best, width=12)
     return best @ P
+
+
+def reference_wolfe(G: np.ndarray, max_iter: int):
+    """Wolfe's method on the Gram matrix G, each major cycle's dots from
+    one product G[:, active] @ lam."""
+    diag = G.diagonal().tolist()
+    active = [diag.index(min(diag))]
+    Gl = {active[0]: G[active[0]].tolist()}
+    lam = [1.0]
+    L: List[List[float]] = []
+    z: List[float] = []
+    _extend_factor(L, z, Gl, active)
+    it = 0
+    while True:
+        it += 1
+        if it > max_iter:
+            return active, lam, it, True
+        dots = G.take(active, axis=0).T.dot(lam).tolist()
+        gsq = sum(map(mul, [dots[a] for a in active], lam))
+        low = min(dots)
+        if low >= gsq - _TOL * (1.0 + gsq):
+            break
+        j = dots.index(low)
+        if j in active:
+            break
+        active.append(j)
+        if j not in Gl:
+            Gl[j] = G[j].tolist()
+        if not _extend_factor(L, z, Gl, active):
+            active.pop()
+            break
+        lam.append(0.0)
+        while True:
+            alpha = _affine_weights(L, z)
+            if min(alpha) > _DROP:
+                lam = alpha
+                break
+            theta = min((l / (l - a) for l, a in zip(lam, alpha)
+                         if a <= _DROP and l != a), default=1.0)
+            theta = min(max(theta, 0.0), 1.0)
+            lam = [l + theta * (a - l) for l, a in zip(lam, alpha)]
+            keep = [i for i, l in enumerate(lam) if l > _DROP]
+            if not keep:
+                keep = [lam.index(max(lam))]
+            active = [active[i] for i in keep]
+            lam = [lam[i] for i in keep]
+            total = sum(lam)
+            lam = [l / total for l in lam]
+            first = next((n for n, i in enumerate(keep) if n != i), len(keep))
+            del L[first:], z[first:]
+            if not _extend_factor(L, z, Gl, active):
+                return active, lam, it, False
+            if len(active) == 1:
+                break
+    return active, lam, it, False
+
+
+def _reference_gap(Q: np.ndarray, g: np.ndarray, gg: float) -> float:
+    return max(0.0, gg - min((Q @ g).tolist()))
+
+
+def reference_min_norm_point(points: Sequence[np.ndarray]) -> MinNormResult:
+    """Minimum-norm point of conv(points): bitwise duplicates merged, the
+    power-of-two scale guard, Wolfe's method, the normalised weights and
+    one refinement step, each product through ``@``."""
+    if len(points) == 0:
+        raise ValueError("empty point set")
+    P = np.ascontiguousarray(points, dtype=float)
+    if P.ndim != 2:
+        raise ValueError("points must share a common dimension")
+    m = P.shape[0]
+    top = max(float(P.max()), -float(P.min()))
+    if not top < math.inf:
+        raise NonFiniteError("non-finite coordinates in input points")
+    first_idx = range(m)
+    if len(set(P[:, 0].tolist())) < m:
+        first = {}
+        for i, key in enumerate(P.view(f"V{P.itemsize * P.shape[1]}").ravel().tolist()):
+            first.setdefault(key, i)
+        first_idx = list(first.values())
+    Q = P if len(first_idx) == m else P[first_idx]
+    shift = 0
+    if not _SAFE[0] <= top <= _SAFE[1]:
+        shift = math.frexp(top)[1]
+        Q = np.ldexp(Q, -shift)
+
+    active, lam, it, capped = reference_wolfe(Q @ Q.T, 64 * m)
+
+    lam = np.array(lam)
+    lam = lam / lam.sum()
+    g = lam @ Q[active]
+    gg = float(g @ g)
+    gap = _reference_gap(Q, g, gg)
+    if gap > _TOL * (1.0 + gg):
+        S = Q[active]
+        rhs = np.column_stack([np.ones(len(active)), S @ g])
+        a1, ar = np.linalg.lstsq(S @ S.T + 1.0, rhs, rcond=None)[0].T
+        delta = a1 * (ar.sum() / a1.sum()) - ar
+        g2 = g + delta @ S
+        gap2 = _reference_gap(Q, g2, float(g2 @ g2))
+        if gap2 < gap and np.all(lam + delta >= 0.0):
+            lam, g, gap = lam + delta, g2, gap2
+
+    weights = np.zeros(m)
+    weights[[first_idx[a] for a in active]] = lam
+
+    if shift:
+        g = np.ldexp(g, shift)
+        with np.errstate(over="ignore"):
+            gap = float(np.ldexp(gap, 2 * shift))
+    return MinNormResult(point=g, weights=weights, gap=gap, iterations=it,
+                         capped=capped)
 
 
 def abs_value_problem() -> FiniteMaxProblem:

@@ -73,6 +73,31 @@ def test_missing_config_exits_1(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_output_path_that_cannot_be_made_exits_1(tmp_path, capsys, monkeypatch):
+    """An --out that is an existing file, or lies under one, and a plot-data
+    output under a file each end in one error line and exit 1, with nothing
+    run and the file left as it was."""
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    config = _write(tmp_path, _minimal_config(tmp_path / "unused"))
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *a, **k: runs.append(a))
+    for out in (blocker, blocker / "sub"):
+        assert main(["run", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot create output directory")
+    assert runs == []
+    monkeypatch.undo()
+    good = tmp_path / "good"
+    assert main(["run", str(config), "--out", str(good)]) == 0
+    capsys.readouterr()
+    assert main(["plot-data", str(good / "trace.csv"), str(blocker / "plot.txt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write")
+    assert blocker.read_text() == "keep\n"
+    assert not (tmp_path / "unused").exists()
+
+
 def test_malformed_json_exits_1_with_location(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"problem": ')

@@ -8,7 +8,7 @@ import pytest
 from gradsamp import MinNormResult, min_norm_point
 from gradsamp import minnorm
 from gradsamp.minnorm import _TOL
-from oracles import min_norm_bruteforce
+from oracles import min_norm_bruteforce, reference_min_norm_point, reference_wolfe
 
 
 def test_singleton_hull():
@@ -281,3 +281,104 @@ def test_wolfe_converts_only_the_rows_of_points_that_enter(monkeypatch):
                for shape, _, offset in rows)
     row_ids = [offset // (m * G.itemsize) for _, _, offset in rows]
     assert len(set(row_ids)) == len(row_ids) and set(row_ids) <= entered
+
+
+def test_qp_matches_the_reference_byte_for_byte(monkeypatch):
+    """min_norm_point gives, bit for bit, the point, weights, gap, iteration
+    count and cap flag of the reference QP, which takes each major cycle's
+    dots from one product with G and every product through ``@``.  On
+    seeded bundles of every m from 1 to 30 and every n from 1 to 12, with
+    bitwise-duplicate rows, +-0.0 coordinates, scales of 1e-120, 1e120 and
+    1e300 that take the rescale path, and four points in 3-D with one
+    scaled by 1e4, which take the refinement step."""
+    gen = np.random.Generator(np.random.Philox(3141))
+    lstsq, refined = np.linalg.lstsq, []
+
+    def counting(*args, **kwargs):
+        refined.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+
+    def check(P):
+        """Point and weights byte for byte, and the whole result by repr,
+        which spells the gap exactly, the iteration count and cap flag."""
+        refined_before = len(refined)
+        res = min_norm_point(P)
+        took_refinement = len(refined) > refined_before
+        ref = reference_min_norm_point(P)
+        assert res.point.tobytes() == ref.point.tobytes(), P
+        assert res.weights.tobytes() == ref.weights.tobytes(), P
+        assert res.point.shape == ref.point.shape and res.weights.shape == ref.weights.shape
+        assert repr(res) == repr(ref), P
+        return res, took_refinement
+
+    seen = {"several_cycles": 0, "duplicates": 0, "zeros": 0, "rescaled": 0, "refined": 0}
+    pairs = [(m, n) for m in range(1, 31) for n in range(1, 13)]
+    for case, (m, n) in enumerate(pairs * 4):
+        kind = case // len(pairs)
+        P = gen.standard_normal((m, n)) + gen.uniform(-1.0, 1.0, n)
+        if kind == 1 and m > 1:
+            idx = gen.integers(0, m, m)
+            P = P[np.sort(idx)]
+            seen["duplicates"] += len(set(map(bytes, P))) < m
+        elif kind == 2:
+            P[gen.random((m, n)) < 0.4] = 0.0
+            P[gen.random((m, n)) < 0.3] *= -1.0
+            seen["zeros"] += bool(np.any((P == 0.0) & np.signbit(P)))
+        elif kind == 3:
+            P = P * (1e-120, 1e120, 1e300)[case % 3]
+            seen["rescaled"] += 1
+        res, took = check(P)
+        seen["several_cycles"] += res.iterations > 2
+        seen["refined"] += took
+    for _ in range(600):
+        P = gen.standard_normal((4, 3))
+        P[int(gen.integers(4))] *= 1e4
+        seen["refined"] += check(P)[1]
+    # Start points alone, and a start whose coordinates are signed zeros.
+    for P in ([[0.5], [-0.0]], [[-0.0], [0.5]], [[0.0, -0.0], [-0.0, 0.0]],
+              [[-0.0, 1.0], [0.5, -0.0], [-0.0, -0.25]], [[1.0, 2.0]], [[-0.0]]):
+        check(np.array(P))
+    assert min(seen.values()) >= 50, seen
+
+
+def test_first_cycle_signed_zeros_in_the_start_row_move_nothing():
+    """_wolfe's first cycle reads its dots from the start point's Gram row,
+    which may differ from the product G[:, [a]] @ [1.0] in the sign of a
+    zero.  On seeded Gram matrices whose zero entries are -0.0, in the
+    start row among others, it returns what the reference returns."""
+    gen = np.random.Generator(np.random.Philox(2718))
+    flipped = 0
+    for _ in range(400):
+        m, n = int(gen.integers(2, 12)), int(gen.integers(1, 6))
+        P = gen.standard_normal((m, n))
+        P[gen.random((m, n)) < 0.6] = 0.0
+        G = P @ P.T
+        G[G == 0.0] = -0.0
+        np.fill_diagonal(G, np.abs(G.diagonal()))  # sums of squares
+        start = G.diagonal().tolist()
+        start = start.index(min(start))
+        flipped += bool(np.any(np.signbit(G[start]) & (G[start] == 0.0)))
+        assert repr(minnorm._wolfe(G, 64 * m)) == repr(reference_wolfe(G, 64 * m))
+    assert flipped >= 100, flipped
+
+
+def test_wolfe_state_at_every_cap_matches_the_reference():
+    """Capped after each of its major cycles in turn, _wolfe returns the
+    reference's active set, weights, cycle count and cap flag, weights
+    compared by repr.  So every cycle's state is pinned, and so is the
+    cap path, which no full solve reaches."""
+    gen = np.random.Generator(np.random.Philox(1618))
+    capped = 0
+    for case in range(300):
+        m, n = 1 + case % 30, 1 + case // 30
+        Q = gen.standard_normal((m, n)) + gen.uniform(-1.0, 1.0, n)
+        G = Q.dot(Q.T)
+        *_, cycles, full_cap = minnorm._wolfe(G, 64 * m)
+        assert not full_cap
+        for cap in range(1, cycles + 1):
+            res, ref = minnorm._wolfe(G, cap), reference_wolfe(G, cap)
+            assert repr(res) == repr(ref), (Q, cap)
+            capped += res[3]
+    assert capped >= 500, capped
