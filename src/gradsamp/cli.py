@@ -1,9 +1,10 @@
 """Experiment runner: config in, trace/summary artifacts out.
 
 A single JSON config fully determines a run (problem, parameters, start,
-seed), so regression tests can diff configs and outputs.  Traces are
-serialized with 17 significant digits, which round-trips doubles exactly
-and makes identical runs byte-identical.
+seed), so regression tests can diff configs and outputs.  trace.csv
+writes each float as %.17g and trace.json, one json.dumps line, as its
+repr; both round-trip doubles exactly.  trace.csv holds no timings, so
+identical runs write it byte for byte the same.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (GsParams, IterationRecord, ParamError, Termination, Trace,
-                   validate_params)
+from .core import GsParams, ParamError, Termination, Trace, validate_params
 from .coverage import CoverageProblem, make_coverage_oracle
 from .driver import Rng, _start_point, gradient_descent_baseline, run
 from .testfns import (
@@ -91,46 +91,19 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
         for r in trace.records]))
 
 
-# json's spelling of the floats whose repr is not JSON.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_number(v) -> str:
-    """json.dumps(v) for a number v: a float's repr, as json writes it,
-    with NaN and the infinities spelled as json spells them."""
-    if type(v) is float:
-        s = repr(v)
-        return _JSON_NONFINITE.get(s, s)
-    return json.dumps(v)
-
-
-# One record as json.dumps(..., indent=1) lays it out inside the list.
-_RECORD_JSON = ('  {\n   "k": %d,\n   "x": %s,\n   "f": %s,\n   "eps": %s,\n'
-                '   "nu": %s,\n   "g_norm": %s,\n   "t": %s,\n   "step_kind": "%s",\n'
-                '   "sample_count": %d,\n   "wall_time_us": %d\n  }')
-
-
-def _record_json(r: IterationRecord) -> str:
-    x = [_json_number(v) for v in np.asarray(r.x, dtype=float).tolist()]
-    return _RECORD_JSON % (
-        r.k, "[\n    " + ",\n    ".join(x) + "\n   ]" if x else "[]",
-        _json_number(r.f_approx), _json_number(r.eps), _json_number(r.nu),
-        _json_number(r.g_norm), _json_number(r.t), r.step_kind.value,
-        r.sample_count, r.wall_time_us)
-
-
 def write_trace_json(trace: Trace, path: Path) -> None:
-    """trace.json, byte for byte as json.dumps(payload, indent=1) writes it.
-
-    With indent set, CPython's json.dumps runs its pure-Python encoder, so
-    only the header (seed, termination, params) goes through it, and each
-    record is one %-format string with JSON's text for every number."""
-    head = json.dumps({"seed": trace.seed, "termination": trace.termination.value,
-                       "params": trace.params_snapshot}, indent=1)
-    records = ",\n".join([_record_json(r) for r in trace.records])
-    # head ends with "\n}", which closes the payload after the records.
-    path.write_text(head[:-2] + ',\n "records": '
-                    + ("[\n" + records + "\n ]" if records else "[]") + "\n}")
+    """trace.json: seed, termination, params and one object per record,
+    as one json.dumps line.  Each float is its repr, NaN and the
+    infinities as json spells them."""
+    path.write_text(json.dumps({
+        "seed": trace.seed,
+        "termination": trace.termination.value,
+        "params": trace.params_snapshot,
+        "records": [{"k": r.k, "x": np.asarray(r.x, dtype=float).tolist(),
+                     "f": r.f_approx, "eps": r.eps, "nu": r.nu, "g_norm": r.g_norm,
+                     "t": r.t, "step_kind": r.step_kind.value,
+                     "sample_count": r.sample_count, "wall_time_us": r.wall_time_us}
+                    for r in trace.records]}))
 
 
 def _summary_block(trace: Trace, wall_s: float) -> dict:

@@ -14,7 +14,6 @@ the support.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -280,13 +279,11 @@ _BLOCK_MIN = 120
 # A block holds about a dozen arrays of R * (N + K) segments at once, so
 # the rows of a large bundle go in chunks of at most _CHUNK_SEGMENTS
 # segments.  For one seeded bundle of N + 2 rows with K = 2N (same box),
-# the tracemalloc peak of one block is 0.8, 3.0, 12 and 49 MiB at N = 50,
-# 100, 200 and 400 once the thread's gather buffers exist; with this cap
-# it is 0.8, 1.6, 1.9 and 2.7 MiB (0.9 to 3.0 MiB on a thread's first
-# bundle, which makes them).  At N = 400 a bundle took a median of 121 ms,
-# against 199 ms as one block, 142 ms at a cap of 8 192 (2.5 MiB) and 117
-# ms at 32 768 (4.4 MiB).  An N = 50 bundle, 7 800 segments, is still one
-# block.
+# the tracemalloc peak of one block is 0.8, 3.2, 12 and 50 MiB at N = 50,
+# 100, 200 and 400; with this cap it is 0.8, 1.7, 1.9 and 2.8 MiB.  At
+# N = 400 a bundle took a median of 121 ms, against 199 ms as one block,
+# 142 ms at a cap of 8 192 (2.5 MiB) and 117 ms at 32 768 (4.4 MiB).  An
+# N = 50 bundle, 7 800 segments, is still one block.
 _CHUNK_SEGMENTS = 16384
 
 
@@ -381,25 +378,6 @@ def _hits(sorted_values: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sorted_values[np.minimum(i, len(sorted_values) - 1, out=i)] == v
 
 
-# A block's last bincount reads one owner cell and one part per segment.
-# Arrays made fresh for every bundle can have their pages handed back by
-# the allocator and faulted in anew by the next bundle, as far as its trim
-# threshold, which the process's history sets, allows.  So each thread
-# keeps one pair, of at most max(_CHUNK_SEGMENTS, N + K) entries each.
-_gather = threading.local()
-
-
-def _gather_buffers(S: int):
-    """This thread's (S,) owner-cell and part arrays for _block_gradients'
-    last bincount, as views of one pair of buffers that grows to the
-    largest S met.  Every entry of a view is written before it is read,
-    and no view is kept past the call."""
-    bufs = getattr(_gather, "bufs", None)
-    if bufs is None or len(bufs[0]) < S:
-        bufs = _gather.bufs = (np.empty(S, dtype=np.intp), np.empty(S))
-    return bufs[0][:S], bufs[1][:S]
-
-
 def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     """The gradients of the per-point path at the inner maximizers of the
     leading rows of X that lie in D, byte for byte, computed for all of
@@ -407,10 +385,11 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
 
     Each per-segment array is dropped once its last reader has run, here
     and in _block_segments, which keeps a block's peak near 0.8 MiB at
-    N = 50 instead of 2 MiB.  Where the heap grows past the allocator's
-    trim threshold, which depends on the process's history, the allocator
-    hands the freed top back to the system after every bundle, and the
-    next bundle faults it in again."""
+    N = 50 instead of 2 MiB; without these dels the solver ran 16% fewer
+    iterations per second at N = 50.  Where the heap grows past the
+    allocator's trim threshold, which depends on the process's history,
+    the allocator hands the freed top back to the system after every
+    bundle, and the next bundle faults it in again."""
     N = X.shape[1]
     K = prob.n_bins
     edges, doubled = prob._edge_arrays
@@ -426,12 +405,10 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     row, k, alpha, beta, owner = _block_segments(prob, sums[:R] / 2.0)
     del sums
     # Each segment's one part goes to its owner's cell among the block's
-    # global agent cells.  Every index is in range: mode "clip" only spares
-    # the copy through a temporary that take makes for its default "raise".
-    cells, parts = _gather_buffers(len(row))
+    # global agent cells.
     at = row * N + owner
     s = xs.ravel()[at]
-    np.take((order + np.arange(R)[:, None] * N).ravel(), at, out=cells, mode="clip")
+    cells = (order + np.arange(R)[:, None] * N).ravel()[at]
     bin_cell = row * K + k
     del row, k, owner, at
 
@@ -444,7 +421,7 @@ def _block_gradients(prob: CoverageProblem, X: np.ndarray) -> np.ndarray:
     del v
 
     # Each owner part times theta_k, summed per agent in segment order.
-    np.multiply(2.0 * np.abs(da) - 2.0 * np.abs(db), theta.ravel()[bin_cell], out=parts)
+    parts = (2.0 * np.abs(da) - 2.0 * np.abs(db)) * theta.ravel()[bin_cell]
     del da, db, bin_cell
     G = np.bincount(cells, weights=parts, minlength=R * N).reshape(R, N)
     if prob.penalty_enabled:

@@ -35,8 +35,8 @@
   byte, ``min_norm_point`` and ``_wolfe``, whose first cycle reads the
   start point's Gram row and whose products go through ``ndarray.dot``).
 - ``reference_trace_csv`` and ``reference_trace_json``: the trace files as
-  ``f"{v:.17g}"`` per value and as ``json.dumps(payload, indent=1)`` write
-  them (check, byte for byte, the CLI's direct writers).
+  ``f"{v:.17g}"`` per value and as one ``json.dumps(payload)`` line write
+  them (check, byte for byte, the CLI's writers).
 """
 
 import json
@@ -475,7 +475,7 @@ def reference_trace_csv(trace: Trace) -> str:
 
 
 def reference_trace_json(trace: Trace) -> str:
-    """trace.json as json.dumps(payload, indent=1)."""
+    """trace.json as one json.dumps(payload) line."""
     payload = {
         "seed": trace.seed,
         "termination": trace.termination.value,
@@ -496,4 +496,4 @@ def reference_trace_json(trace: Trace) -> str:
             for r in trace.records
         ],
     }
-    return json.dumps(payload, indent=1)
+    return json.dumps(payload)

@@ -140,6 +140,19 @@ def test_bad_params_exit_1(tmp_path, capsys):
     cases.append((cfg, "bin_edges"))
     for params in ([], "abc", 5, None):
         cases.append((_minimal_config(out, params=params), "params must be an object"))
+    for field in ("problem", "x1", "output_dir"):
+        cfg = _minimal_config(out)
+        del cfg[field]
+        cases.append((cfg, f"missing field '{field}' in config"))
+    cfg = _minimal_config(out)
+    cfg["problem"]["pieces"][1] = {"b": 1.0}
+    cases.append((cfg, "missing field 'a' in problem.pieces"))
+    cases.append((_minimal_config(out, formats=["csv", "xml"]), "unknown formats: ['xml']"))
+    cases.append((_minimal_config(out, params={"max_iters": -1}), "max_iters negative"))
+    cfg = json.loads((REPO / "configs" / "two_agent.json").read_text())
+    cfg.update(output_dir=str(out), run_baseline_gd=False)
+    cfg["problem"]["theta_lower"] = cfg["problem"]["theta_lower"][:-1]
+    cases.append((cfg, "theta bounds must have one entry per bin"))
     for cfg, expected in cases:
         assert run_experiment(str(_write(tmp_path, cfg))) == 1
         assert expected in capsys.readouterr().err
@@ -404,6 +417,13 @@ def test_plot_data_malformed_inputs(tmp_path, capsys):
     empty = tmp_path / "zero.csv"
     empty.write_text("")
     assert emit_plot_data(empty, tmp_path / "o.dat") == 1
+    long_row = tmp_path / "long.csv"
+    long_row.write_text("k,x_0,f,eps,nu,g_norm,t,step_kind\n"
+                        "1,0.5,0.5,0.1,0.1,1,0.1,Descent,extra\n")
+    capsys.readouterr()
+    assert emit_plot_data(long_row, tmp_path / "o.dat") == 1
+    assert "malformed trace row" in capsys.readouterr().err
+    assert not (tmp_path / "o.dat").exists()
 
 
 # -- argparse entry point ----------------------------------------------------

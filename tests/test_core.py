@@ -242,8 +242,9 @@ def test_overrides_agree_with_the_primitives(family):
     """Each shipped oracle's objective and sample_gradients give the bytes
     of the base definitions from its primitives: f(x) = eval_F(x,
     inner_max(x)), no row exactly when x is outside D, and otherwise the
-    row grad_x_F(x, inner_max(x))."""
+    row grad_x_F(x, inner_max(x)); no points give no rows."""
     oracle, points = _override_case(family)
+    assert len(oracle.sample_gradients([])) == 0
     outside = 0
     for x in points:
         theta = oracle.inner_max(x)

@@ -793,10 +793,10 @@ def _block_bundles(sizes, seed):
     return prob, [list(gen.uniform(-1.0, K + 1.0, (size, N))) for size in sizes]
 
 
-def test_block_gradients_are_not_views_of_the_gather_buffers():
-    """Each thread keeps one pair of gather buffers, reused by every block,
-    so a gradient array that one bundle returned must not change when
-    later bundles, smaller and larger, reuse or regrow them."""
+def test_block_gradients_unchanged_by_later_bundles():
+    """A gradient array that one block-path bundle returned shares no
+    memory with a later call: after bundles smaller and larger than it
+    have run, it still holds the per-point path's bytes."""
     prob, bundles = _block_bundles((8, 6, 12, 5, 12, 9), 29)
     oracle = make_coverage_oracle(prob)
     got = [oracle.sample_gradients(points) for points in bundles]
@@ -807,10 +807,10 @@ def test_block_gradients_are_not_views_of_the_gather_buffers():
 
 def test_block_path_safe_to_call_concurrently(monkeypatch):
     """Threads that share one oracle, each on its own block-path bundle,
-    get the bytes of serial calls.  _block_lp, which runs between the
-    filling of a block's gather cells and their last read, sleeps briefly,
-    so the threads switch there and not only where the interpreter
-    happens to."""
+    get the bytes of serial calls: the block path keeps no state outside
+    a call.  _block_lp, which runs between a block's segments and its
+    last bincount, sleeps briefly, so the threads switch there and not
+    only where the interpreter happens to."""
     prob, bundles = _block_bundles((5, 7, 9, 12), 30)
     shared = make_coverage_oracle(prob)
     want = [shared.sample_gradients(points).tobytes() for points in bundles]

@@ -888,6 +888,30 @@ def test_gd_stalls_at_a_gradient_that_is_not_finite():
     assert len(counted) == 1 and tr.final_x.tobytes() == HUGE_Q[1].tobytes()
 
 
+def test_gd_ends_as_left_domain_where_its_next_gradient_is_missing():
+    """An oracle whose sample_gradients gives no row below x = 1: from
+    x1 = 1 the baseline's first step is accepted, its next gradient is
+    missing, and the run ends as LeftDomain with one record and the
+    accepted trial's point and value."""
+    trials = []
+
+    class Fenced(FiniteMaxOracle):
+        def objective(self, x):
+            trials.append((x.copy(), super().objective(x)))
+            return trials[-1][1]
+
+        def sample_gradients(self, points):
+            rows = super().sample_gradients(points)
+            return rows if points[0][0] >= 1.0 else rows[:0]
+
+    tr = gradient_descent_baseline(Fenced(abs_value_problem()), GsParams(), np.array([1.0]))
+    assert tr.termination == Termination.LEFT_DOMAIN
+    assert [(r.k, r.step_kind) for r in tr.records] == [(1, StepKind.DESCENT)]
+    assert tr.records[0].t > 0.0 and tr.final_x[0] < 1.0
+    x_t, f_t = trials[-1]
+    assert tr.final_x.tobytes() == x_t.tobytes() and tr.final_f == f_t
+
+
 def test_gd_rejects_start_outside_D():
     oracle = finite_max_oracle(abs_value_problem())
     with pytest.raises(ValueError):

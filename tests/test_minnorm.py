@@ -146,6 +146,11 @@ def test_empty_and_nonfinite_rejected():
         min_norm_point([])
     with pytest.raises(ValueError):
         min_norm_point([np.array([np.nan, 0.0])])
+    # Rows of two lengths, and a bare vector, have no common dimension.
+    with pytest.raises(ValueError):
+        min_norm_point([[1.0, 0.0], [1.0]])
+    with pytest.raises(ValueError, match="common dimension"):
+        min_norm_point(np.array([1.0, 0.0]))
 
 
 def test_result_reports_iterations():
