@@ -1,15 +1,19 @@
 """Experiment runner: config in, trace/summary artifacts out.
 
 A single JSON config fully determines a run (problem, parameters, start,
-seed), so regression tests can diff configs and outputs.  trace.csv
-writes each float as %.17g and trace.json, one json.dumps line, as its
-repr; both round-trip doubles exactly.  trace.csv holds no timings, so
-identical runs write it byte for byte the same.
+seed), so regression tests can diff configs and outputs.  Its params,
+problem (by "type") and finite-max pieces each build a dataclass, which
+converts and checks the values: an unknown key is a config error, and an
+omitted field takes the dataclass's default.  trace.csv writes each float
+as %.17g and trace.json, one json.dumps line, as its repr; both
+round-trip doubles exactly.  trace.csv holds no timings, so identical
+runs write it byte for byte the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -33,56 +37,56 @@ class ConfigError(ValueError):
     pass
 
 
+# The keys of a config's top level, each read by run_experiment.
+_CONFIG_KEYS = ("problem", "params", "x1", "seed", "output_dir", "run_baseline_gd", "formats")
+_PROBLEMS = {"coverage": (CoverageProblem, make_coverage_oracle),
+             "finite_max": (FiniteMaxProblem, finite_max_oracle),
+             "cantor": (CantorStressProblem, cantor_stress_oracle)}
+
+
 def _require(d: dict, key: str, where: str):
     if key not in d:
         raise ConfigError(f"missing field '{key}' in {where}")
     return d[key]
 
 
+def _check_keys(obj, names, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object of named fields: {obj!r}")
+    for key in obj:
+        if key not in names:
+            raise ConfigError(f"unknown {where} field '{key}'")
+
+
+def _build(cls, obj, where: str):
+    """cls(**obj), for a JSON object that names only fields of the dataclass
+    cls, every one without a default, and a JSON number in each float one."""
+    fields = dataclasses.fields(cls)
+    _check_keys(obj, [f.name for f in fields], where)
+    for f in fields:
+        val = obj.get(f.name, f.default)
+        if val is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing field '{f.name}' in {where}")
+        if f.type in ("float", float) and type(val) not in (int, float):
+            raise ConfigError(f"{where} field '{f.name}' must be a number: {val!r}")
+    return cls(**obj)
+
+
 def build_problem_oracle(problem: dict):
     kind = _require(problem, "type", "problem")
-    if kind == "coverage":
-        prob = CoverageProblem(
-            n_agents=_require(problem, "n_agents", "problem"),
-            bin_edges=tuple(_require(problem, "bin_edges", "problem")),
-            theta_lower=tuple(_require(problem, "theta_lower", "problem")),
-            theta_upper=tuple(_require(problem, "theta_upper", "problem")),
-            total_mass=float(problem.get("total_mass", 1.0)),
-            penalty_enabled=problem.get("penalty_enabled", False),
-            penalty_weight=float(problem.get("penalty_weight", 1.0)),
-        )
-        return make_coverage_oracle(prob)
-    if kind == "finite_max":
-        pieces = []
-        for p in _require(problem, "pieces", "problem"):
-            pieces.append(MaxPiece(
-                a=tuple(_require(p, "a", "problem.pieces")),
-                b=float(p.get("b", 0.0)),
-                Q=None if p.get("Q") is None else tuple(tuple(row) for row in p["Q"]),
-            ))
-        return finite_max_oracle(FiniteMaxProblem(pieces=tuple(pieces)))
-    if kind == "cantor":
-        return cantor_stress_oracle(
-            CantorStressProblem(depth=_require(problem, "depth", "problem")))
-    raise ConfigError(f"unknown problem type: {kind!r}")
-
-
-def build_params(d: dict) -> GsParams:
-    if not isinstance(d, dict):
-        raise ConfigError(f"params must be an object of named fields: {d!r}")
-    p = GsParams()
-    allowed = set(p.snapshot().keys())
-    for key, val in d.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown params field '{key}'")
-        setattr(p, key, val)
-    return p
+    if kind not in _PROBLEMS:
+        raise ConfigError(f"unknown problem type: {kind!r}")
+    cls, make_oracle = _PROBLEMS[kind]
+    fields = {key: val for key, val in problem.items() if key != "type"}
+    if cls is FiniteMaxProblem and "pieces" in fields:
+        fields["pieces"] = [_build(MaxPiece, p, "problem.pieces") for p in fields["pieces"]]
+    return make_oracle(_build(cls, fields, "problem"))
 
 
 def write_trace_csv(trace: Trace, path: Path) -> None:
     """trace.csv: one row per record, each from one %-format string, with
     every float as %.17g, which round-trips doubles."""
-    n = len(trace.records[0].x) if trace.records else 0
+    n = len(trace.records[0].x if trace.records else trace.final_x)
     header = ["k"] + [f"x_{i}" for i in range(n)] + [
         "f", "eps", "nu", "g_norm", "t", "step_kind"]
     row = "%s," + "%.17g," * (n + 5) + "%s\n"
@@ -139,8 +143,9 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
               file=sys.stderr)
         return 1
     try:
+        _check_keys(cfg, _CONFIG_KEYS, "config")
         oracle = build_problem_oracle(_require(cfg, "problem", "config"))
-        params = build_params(cfg.get("params", {}))
+        params = _build(GsParams, cfg.get("params", {}), "params")
         if max_iters is not None:
             params.max_iters = max_iters
         x1 = _start_point(oracle, _require(cfg, "x1", "config"))

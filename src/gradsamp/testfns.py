@@ -12,7 +12,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,7 +23,11 @@ from .core import ProblemOracle, _is_count
 class MaxPiece:
     a: Tuple[float, ...]
     b: float = 0.0
-    Q: Optional[Tuple[Tuple[float, ...], ...]] = None  # symmetric, optional
+    Q: Optional[Tuple[Tuple[float, ...], ...]] = None  # exactly symmetric, optional
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", tuple(self.a))
+        object.__setattr__(self, "Q", None if self.Q is None else tuple(map(tuple, self.Q)))
 
 
 @dataclass(frozen=True)
@@ -34,17 +37,18 @@ class FiniteMaxProblem:
     pieces: Tuple[MaxPiece, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "pieces", tuple(self.pieces))
         if len(self.pieces) == 0:
             raise ValueError("need at least one piece")
         n = len(self.pieces[0].a)
         for p in self.pieces:
             if len(p.a) != n:
                 raise ValueError("pieces must share a dimension")
-            Q = np.zeros((n, n)) if p.Q is None else np.asarray(p.Q, dtype=float)
+            Q = np.zeros((n, n)) if p.Q is None else np.asarray(p.Q)
             if not (np.all(np.isfinite(p.a)) and np.isfinite(p.b) and np.all(np.isfinite(Q))):
                 raise ValueError("piece coefficients must be finite")
-            if Q.shape != (n, n) or not np.allclose(Q, Q.T):
-                raise ValueError("Q must be symmetric n x n")
+            if Q.shape != (n, n) or not np.array_equal(Q, Q.T):
+                raise ValueError("Q must be exactly symmetric n x n")
 
     @property
     def dim(self) -> int:
@@ -240,29 +244,9 @@ def bump_d1(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_d2(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    one = 1.0 - ui * ui
-    E = np.exp(-1.0 / one)
-    w = -2.0 * ui / one ** 2
-    wp = -2.0 / one ** 2 - 8.0 * ui * ui / one ** 3
-    s = np.sin(math.pi * ui)
-    c = np.cos(math.pi * ui)
-    out[inside] = (-math.pi ** 2 * s * E + 2.0 * math.pi * c * E * w
-                   + s * E * (w * w + wp))
-    return out
-
-
-@lru_cache(maxsize=1)
-def bump_derivative_bound() -> float:
-    """Numerical sup of max(|bump'|, |bump''|) on [-1,1], slightly inflated
-    so the scaled-bump bounds hold with margin under any sampling."""
-    u = np.linspace(-1.0, 1.0, 400001)
-    c = max(float(np.max(np.abs(bump_d1(u)))), float(np.max(np.abs(bump_d2(u)))))
-    return c * (1.0 + 1e-6)
+# max(|bump'|, |bump''|) on a 400 001-point grid of [-1, 1], times 1 + 1e-6
+# for margin; a literal, so eps_k does not hang on NumPy's sin, cos and exp.
+BUMP_DERIVATIVE_BOUND = 5.6035642487078565
 
 
 @dataclass(frozen=True)
@@ -313,10 +297,9 @@ class CantorStressOracle(_MemberMaxOracle):
     def __init__(self, prob: CantorStressProblem):
         self.prob = prob
         self.dim = 1
-        C = bump_derivative_bound()
         self._levels = {}
         for k, mids, delta, intervals in _cantor_levels(prob.depth):
-            eps_k = delta * delta / (k * C)
+            eps_k = delta * delta / (k * BUMP_DERIVATIVE_BOUND)
             self._levels[k] = (mids, delta, eps_k, intervals)
         # Member (t, k, coef) has the value coef * g_k(x) at family index t;
         # at t = 1/k the segments [1/(k+1), 1/k] and [1/k, 1/(k-1)] meet.

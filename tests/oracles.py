@@ -37,6 +37,9 @@
 - ``reference_trace_csv`` and ``reference_trace_json``: the trace files as
   ``f"{v:.17g}"`` per value and as one ``json.dumps(payload)`` line write
   them (check, byte for byte, the CLI's writers).
+- ``bump_d2``: the stress bump's second derivative (checks, with the
+  library's ``bump_d1``, the literal ``BUMP_DERIVATIVE_BOUND`` on a grid,
+  and the scaled-bump bounds per level).
 """
 
 import json
@@ -462,7 +465,7 @@ def reference_trace_csv(trace: Trace) -> str:
     """trace.csv as one f"{float(v):.17g}" per value."""
     def fmt(v):
         return f"{float(v):.17g}"
-    n = len(trace.records[0].x) if trace.records else 0
+    n = len(trace.records[0].x) if trace.records else len(trace.final_x)
     header = ["k"] + [f"x_{i}" for i in range(n)] + [
         "f", "eps", "nu", "g_norm", "t", "step_kind"]
     lines = [",".join(header)]
@@ -497,3 +500,20 @@ def reference_trace_json(trace: Trace) -> str:
         ],
     }
     return json.dumps(payload)
+
+
+def bump_d2(u: np.ndarray) -> np.ndarray:
+    """The second derivative of ``gradsamp.testfns.bump``, 0 outside (-1, 1)."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    one = 1.0 - ui * ui
+    E = np.exp(-1.0 / one)
+    w = -2.0 * ui / one ** 2
+    wp = -2.0 / one ** 2 - 8.0 * ui * ui / one ** 3
+    s = np.sin(math.pi * ui)
+    c = np.cos(math.pi * ui)
+    out[inside] = (-math.pi ** 2 * s * E + 2.0 * math.pi * c * E * w
+                   + s * E * (w * w + wp))
+    return out

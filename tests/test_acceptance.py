@@ -29,7 +29,7 @@ from gradsamp import (
 )
 from gradsamp.cli import run_experiment
 from gradsamp.coverage import inner_lp_max
-from oracles import abs_value_problem, min_norm_bruteforce, two_agent_cost
+from oracles import abs_value_problem, bump_d2, min_norm_bruteforce, two_agent_cost
 
 SEED = 42
 CENTER = np.array([1.0, 3.0])
@@ -289,7 +289,7 @@ def test_criterion_11_finite_max_and_stress_sanity():
     assert tr.final_nu <= 0.01
 
     stress = cantor_stress_oracle(CantorStressProblem(depth=6))
-    from gradsamp.testfns import bump, bump_d1, bump_d2
+    from gradsamp.testfns import bump, bump_d1
     u = np.linspace(-1.0, 1.0, 100_001)
     for k in range(1, 7):
         mids, delta, eps_k, _ = stress.level(k)

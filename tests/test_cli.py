@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsamp import GsParams, IterationRecord, StepKind, Termination, Trace
+from gradsamp import (CoverageProblem, GsParams, IterationRecord, StepKind, Termination,
+                      Trace)
 from gradsamp import cli
 from gradsamp.cli import emit_plot_data, main, run_experiment
 from gradsamp.driver import gradient_descent_baseline, run
@@ -30,6 +31,13 @@ def _minimal_config(out_dir, **overrides):
         "formats": ["csv", "json"],
     }
     cfg.update(overrides)
+    return cfg
+
+
+def _shipped(name, out_dir):
+    """A shipped config, writing to out_dir, with no GD baseline."""
+    cfg = json.loads((REPO / "configs" / name).read_text())
+    cfg.update(output_dir=str(out_dir), run_baseline_gd=False)
     return cfg
 
 
@@ -126,16 +134,24 @@ def test_bad_params_exit_1(tmp_path, capsys):
     for depth in (inf, 3.7):
         cases.append((_minimal_config(out, problem={"type": "cantor", "depth": depth}),
                       "depth"))
-    for field, value in (("n_agents", 2.9), ("penalty_enabled", "false")):
-        cfg = json.loads((REPO / "configs" / "two_agent.json").read_text())
-        cfg.update(output_dir=str(out), run_baseline_gd=False)
+    # A JSON string where a number belongs is an error, not a float() of it.
+    for field, value in (("n_agents", 2.9), ("penalty_enabled", "false"),
+                         ("total_mass", "2"), ("penalty_weight", "1")):
+        cfg = _shipped("two_agent.json", out)
         cfg["problem"][field] = value
         cases.append((cfg, field))
-    cfg = _minimal_config(out)
-    cfg["problem"]["pieces"][0]["a"] = [nan]
-    cases.append((cfg, "finite"))
-    cfg = json.loads((REPO / "configs" / "two_agent.json").read_text())
-    cfg.update(output_dir=str(out), run_baseline_gd=False)
+    for piece, expected in (({"a": [nan]}, "finite"), ({"a": [1.0], "b": "3"}, "'b'"),
+                            # A Q within allclose of symmetric: a + Qx would not
+                            # be the gradient of the piece.
+                            ({"a": [0.0, 0.0], "Q": [[2.0, 1.0], [1.00001, 2.0]]},
+                             "symmetric"),
+                            (5, "problem.pieces must be an object"),
+                            ([1.0], "problem.pieces must be an object")):
+        cfg = _minimal_config(out)
+        cfg["problem"]["pieces"][0] = piece
+        cases.append((cfg, expected))
+    cases.append((_minimal_config(out, params={"alpha": "0.1"}), "'alpha'"))
+    cfg = _shipped("two_agent.json", out)
     cfg["problem"]["bin_edges"] = [0.0, nan, 4.0]
     cases.append((cfg, "bin_edges"))
     for params in ([], "abc", 5, None):
@@ -149,8 +165,7 @@ def test_bad_params_exit_1(tmp_path, capsys):
     cases.append((cfg, "missing field 'a' in problem.pieces"))
     cases.append((_minimal_config(out, formats=["csv", "xml"]), "unknown formats: ['xml']"))
     cases.append((_minimal_config(out, params={"max_iters": -1}), "max_iters negative"))
-    cfg = json.loads((REPO / "configs" / "two_agent.json").read_text())
-    cfg.update(output_dir=str(out), run_baseline_gd=False)
+    cfg = _shipped("two_agent.json", out)
     cfg["problem"]["theta_lower"] = cfg["problem"]["theta_lower"][:-1]
     cases.append((cfg, "theta bounds must have one entry per bin"))
     for cfg, expected in cases:
@@ -160,12 +175,33 @@ def test_bad_params_exit_1(tmp_path, capsys):
 
 
 def test_unknown_param_field_exit_1(tmp_path, capsys):
+    """A key that names no field, at any level of the config, is an error
+    that names it, never a field left at its default: a misspelt
+    penalty_enabled would run five_agent without its hinge term."""
+    out = tmp_path / "out"
+    cases = []
     for field in ("stepsize", "delta1", "delta_decay", "on_nonsmooth_sample"):
-        cfg = _minimal_config(tmp_path / "out")
+        cfg = _minimal_config(out)
         cfg["params"][field] = 0.1
+        cases.append((cfg, f"unknown params field '{field}'"))
+    cfg = _shipped("five_agent.json", out)
+    cfg["problem"]["penalty_enabeld"] = cfg["problem"].pop("penalty_enabled")
+    cases.append((cfg, "unknown problem field 'penalty_enabeld'"))
+    cfg = _shipped("two_agent.json", out)
+    cfg["problem"]["totalmass"] = 2.0
+    cases.append((cfg, "unknown problem field 'totalmass'"))
+    cfg = _minimal_config(out, Seed=7)
+    del cfg["seed"]
+    cases.append((cfg, "unknown config field 'Seed'"))
+    cfg = _minimal_config(out)
+    cfg["problem"]["pieces"][0] = {"a": [1.0], "q": [[2.0]]}
+    cases.append((cfg, "unknown problem.pieces field 'q'"))
+    cases.append((_minimal_config(out, problem={"type": "cantor", "depth": 3, "Depth": 4}),
+                  "unknown problem field 'Depth'"))
+    for cfg, expected in cases:
         assert run_experiment(str(_write(tmp_path, cfg))) == 1
-        assert f"unknown params field '{field}'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_dimension_mismatch_exit_1(tmp_path, capsys):
@@ -274,11 +310,16 @@ def test_baseline_block_written(tmp_path):
     assert "baseline_gd" in summary
     assert "f_gap_gd_minus_sampling" in summary["comparison"]
     assert (out / "baseline_trace.csv").exists()
+    # At max_iters 0 the baseline has no records, yet its header still has
+    # one x_i column per coordinate.
+    assert run_experiment(str(cfg), max_iters=0) == 0
+    assert (out / "baseline_trace.csv").read_text() == "k,x_0,f,eps,nu,g_norm,t,step_kind\n"
 
 
 def test_shipped_configs_parse_and_run(tmp_path, monkeypatch):
-    """Each shipped config runs, and its trace files have the bytes of the
-    reference writers on the traces the run made."""
+    """Each shipped config builds the problem that Python builds from its
+    values, runs, and its trace files have the bytes of the reference
+    writers on the traces the run made."""
     traces = []
 
     def keep(solver):
@@ -289,7 +330,19 @@ def test_shipped_configs_parse_and_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run", keep(run))
     monkeypatch.setattr(cli, "gradient_descent_baseline", keep(gradient_descent_baseline))
-    for name in ("two_agent.json", "five_agent.json", "abs_value.json"):
+    # Each config's problem, as built in Python from the same values.
+    problems = {
+        "two_agent.json": CoverageProblem(n_agents=2, bin_edges=(0.0, 2.0, 4.0),
+                                          theta_lower=(0.0, 0.0), theta_upper=(0.45, 0.45)),
+        "five_agent.json": CoverageProblem(
+            n_agents=5, bin_edges=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+            theta_lower=(0.02, 0.05, 0.1, 0.03, 0.08, 0.02),
+            theta_upper=(0.3, 0.25, 0.35, 0.2, 0.3, 0.25), penalty_enabled=True),
+        "abs_value.json": abs_value_problem(),
+    }
+    for name, prob in problems.items():
+        cfg = json.loads((REPO / "configs" / name).read_text())
+        assert cli.build_problem_oracle(cfg["problem"]).prob == prob, name
         out = tmp_path / name
         traces.clear()
         code = run_experiment(str(REPO / "configs" / name),
@@ -339,7 +392,7 @@ def test_trace_writers_match_the_reference_writers_bytewise(tmp_path):
         cli.write_trace_json(tr, tmp_path / "t.json")
         assert (tmp_path / "t.csv").read_bytes() == reference_trace_csv(tr).encode()
         assert (tmp_path / "t.json").read_bytes() == reference_trace_json(tr).encode()
-    assert (tmp_path / "t.csv").read_text() == "k,f,eps,nu,g_norm,t,step_kind\n"
+    assert (tmp_path / "t.csv").read_text() == "k,x_0,f,eps,nu,g_norm,t,step_kind\n"
 
 
 def _without_timings(trace_json: Path) -> dict:

@@ -26,7 +26,7 @@ from gradsamp import (
     run,
 )
 from gradsamp import driver
-from gradsamp.cli import build_params, build_problem_oracle, run_experiment
+from gradsamp.cli import build_problem_oracle, run_experiment
 from gradsamp.core import GsState, NonsmoothSampleError
 from gradsamp.driver import line_search, sample_ball, step
 from gradsamp.minnorm import NonFiniteError, min_norm_point
@@ -354,7 +354,7 @@ def test_kept_gradients_lead_the_bundle_and_leave_the_sampling_alone(monkeypatch
 
 def _five_agent():
     cfg = json.loads((REPO / "configs" / "five_agent.json").read_text())
-    return (build_problem_oracle(cfg["problem"]), build_params(cfg["params"]),
+    return (build_problem_oracle(cfg["problem"]), GsParams(**cfg["params"]),
             np.array(cfg["x1"]), cfg["seed"])
 
 
@@ -860,7 +860,7 @@ def test_gd_stalls_at_its_first_failed_line_search():
     record, the last, at the final x and f."""
     cfg = json.loads((REPO / "configs" / "two_agent.json").read_text())
     oracle = build_problem_oracle(cfg["problem"])
-    tr = gradient_descent_baseline(oracle, build_params(cfg["params"]), np.array(cfg["x1"]))
+    tr = gradient_descent_baseline(oracle, GsParams(**cfg["params"]), np.array(cfg["x1"]))
     kinds = [r.step_kind for r in tr.records]
     assert tr.termination == Termination.STALLED
     assert kinds.count(StepKind.NULL_LINESEARCH) == 1

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsamp import Rng, Termination, gradient_descent_baseline, run
+from gradsamp import GsParams, Rng, Termination, gradient_descent_baseline, run
 import gradsamp.cli
 import gradsamp.driver
-from gradsamp.cli import build_params, build_problem_oracle
+from gradsamp.cli import build_problem_oracle
 
 import test_golden
 
@@ -50,7 +50,7 @@ def _counting(config):
     cfg = json.loads((REPO / "configs" / f"{config}.json").read_text())
     base = build_problem_oracle(cfg["problem"])
     oracle = type(f"Counting{type(base).__name__}", (_Counting, type(base)), {})(base.prob)
-    return oracle, build_params(cfg["params"]), np.array(cfg["x1"], dtype=float), cfg["seed"]
+    return oracle, GsParams(**cfg["params"]), np.array(cfg["x1"], dtype=float), cfg["seed"]
 
 
 def _spy(monkeypatch, oracle):
@@ -191,7 +191,7 @@ def test_solvers_ask_only_objective_and_sample_gradients(config, monkeypatch, tm
     cfg = json.loads((REPO / "configs" / f"{config}.json").read_text())
     plain = build_problem_oracle(cfg["problem"])
     strict = type("Strict", (_PrimitivesRaise, type(plain)), {})(plain.prob)
-    p, x1 = build_params(cfg["params"]), np.array(cfg["x1"], dtype=float)
+    p, x1 = GsParams(**cfg["params"]), np.array(cfg["x1"], dtype=float)
     before = _attributes(strict)
     assert _replay(run(strict, p, x1, Rng(cfg["seed"]))) == \
         _replay(run(plain, p, x1, Rng(cfg["seed"])))
