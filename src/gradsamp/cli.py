@@ -58,17 +58,34 @@ def _check_keys(obj, names, where: str) -> None:
             raise ConfigError(f"unknown {where} field '{key}'")
 
 
+# The float-typed fields of the dataclasses a config builds: how deep
+# their numbers lie in JSON lists, and what the field must be.
+_NUMERIC = {"float": (0, "a number"),
+            "Tuple[float, ...]": (1, "a list of numbers"),
+            "Optional[Tuple[Tuple[float, ...], ...]]": (2, "a list of lists of numbers")}
+
+
+def _numbers(val, depth: int) -> bool:
+    # A JSON number at depth 0 (not true or false), else a list of depth - 1 values.
+    if depth == 0:
+        return type(val) in (int, float)
+    return type(val) is list and all(_numbers(v, depth - 1) for v in val)
+
+
 def _build(cls, obj, where: str):
     """cls(**obj), for a JSON object that names only fields of the dataclass
-    cls, every one without a default, and a JSON number in each float one."""
+    cls, every one without a default, and JSON numbers in each float-typed
+    one, or null where its default is None."""
     fields = dataclasses.fields(cls)
     _check_keys(obj, [f.name for f in fields], where)
     for f in fields:
-        val = obj.get(f.name, f.default)
-        if val is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"missing field '{f.name}' in {where}")
-        if f.type in ("float", float) and type(val) not in (int, float):
-            raise ConfigError(f"{where} field '{f.name}' must be a number: {val!r}")
+        if f.name not in obj:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"missing field '{f.name}' in {where}")
+        elif f.type in _NUMERIC:
+            val, (depth, kind) = obj[f.name], _NUMERIC[f.type]
+            if not (_numbers(val, depth) or (val is None and f.default is None)):
+                raise ConfigError(f"{where} field '{f.name}' must be {kind}: {val!r}")
     return cls(**obj)
 
 
@@ -148,7 +165,10 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         params = _build(GsParams, cfg.get("params", {}), "params")
         if max_iters is not None:
             params.max_iters = max_iters
-        x1 = _start_point(oracle, _require(cfg, "x1", "config"))
+        x1 = _require(cfg, "x1", "config")
+        if not _numbers(x1, 1):
+            raise ConfigError(f"x1 must be a list of numbers: {x1!r}")
+        x1 = _start_point(oracle, x1)
         rng = Rng(cfg.get("seed", 0) if seed is None else seed)
         validate_params(params, oracle.dim)
         out = Path(out_dir if out_dir is not None

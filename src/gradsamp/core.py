@@ -9,7 +9,7 @@ parameters and per-iteration state, and the trace telemetry types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from enum import Enum
 from typing import List, Optional, Sequence
 
@@ -193,20 +193,20 @@ class GsState:
     gradient sampling, which keeps gradients from the current ball on
     purpose) still hold when such gradients join the m fresh ones.
 
-    ``f`` is f(x), None only before a run's first step, which evaluates
-    it.  Every later state carries it from the step before: the value the
-    line search accepted at the new x after a Descent step (as Burke, Lewis
-    & Overton (2005) state the iteration), and the unchanged f after a null
-    step.  Since the oracles are pure, it is the value a fresh evaluation
-    at x would give, bit for bit.
+    ``f`` is f(x).  ``run`` evaluates it once, at x1, for the first
+    state, and every later state carries it from the step before: the
+    value the line search accepted at the new x after a Descent step (as
+    Burke, Lewis & Overton (2005) state the iteration), and the unchanged
+    f after a null step.  Since the oracles are pure, it is the value a
+    fresh evaluation at x would give, bit for bit.
     """
 
     k: int
     x: np.ndarray
     eps: float
     nu: float
+    f: float
     kept: Sequence[np.ndarray] = ()
-    f: Optional[float] = None
 
 
 @dataclass
@@ -227,12 +227,11 @@ class IterationRecord:
 class Trace:
     """Full telemetry of one run, sufficient to replay and plot it."""
 
-    records: List[IterationRecord] = field(default_factory=list)
-    params_snapshot: dict = field(default_factory=dict)
-    seed: int = 0
-    termination: Termination = Termination.MAX_ITERS
-    final_x: Optional[np.ndarray] = None
-    final_f: float = math.nan
-    final_eps: float = math.nan
-    final_nu: float = math.nan
-
+    records: List[IterationRecord]
+    params_snapshot: dict
+    seed: int
+    termination: Termination
+    final_x: np.ndarray
+    final_f: float
+    final_eps: float
+    final_nu: float

@@ -217,17 +217,10 @@ def penalty(prob: CoverageProblem, x: np.ndarray) -> float:
 
 def _penalty_grad(prob: CoverageProblem, x: np.ndarray) -> np.ndarray:
     # The hinge's slope for each coordinate of a point or a block of rows:
-    # -1 below the support, 0 on it and +1 above it, by _add_penalty's
-    # comparisons, so NaN, which fails both, gets +1 here and there.
+    # -1 below the support, 0 on it and +1 above it, so NaN, which fails
+    # both comparisons, gets +1.  Each gradient path adds w * slope once.
     lo, hi = prob.bin_edges[0], prob.bin_edges[-1]
     return np.where(x < lo, -1.0, np.where(x <= hi, 0.0, 1.0))
-
-
-def _add_penalty(prob: CoverageProblem, g: list, x) -> list:
-    # g + penalty_weight * _penalty_grad(prob, x) on lists, byte for byte.
-    lo, hi, wt = prob.bin_edges[0], prob.bin_edges[-1], prob.penalty_weight
-    return [gi + wt * (-1.0 if v < lo else 0.0 if v <= hi else 1.0)
-            for gi, v in zip(g, np.asarray(x, dtype=float).tolist())]
 
 
 def inner_lp_max(prob: CoverageProblem, c: np.ndarray) -> np.ndarray:
@@ -457,11 +450,6 @@ class CoverageOracle(ProblemOracle):
             v += self.prob.penalty_weight * penalty(self.prob, x)
         return v
 
-    def _grad(self, x, parts, th: list) -> list:
-        # The gradient of <c, theta> (+ weighted penalty) from x's parts.
-        g = _sum_parts(parts, th, self.dim)
-        return _add_penalty(self.prob, g, x) if self.prob.penalty_enabled else g
-
     def sample_gradients(self, points):
         width = self.dim + self.theta_dim
         if len(points) * width < _BLOCK_MIN:
@@ -471,8 +459,12 @@ class CoverageOracle(ProblemOracle):
                 xs, c = _walk(self.prob, x, parts)
                 if not _smooth(self.prob, xs):
                     break
-                rows.append(self._grad(x, parts, _lp(self.prob, c)))
-            return np.array(rows).reshape(len(rows), self.dim)
+                rows.append(_sum_parts(parts, _lp(self.prob, c), self.dim))
+            G = np.array(rows).reshape(len(rows), self.dim)
+            if self.prob.penalty_enabled:
+                X = np.asarray(points[:len(rows)], dtype=float).reshape(G.shape)
+                G = G + self.prob.penalty_weight * _penalty_grad(self.prob, X)
+            return G
         step = max(1, _CHUNK_SEGMENTS // width)
         out = []
         # Far out (|x| about 1e154 and more) c overflows to inf or NaN, which
@@ -502,7 +494,10 @@ class CoverageOracle(ProblemOracle):
         xs, _ = _walk(self.prob, x, parts)
         if not _smooth(self.prob, xs):
             raise ValueError("gradient undefined: x lies on an excluded hyperplane")
-        return np.asarray(self._grad(x, parts, np.asarray(theta, dtype=float).tolist()))
+        g = np.asarray(_sum_parts(parts, np.asarray(theta, dtype=float).tolist(), self.dim))
+        if self.prob.penalty_enabled:
+            g = g + self.prob.penalty_weight * _penalty_grad(self.prob, x)
+        return g
 
     def inner_max(self, x):
         return inner_lp_max(self.prob, _walk(self.prob, x)[1])

@@ -219,14 +219,14 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     ||g||, the NullTolerance test and the line search all read that one
     scaling.
 
-    f(x) is ``state.f``.  Only when that is None, before a run's first
-    step, is it evaluated, once, after the bundle.  The new state carries
-    f at the new x: the accepted trial's value after a Descent step, the
-    unchanged f after a null step.  Raises NonFiniteError on a non-finite
-    fresh gradient (the kept ones passed the step before), a NaN f at the
-    first x, or an accepted trial that breaks the line search's decrease
-    bound; a carried f is never NaN, because a NaN trial fails the line
-    search's test and is never accepted.
+    f(x) is ``state.f``, which ``run`` evaluates once, at x1, so a step
+    calls ``oracle.objective`` only in the line search.  The new state
+    carries f at the new x: the accepted trial's value after a Descent
+    step, the unchanged f after a null step.  Raises NonFiniteError on a
+    NaN f, tested after the bundle so that a sample outside D outranks it
+    (only f(x1) can be NaN: a NaN trial fails the line search's test), on
+    a non-finite fresh gradient (the kept ones passed the step before),
+    or on an accepted trial that breaks the line search's decrease bound.
     """
     t0 = time.perf_counter_ns()
     x = np.asarray(state.x, dtype=float)
@@ -236,16 +236,13 @@ def step(oracle: ProblemOracle, state: GsState, p: GsParams,
     if len(fresh) < m:
         raise NonsmoothSampleError(f"sample {len(fresh)} left the smooth set D "
                                    f"at iteration {state.k}")
+    f_x = state.f
+    if math.isnan(f_x):  # an infinite f still orders the trials
+        raise NonFiniteError("f is NaN at the iterate")
     bundle = np.concatenate((state.kept, fresh)) if len(state.kept) else fresh
 
     g = _scaled(min_norm_point(bundle).point)
     g_norm = _ldexp(g[1], g[2])
-
-    f_x = state.f
-    if f_x is None:
-        f_x = oracle.objective(x)
-        if math.isnan(f_x):  # an infinite f still orders the trials
-            raise NonFiniteError("f is NaN at the iterate")
 
     if g_norm <= state.nu:
         new_state = GsState(k=state.k + 1, x=x, eps=p.mu * state.eps,
@@ -293,18 +290,18 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     step that breaks the decrease bound of ``line_search``, keeping the
     records before it.  So every recorded Descent step decreases f by at
     least alpha * beta * t_k * ||g^k||, to within that bound's tolerance.
-    f is evaluated at x1 only, and the first step tests that one value
-    for NaN; every later value, ``trace.final_f`` included, is one the
-    line search accepted, which is never NaN because a NaN trial fails its
-    test.  So no iterate costs an oracle call of its own.  Raises
+    f is evaluated once, at x1, on entry, and the first step tests that
+    one value for NaN; every later value, ``trace.final_f`` included, is
+    one the line search accepted, which is never NaN because a NaN trial
+    fails its test.  So no iterate costs an oracle call of its own.  Raises
     ValueError, before the oracle is called, unless x1 is a finite vector
     of shape (oracle.dim,) and oracle.dim is at least 1.
     """
     x1 = _start_point(oracle, x1)
     validate_params(p, x1.shape[0])
 
-    trace = Trace(params_snapshot=p.snapshot(), seed=rng.seed)
-    state = GsState(k=1, x=x1, eps=p.eps1, nu=p.nu1)
+    state = GsState(k=1, x=x1, eps=p.eps1, nu=p.nu1, f=oracle.objective(x1))
+    records = []
     termination = Termination.MAX_ITERS
     for _ in range(p.max_iters):
         if state.eps == 0.0:  # the radius underflowed: no ball to sample
@@ -319,24 +316,17 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
             termination = Termination.NUMERICAL_FAILURE
             break
         state = new
-        trace.records.append(rec)
+        records.append(rec)
         if state.eps <= p.eps_min and state.nu <= p.nu_min:
             termination = Termination.TOLERANCES_REACHED
             break
 
-    if not trace.records:  # no step returned, so none carried f at x1
-        state.f = oracle.objective(x1)
-        trace.records.append(IterationRecord(
-            k=1, x=x1, f_approx=state.f,
-            eps=p.eps1, nu=p.nu1, g_norm=0.0, t=0.0,
+    if not records:  # no step returned: the one record of x1
+        records.append(IterationRecord(
+            k=1, x=x1, f_approx=state.f, eps=p.eps1, nu=p.nu1, g_norm=0.0, t=0.0,
             step_kind=StepKind.NULL_TOLERANCE, sample_count=0, wall_time_us=0))
-
-    trace.termination = termination
-    trace.final_x = state.x
-    trace.final_eps = state.eps
-    trace.final_nu = state.nu
-    trace.final_f = state.f
-    return trace
+    return Trace(records, p.snapshot(), rng.seed, termination, final_x=state.x,
+                 final_f=state.f, final_eps=state.eps, final_nu=state.nu)
 
 
 def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
@@ -367,7 +357,7 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
         raise ValueError("x1 must lie in the smooth set D")
     f_here = oracle.objective(x)
 
-    trace = Trace(params_snapshot=p.snapshot(), seed=0)
+    records = []
     termination = Termination.MAX_ITERS
     for k in range(1, p.max_iters + 1):
         t0 = time.perf_counter_ns()
@@ -382,7 +372,7 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
             ls = line_search(oracle, x, f_here, g, p.eps1, p, slack=False)
             t, x_next, f_next = ls.t, ls.x, ls.f
         kind = StepKind.DESCENT if t > 0.0 else StepKind.NULL_LINESEARCH
-        trace.records.append(IterationRecord(
+        records.append(IterationRecord(
             k=k, x=x, f_approx=f_here, eps=p.eps1, nu=p.nu1, g_norm=_ldexp(g[1], g[2]),
             t=t, step_kind=kind, sample_count=0,
             wall_time_us=(time.perf_counter_ns() - t0) // 1000))
@@ -390,10 +380,5 @@ def gradient_descent_baseline(oracle: ProblemOracle, p: GsParams,
         if t == 0.0:
             termination = Termination.STALLED
             break
-
-    trace.termination = termination
-    trace.final_x = x
-    trace.final_eps = p.eps1
-    trace.final_nu = p.nu1
-    trace.final_f = f_here
-    return trace
+    return Trace(records, p.snapshot(), 0, termination, final_x=x,
+                 final_f=f_here, final_eps=p.eps1, final_nu=p.nu1)

@@ -154,6 +154,19 @@ def test_bad_params_exit_1(tmp_path, capsys):
     cfg = _shipped("two_agent.json", out)
     cfg["problem"]["bin_edges"] = [0.0, nan, 4.0]
     cases.append((cfg, "bin_edges"))
+    # Each entry of a list of numbers, and of each row of Q, is checked as
+    # a float field is: a string or a bool is an error, not a float() of it.
+    for piece, key in (({"a": [True]}, "'a'"), ({"a": ["1"]}, "'a'"),
+                       ({"a": [1.0], "Q": [[True]]}, "'Q'")):
+        cfg = _minimal_config(out)
+        cfg["problem"]["pieces"][0] = piece
+        cases.append((cfg, key))
+    for field, value in (("bin_edges", [0.0, "2.0", 4.0]), ("theta_upper", [True, 0.45])):
+        cfg = _shipped("two_agent.json", out)
+        cfg["problem"][field] = value
+        cases.append((cfg, f"'{field}'"))
+    for x1 in (["1.0"], [True]):
+        cases.append((_minimal_config(out, x1=x1), "x1 must be a list of numbers"))
     for params in ([], "abc", 5, None):
         cases.append((_minimal_config(out, params=params), "params must be an object"))
     for field in ("problem", "x1", "output_dir"):
@@ -382,8 +395,13 @@ def test_trace_writers_match_the_reference_writers_bytewise(tmp_path):
             records.append(_record(k, x, *[specials[(k + j) % 7] for j in range(5)]))
         records.append(_record(8, gen.normal(size=n), np.float64(-2.5), 1, 0.1, 3.0, 1))
         traces.append(Trace(records=records, params_snapshot=GsParams(m=3).snapshot(),
-                            seed=11, termination=Termination.NUMERICAL_FAILURE))
-    traces.append(Trace(records=[_record(1, [], *specials[:5])]))  # a dimension-0 finite max
+                            seed=11, termination=Termination.NUMERICAL_FAILURE,
+                            final_x=records[-1].x, final_f=math.nan,
+                            final_eps=0.1, final_nu=0.05))
+    # A dimension-0 finite max.
+    traces.append(Trace(records=[_record(1, [], *specials[:5])], params_snapshot={},
+                        seed=0, termination=Termination.MAX_ITERS, final_x=np.empty(0),
+                        final_f=math.nan, final_eps=math.nan, final_nu=math.nan))
     traces.append(gradient_descent_baseline(finite_max_oracle(abs_value_problem()),
                                             GsParams(max_iters=0), np.array([1.0])))
     assert not traces[-1].records

@@ -265,8 +265,8 @@ def test_trace_iteration_numbers_strictly_increasing():
 
 
 def test_state_fields():
-    s = GsState(k=3, x=np.array([1.0]), eps=0.1, nu=0.05)
-    assert s.k == 3 and s.eps == 0.1 and s.nu == 0.05
+    s = GsState(k=3, x=np.array([1.0]), eps=0.1, nu=0.05, f=0.5)
+    assert s.k == 3 and s.eps == 0.1 and s.nu == 0.05 and s.f == 0.5 and s.kept == ()
 
 
 def test_public_api_exports_no_submodules():

@@ -29,7 +29,7 @@ from gradsamp import driver
 from gradsamp.cli import build_problem_oracle, run_experiment
 from gradsamp.core import GsState, NonsmoothSampleError
 from gradsamp.driver import line_search, sample_ball, step
-from gradsamp.minnorm import NonFiniteError, min_norm_point
+from gradsamp.minnorm import min_norm_point
 from gradsamp.testfns import FiniteMaxOracle
 
 from oracles import abs_value_problem, reference_ball_points
@@ -201,7 +201,8 @@ def _direction(g):
 def test_step_null_tolerance_branch():
     oracle = finite_max_oracle(abs_value_problem())
     p = GsParams()
-    state = GsState(k=1, x=np.array([0.5]), eps=0.05, nu=10.0)  # nu >= ||g||
+    x = np.array([0.5])
+    state = GsState(k=1, x=x, eps=0.05, nu=10.0, f=oracle.objective(x))  # nu >= ||g||
     new, rec = step(oracle, state, p, Rng(7))
     assert rec.step_kind == StepKind.NULL_TOLERANCE
     assert rec.t == 0.0
@@ -213,7 +214,8 @@ def test_step_null_tolerance_branch():
 def test_step_descent_branch_decreases_f():
     oracle = finite_max_oracle(abs_value_problem())
     p = GsParams()
-    state = GsState(k=1, x=np.array([1.0]), eps=0.2, nu=0.1)
+    x = np.array([1.0])
+    state = GsState(k=1, x=x, eps=0.2, nu=0.1, f=oracle.objective(x))
     new, rec = step(oracle, state, p, Rng(8))
     assert rec.step_kind == StepKind.DESCENT
     assert float(new.x[0]) < 1.0
@@ -229,7 +231,8 @@ def test_step_stop_policy_raises_on_nonsmooth_sample():
             return False
 
     oracle = AlwaysOutside(abs_value_problem())
-    state = GsState(k=1, x=np.array([1.0]), eps=0.2, nu=0.1)
+    x = np.array([1.0])
+    state = GsState(k=1, x=x, eps=0.2, nu=0.1, f=oracle.objective(x))
     with pytest.raises(NonsmoothSampleError):
         step(oracle, state, GsParams(), Rng(9))
 
@@ -279,7 +282,7 @@ def test_step_tests_and_evaluates_each_sample_in_turn(monkeypatch):
     one block, so the bundle is the one of testing every sample before
     evaluating any."""
     x = np.array([1.0, 0.5])
-    state = GsState(k=1, x=x, eps=0.2, nu=0.1)
+    state = GsState(k=1, x=x, eps=0.2, nu=0.1, f=0.0)
     p = GsParams()
     m = p.effective_m(2)
     samples = sample_ball(x, state.eps, m, Rng(21))
@@ -296,7 +299,7 @@ def test_step_tests_and_evaluates_each_sample_in_turn(monkeypatch):
 
 def test_step_stop_policy_evaluates_the_samples_before_the_miss(monkeypatch):
     x = np.array([1.0, 0.5])
-    state = GsState(k=1, x=x, eps=0.2, nu=0.1)
+    state = GsState(k=1, x=x, eps=0.2, nu=0.1, f=0.0)
     samples = sample_ball(x, state.eps, 4, Rng(22))
     oracle = _Logged([True, True, False])
     bundles = _stop_at_min_norm(monkeypatch)
@@ -315,7 +318,7 @@ def test_step_draws_only_the_ball_samples():
         MaxPiece(a=(1.0, 0.0, 0.0)), MaxPiece(a=(-1.0, 0.0, 0.0)))))
     p = GsParams()
     x = np.array([1.0, 0.5, -0.5])
-    state = GsState(k=1, x=x, eps=0.2, nu=0.1)
+    state = GsState(k=1, x=x, eps=0.2, nu=0.1, f=oracle.objective(x))
     stepped = Rng(12)
     _, rec = step(oracle, state, p, stepped)
     m = p.effective_m(3)
@@ -343,7 +346,7 @@ def test_kept_gradients_lead_the_bundle_and_leave_the_sampling_alone(monkeypatch
         bundles = _stop_at_min_norm(monkeypatch)
         rng = Rng(31)
         with pytest.raises(_Bundled):
-            step(oracle, GsState(k=4, x=x, eps=0.2, nu=0.1, kept=carried), p, rng)
+            step(oracle, GsState(k=4, x=x, eps=0.2, nu=0.1, f=0.0, kept=carried), p, rng)
         runs.append((oracle.calls, bundles[0], rng.ball_draws(2, 2)))
     (calls_on, bundle_on, next_on), (calls_off, bundle_off, next_off) = runs
     assert calls_on == calls_off
@@ -673,13 +676,14 @@ def test_a_capped_qp_point_is_still_the_direction(monkeypatch):
 
 
 def test_a_nan_f_at_x_ends_the_line_search_before_its_trials():
-    """The first step evaluates f at x once, after the bundle, and a NaN
-    there ends the step before any line-search trial is paid for."""
+    """run evaluates f at x1 once, on entry, and the first step's NaN test
+    ends the run there, before any line-search trial is paid for: one
+    record, whose f is that NaN, and one evaluation of f."""
     oracle = _NanAtOne(abs_value_problem())
-    state = GsState(k=1, x=np.array([1.0]), eps=0.2, nu=0.1, f=None)
-    with pytest.raises(NonFiniteError, match="f is NaN"):
-        step(oracle, state, GsParams(), Rng(3))
-    assert oracle.evals == 1
+    tr = run(oracle, GsParams(), np.array([1.0]), Rng(3))
+    assert tr.termination == Termination.NUMERICAL_FAILURE
+    assert len(tr.records) == 1 and math.isnan(tr.records[0].f_approx)
+    assert math.isnan(tr.final_f) and oracle.evals == 1
 
 
 def test_tiny_gradients_end_with_a_termination():

@@ -11,11 +11,13 @@ old -> new where they do not, and the largest relative change of the
 final iterate and objective, and exits with status 1 when any case
 differs from its record.
 
-The records hold on CPython 3.10 and 3.11, with numpy 2.4.6.  The
-min-norm QP (``minnorm._extend_factor``, ``_affine_weights`` and
-``_wolfe``) sums floats with the builtin ``sum``, which adds left to
-right there; CPython 3.12 made it a compensated sum, which can round
-otherwise.  ``test_builtin_sum_adds_left_to_right`` checks that first.
+The records hold on CPython 3.11 with numpy 2.4.6, the release that
+recorded them.  That release requires Python 3.11 or later, so it cannot
+be installed on 3.10; whether the records hold there with an older NumPy
+is unverified.  The min-norm QP (``minnorm._extend_factor``,
+``_affine_weights`` and ``_wolfe``) sums floats with the builtin
+``sum``, which adds left to right there; CPython 3.12 made it a
+compensated sum, which can round otherwise.  ``test_builtin_sum_adds_left_to_right`` checks that first.
 """
 
 import json
@@ -233,7 +235,7 @@ def test_builtin_sum_adds_left_to_right():
         "the builtin sum() of floats is compensated on this interpreter "
         "(CPython 3.12 and later): minnorm._extend_factor, _affine_weights and "
         "_wolfe sum with it, and the GOLDEN records of tests/test_golden.py were "
-        "taken on CPython 3.10-3.11, where it adds left to right")
+        "taken on CPython 3.11, where it adds left to right")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

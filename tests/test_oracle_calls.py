@@ -14,10 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradsamp import GsParams, Rng, Termination, gradient_descent_baseline, run
+from gradsamp import (
+    FiniteMaxProblem, GsParams, MaxPiece, Rng, Termination, gradient_descent_baseline, run,
+)
 import gradsamp.cli
 import gradsamp.driver
 from gradsamp.cli import build_problem_oracle
+from gradsamp.testfns import FiniteMaxOracle
 
 import test_golden
 
@@ -100,6 +103,35 @@ def test_null_steps_at_x1_do_not_evaluate_f_again(monkeypatch):
     assert sum(np.array_equal(r.x, x1) for r in tr.records) >= 2
     assert oracle.at[x1.tobytes()] == 1
     assert oracle.calls["objective"] == sum(trials) + 1
+
+
+def _leaves_D_at_once():
+    """A finite max whose first piece is -inf + inf, NaN, past x = 1.797:
+    f(1) = 1, and the first step's ball of radius 2 about x1 = 1 draws a
+    sample there with seed 1."""
+    prob = FiniteMaxProblem(pieces=(MaxPiece(a=(-1e308,), Q=((1e308,),)), MaxPiece(a=(1.0,))))
+    oracle = type("CountingFiniteMaxOracle", (_Counting, FiniteMaxOracle), {})(prob)
+    return oracle, GsParams(eps1=2.0), np.array([1.0]), 1
+
+
+@pytest.mark.parametrize("case", ["max_iters_0", "sample_outside_D"])
+def test_a_run_with_no_step_evaluates_f_at_x1_once(case):
+    """A run that ends before any step returns, at max_iters 0 or at a
+    first step whose sample leaves D, makes one objective call, at x1, on
+    entry, and its one record and its final f hold that value."""
+    if case == "max_iters_0":
+        oracle, p, x1, seed = _counting("two_agent")
+        p.max_iters = 0
+        termination = Termination.MAX_ITERS
+    else:
+        oracle, p, x1, seed = _leaves_D_at_once()
+        termination = Termination.NONSMOOTH_SAMPLE_STOP
+    tr = run(oracle, p, x1, Rng(seed))
+    assert tr.termination == termination
+    assert len(tr.records) == 1 and tr.records[0].sample_count == 0
+    assert oracle.calls["objective"] == oracle.at[x1.tobytes()] == 1
+    f = type(oracle)(oracle.prob).objective(x1)
+    assert repr(tr.records[0].f_approx) == repr(tr.final_f) == repr(f)
 
 
 @pytest.mark.parametrize("config", ["two_agent", "abs_value"])
