@@ -103,7 +103,7 @@ def build_problem_oracle(problem: dict):
 def write_trace_csv(trace: Trace, path: Path) -> None:
     """trace.csv: one row per record, each from one %-format string, with
     every float as %.17g, which round-trips doubles."""
-    n = len(trace.records[0].x if trace.records else trace.final_x)
+    n = len(trace.final_x)
     header = ["k"] + [f"x_{i}" for i in range(n)] + [
         "f", "eps", "nu", "g_norm", "t", "step_kind"]
     row = "%s," + "%.17g," * (n + 5) + "%s\n"

@@ -290,9 +290,10 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
     step that breaks the decrease bound of ``line_search``, keeping the
     records before it.  So every recorded Descent step decreases f by at
     least alpha * beta * t_k * ||g^k||, to within that bound's tolerance.
-    f is evaluated once, at x1, on entry, and the first step tests that
-    one value for NaN; every later value, ``trace.final_f`` included, is
-    one the line search accepted, which is never NaN because a NaN trial
+    Each record is a step that returned; a run that ends before its first
+    one has none, and ends at x1 with f(x1), eps1 and nu1.  f is evaluated
+    once, at x1, on entry, and the first step tests it for NaN; every later
+    value is one the line search accepted, never NaN since a NaN trial
     fails its test.  So no iterate costs an oracle call of its own.  Raises
     ValueError, before the oracle is called, unless x1 is a finite vector
     of shape (oracle.dim,) and oracle.dim is at least 1.
@@ -320,11 +321,6 @@ def run(oracle: ProblemOracle, p: GsParams, x1: np.ndarray, rng: Rng) -> Trace:
         if state.eps <= p.eps_min and state.nu <= p.nu_min:
             termination = Termination.TOLERANCES_REACHED
             break
-
-    if not records:  # no step returned: the one record of x1
-        records.append(IterationRecord(
-            k=1, x=x1, f_approx=state.f, eps=p.eps1, nu=p.nu1, g_norm=0.0, t=0.0,
-            step_kind=StepKind.NULL_TOLERANCE, sample_count=0, wall_time_us=0))
     return Trace(records, p.snapshot(), rng.seed, termination, final_x=state.x,
                  final_f=state.f, final_eps=state.eps, final_nu=state.nu)
 

@@ -129,6 +129,9 @@ def _wolfe(G: np.ndarray, max_iter: int):
         if j not in Gl:
             Gl[j] = G[j].tolist()
         elif j in active:
+            # Only rounding brings an active point back.  Let in twice, it
+            # would hand _extend_factor the rounding residue of a zero
+            # pivot, which its test may pass, so the stall ends here.
             break  # numerically stalled; certificate reported by the caller
         active.append(j)
         if not _extend_factor(L, z, Gl, active):
@@ -151,6 +154,8 @@ def _wolfe(G: np.ndarray, max_iter: int):
                 keep = [lam.index(max(lam))]
             active = [active[i] for i in keep]
             lam = [lam[i] for i in keep]
+            # Read as they stand by the next cycle's dots and gsq when
+            # one point is left, and returned when the refactor fails.
             total = sum(lam)
             lam = [l / total for l in lam]
             # Rows before the first dropped point are unchanged; refactor

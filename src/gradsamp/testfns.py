@@ -55,14 +55,6 @@ class FiniteMaxProblem:
         return len(self.pieces[0].a)
 
 
-def _argmax(vals) -> int:
-    """The index np.argmax picks: the first NaN, else the first maximum."""
-    for i, v in enumerate(vals):
-        if v != v:
-            return i
-    return vals.index(max(vals))
-
-
 def _first_max(vals: np.ndarray, grads: np.ndarray) -> Tuple[np.ndarray, int]:
     """From member values (R x M) and gradients (R x M x n): each row's
     first maximal member's gradient, and how many leading rows lie in D,
@@ -94,9 +86,8 @@ class _MemberMaxOracle(ProblemOracle):
     members disagree on the gradient.  Subclasses pass each member's family
     index, in member order, and supply ``_block(X)``, the values (R x M)
     and gradients (R x M x n) of the M members at the R rows of X, each
-    row's with the same bytes whatever block it is evaluated in.  They may
-    also supply ``_values(X)``, the values of ``_block(X)`` without the
-    gradients.
+    row's with the same bytes whatever block it is evaluated in, and may
+    supply ``_values(X)``, the values of ``_block(X)`` alone.
 
     Each method evaluates the members at its point with one ``_block``
     row, except ``objective``, ``eval_F`` and ``inner_max``, which read
@@ -117,10 +108,6 @@ class _MemberMaxOracle(ProblemOracle):
     def _values(self, X: np.ndarray) -> np.ndarray:
         return self._block(X)[0]
 
-    def _values_at(self, x) -> list:
-        # The member values at the point x, as a list.
-        return self._values(np.asarray(x, dtype=float)[None])[0].tolist()
-
     def _member(self, vals: list, theta) -> int:
         named = self._named.get(float(theta[0]))
         if named is None:
@@ -131,11 +118,11 @@ class _MemberMaxOracle(ProblemOracle):
 
     def objective(self, x):
         """eval_F(x, inner_max(x)) from one ``_values`` row."""
-        vals = self._values_at(x)
-        return vals[_argmax(vals)]
+        vals = self._values(np.asarray(x, dtype=float)[None])[0]
+        return float(vals[vals.argmax()])  # the first NaN, else the first maximum
 
     def eval_F(self, x, theta):
-        vals = self._values_at(x)
+        vals = self._values(np.asarray(x, dtype=float)[None])[0].tolist()
         return vals[self._member(vals, theta)]
 
     def grad_x_F(self, x, theta):
@@ -143,7 +130,8 @@ class _MemberMaxOracle(ProblemOracle):
         return grads[0, self._member(vals[0].tolist(), theta)]
 
     def inner_max(self, x):
-        return np.array([self._indices[_argmax(self._values_at(x))]])
+        vals = self._values(np.asarray(x, dtype=float)[None])[0]
+        return np.array([self._indices[vals.argmax()]])
 
     def in_D(self, x):
         return _first_max(*self._block(np.asarray(x, dtype=float)[None]))[1] == 1

@@ -1,5 +1,6 @@
 """Config-driven runner: exit codes, artifacts, CSV schema, plot data."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -13,7 +14,8 @@ from gradsamp import (CoverageProblem, GsParams, IterationRecord, StepKind, Term
 from gradsamp import cli
 from gradsamp.cli import emit_plot_data, main, run_experiment
 from gradsamp.driver import gradient_descent_baseline, run
-from gradsamp.testfns import finite_max_oracle
+from gradsamp.testfns import (CantorStressProblem, FiniteMaxProblem, MaxPiece,
+                              finite_max_oracle)
 
 from oracles import abs_value_problem, reference_trace_csv, reference_trace_json
 
@@ -112,6 +114,16 @@ def test_malformed_json_exits_1_with_location(tmp_path, capsys):
     assert run_experiment(str(p)) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "bad.json:1:" in err
+
+
+def test_every_float_field_is_checked_as_numbers():
+    """The config builder finds a field's JSON numbers by its annotation's
+    text, so a float field whose annotation it does not know, such as a
+    re-spelt tuple[float, ...], would go unchecked."""
+    for cls in (GsParams, CoverageProblem, FiniteMaxProblem, MaxPiece, CantorStressProblem):
+        for f in dataclasses.fields(cls):
+            if "float" in str(f.type):
+                assert f.type in cli._NUMERIC, (cls.__name__, f.name, f.type)
 
 
 def test_bad_params_exit_1(tmp_path, capsys):
@@ -289,14 +301,17 @@ def test_a_sample_outside_D_exits_2_with_its_artifacts(tmp_path):
     """A finite max whose first piece is -inf + inf, NaN, at x1 = 3: x1 lies
     outside D, so the first step's bundle stops there and the run, with
     warnings as errors, ends as NonsmoothSampleStop with every artifact
-    written."""
+    written: no record, and x1 as the final x."""
     out = tmp_path / "out"
     cfg = _minimal_config(out, x1=[3.0])
     cfg["problem"]["pieces"] = [{"a": [-1e308], "Q": [[1e308]]}, {"a": [1.0]}]
     assert run_experiment(str(_write(tmp_path, cfg))) == 2
-    assert (out / "trace.csv").exists() and (out / "trace.json").exists()
+    assert (out / "trace.csv").read_text() == "k,x_0,f,eps,nu,g_norm,t,step_kind\n"
+    assert json.loads((out / "trace.json").read_text())["records"] == []
     summary = json.loads((out / "summary.json").read_text())
     assert summary["sampling"]["termination"] == "NonsmoothSampleStop"
+    assert summary["sampling"]["iterations"] == 0
+    assert summary["sampling"]["final_x"] == [3.0]
 
 
 def test_unknown_problem_type_exit_1(tmp_path):
@@ -323,10 +338,11 @@ def test_baseline_block_written(tmp_path):
     assert "baseline_gd" in summary
     assert "f_gap_gd_minus_sampling" in summary["comparison"]
     assert (out / "baseline_trace.csv").exists()
-    # At max_iters 0 the baseline has no records, yet its header still has
+    # At max_iters 0 neither solver has a record, yet each header still has
     # one x_i column per coordinate.
     assert run_experiment(str(cfg), max_iters=0) == 0
-    assert (out / "baseline_trace.csv").read_text() == "k,x_0,f,eps,nu,g_norm,t,step_kind\n"
+    for name in ("trace.csv", "baseline_trace.csv"):
+        assert (out / name).read_text() == "k,x_0,f,eps,nu,g_norm,t,step_kind\n"
 
 
 def test_shipped_configs_parse_and_run(tmp_path, monkeypatch):

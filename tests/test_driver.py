@@ -454,12 +454,25 @@ def test_step_hands_the_qp_the_fresh_rows_as_they_came_when_nothing_is_kept(monk
 
 # -- run ---------------------------------------------------------------------
 
-def test_run_zero_iters_gives_initial_record():
-    oracle = finite_max_oracle(abs_value_problem())
-    tr = run(oracle, GsParams(max_iters=0), np.array([1.0]), Rng(11))
+class _CountingF(FiniteMaxOracle):
+    """A finite max whose ``evals`` counts the evaluations of f."""
+
+    evals = 0
+
+    def objective(self, x):
+        self.evals += 1
+        return super().objective(x)
+
+
+def test_run_zero_iters_records_no_step():
+    """At max_iters 0 no step is taken, so the trace has no record, and it
+    ends at x1 with f(x1), eps1 and nu1, from one evaluation of f."""
+    oracle, p = _CountingF(abs_value_problem()), GsParams(max_iters=0)
+    tr = run(oracle, p, np.array([1.0]), Rng(11))
     assert tr.termination == Termination.MAX_ITERS
-    assert len(tr.records) == 1
-    np.testing.assert_array_equal(tr.records[0].x, [1.0])
+    assert tr.records == [] and oracle.evals == 1
+    assert tr.final_x.tolist() == [1.0] and repr(tr.final_f) == "1.0"
+    assert (tr.final_eps, tr.final_nu) == (p.eps1, p.nu1)
 
 
 def test_run_step_quantization():
@@ -564,30 +577,31 @@ class _InfBelowHalf(FiniteMaxOracle):
                 for x, g in zip(points, super().sample_gradients(points))]
 
 
-class _NanAtOne(FiniteMaxOracle):
+class _NanAtOne(_CountingF):
     """|x|, but f is NaN at x = 1; ``evals`` counts the evaluations of f."""
 
-    evals = 0
-
     def objective(self, x):
-        self.evals += 1
-        return math.nan if np.asarray(x).tolist() == [1.0] else super().objective(x)
+        f = super().objective(x)
+        return math.nan if np.asarray(x).tolist() == [1.0] else f
 
 
 def test_numerical_failure_keeps_the_records_so_far():
     """A non-finite bundle gradient mid-run ends it as NumericalFailure with
     the records of the steps before it, as the same run without the
-    failure made them; a NaN f at the start ends it with the one initial
-    record."""
+    failure made them; a NaN f at the start ends it with no record, at x1
+    and its NaN f, from one evaluation of f."""
     p = GsParams(max_iters=100)
     tr = run(_InfBelowHalf(abs_value_problem()), p, np.array([1.0]), Rng(3))
     ref = run(FiniteMaxOracle(abs_value_problem()), p, np.array([1.0]), Rng(3))
     assert tr.termination == Termination.NUMERICAL_FAILURE
     assert 0 < len(tr.records) < len(ref.records)
     assert _replay(tr)[0] == _replay(ref)[0][:len(tr.records)]
-    tr = run(_NanAtOne(abs_value_problem()), p, np.array([1.0]), Rng(3))
+    oracle = _NanAtOne(abs_value_problem())
+    tr = run(oracle, p, np.array([1.0]), Rng(3))
     assert tr.termination == Termination.NUMERICAL_FAILURE
-    assert len(tr.records) == 1 and tr.records[0].sample_count == 0
+    assert tr.records == [] and oracle.evals == 1
+    assert tr.final_x.tolist() == [1.0] and math.isnan(tr.final_f)
+    assert (tr.final_eps, tr.final_nu) == (p.eps1, p.nu1)
 
 
 class _AtTheLimit(ProblemOracle):
@@ -677,13 +691,14 @@ def test_a_capped_qp_point_is_still_the_direction(monkeypatch):
 
 def test_a_nan_f_at_x_ends_the_line_search_before_its_trials():
     """run evaluates f at x1 once, on entry, and the first step's NaN test
-    ends the run there, before any line-search trial is paid for: one
-    record, whose f is that NaN, and one evaluation of f."""
-    oracle = _NanAtOne(abs_value_problem())
-    tr = run(oracle, GsParams(), np.array([1.0]), Rng(3))
+    ends the run there, before any line-search trial is paid for: no
+    record, a final f that is that NaN at x1, and one evaluation of f."""
+    oracle, p = _NanAtOne(abs_value_problem()), GsParams()
+    tr = run(oracle, p, np.array([1.0]), Rng(3))
     assert tr.termination == Termination.NUMERICAL_FAILURE
-    assert len(tr.records) == 1 and math.isnan(tr.records[0].f_approx)
-    assert math.isnan(tr.final_f) and oracle.evals == 1
+    assert tr.records == [] and oracle.evals == 1
+    assert tr.final_x.tolist() == [1.0] and math.isnan(tr.final_f)
+    assert (tr.final_eps, tr.final_nu) == (p.eps1, p.nu1)
 
 
 def test_tiny_gradients_end_with_a_termination():

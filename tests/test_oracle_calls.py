@@ -118,7 +118,8 @@ def _leaves_D_at_once():
 def test_a_run_with_no_step_evaluates_f_at_x1_once(case):
     """A run that ends before any step returns, at max_iters 0 or at a
     first step whose sample leaves D, makes one objective call, at x1, on
-    entry, and its one record and its final f hold that value."""
+    entry; it records no step, and its final x and f are x1 and that
+    value."""
     if case == "max_iters_0":
         oracle, p, x1, seed = _counting("two_agent")
         p.max_iters = 0
@@ -128,10 +129,11 @@ def test_a_run_with_no_step_evaluates_f_at_x1_once(case):
         termination = Termination.NONSMOOTH_SAMPLE_STOP
     tr = run(oracle, p, x1, Rng(seed))
     assert tr.termination == termination
-    assert len(tr.records) == 1 and tr.records[0].sample_count == 0
+    assert tr.records == []
     assert oracle.calls["objective"] == oracle.at[x1.tobytes()] == 1
     f = type(oracle)(oracle.prob).objective(x1)
-    assert repr(tr.records[0].f_approx) == repr(tr.final_f) == repr(f)
+    assert tr.final_x.tobytes() == x1.tobytes() and repr(tr.final_f) == repr(f)
+    assert (tr.final_eps, tr.final_nu) == (p.eps1, p.nu1)
 
 
 @pytest.mark.parametrize("config", ["two_agent", "abs_value"])

@@ -21,8 +21,8 @@ from gradsamp import (
 from gradsamp.testfns import (
     BUMP_DERIVATIVE_BOUND,
     FiniteMaxOracle,
-    _argmax,
     _first_max,
+    _MemberMaxOracle,
     bump,
     bump_d1,
 )
@@ -135,11 +135,27 @@ def test_member_memo_not_poisoned_by_in_place_change():
     assert _asked(oracle, x) == before
 
 
+class _RowValues(_MemberMaxOracle):
+    """M members whose values at x are the entries of x itself."""
+
+    def __init__(self, m):
+        super().__init__(range(m))
+        self.dim = m
+
+    def _values(self, X):
+        return X
+
+
 def test_inner_max_index_matches_numpy_argmax():
+    """inner_max names the member np.argmax picks, the first NaN, else the
+    first maximum, and objective is that member's value, sign of 0 and
+    all."""
     nan, inf = math.nan, math.inf
     for vals in ([1.0, 3.0, 3.0, 2.0], [-0.0, 0.0], [0.0, -0.0], [-inf, -inf],
                  [1.0, nan, 5.0, nan], [nan, 2.0], [inf, nan], [-1.0], [2.0, inf, inf]):
-        assert _argmax(tuple(vals)) == int(np.argmax(vals)), vals
+        oracle, i = _RowValues(len(vals)), int(np.argmax(vals))
+        assert oracle.inner_max(vals).tolist() == [float(i)], vals
+        assert repr(oracle.objective(vals)) == repr(vals[i]), vals
 
 
 def test_in_D_tie_detection():
