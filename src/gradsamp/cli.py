@@ -1,102 +1,119 @@
 """Experiment runner: config in, trace/summary artifacts out.
 
 A single JSON config fully determines a run (problem, parameters, start,
-seed), so regression tests can diff configs and outputs.  Its params,
-problem (by "type") and finite-max pieces each build a dataclass, which
-converts and checks the values: an unknown key is a config error, and an
-omitted field takes the dataclass's default.  trace.csv writes each float
-as %.17g and trace.json, one json.dumps line, as its repr; both
-round-trip doubles exactly.  trace.csv holds no timings, so identical
-runs write it byte for byte the same.
+seed).  ``_build`` turns its top level, params, problem (by "type")
+and finite-max pieces into dataclasses, each field checked against its
+annotation: a float is a JSON number (not true or false), an int a JSON
+integer, a bool true or false, a Tuple[T, ...] a list of T, an Optional
+may be null, and a dataclass an object of its fields.  An unknown key is
+a config error, an omitted field takes its default, and no value is
+converted.  --out fills output_dir before the build; --seed and
+--max-iters override after it.  trace.csv writes each float as %.17g and
+trace.json, one json.dumps line, as its repr: both round-trip doubles,
+and trace.csv, which holds no timings, is byte-stable across reruns.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .core import GsParams, ParamError, Termination, Trace, validate_params
 from .coverage import CoverageProblem, make_coverage_oracle
 from .driver import Rng, _start_point, gradient_descent_baseline, run
-from .testfns import (
-    CantorStressProblem,
-    FiniteMaxProblem,
-    MaxPiece,
-    cantor_stress_oracle,
-    finite_max_oracle,
-)
+from .testfns import (CantorStressProblem, FiniteMaxProblem, cantor_stress_oracle,
+                      finite_max_oracle)
 
 class ConfigError(ValueError):
     pass
 
 
-# The keys of a config's top level, each read by run_experiment.
-_CONFIG_KEYS = ("problem", "params", "x1", "seed", "output_dir", "run_baseline_gd", "formats")
+@dataclasses.dataclass
+class _Config:
+    """A config's top level; run_experiment checks what needs the oracle."""
+
+    problem: dict
+    x1: Tuple[float, ...]
+    output_dir: str
+    params: GsParams = dataclasses.field(default_factory=GsParams)
+    seed: int = 0
+    run_baseline_gd: bool = False
+    formats: Tuple[str, ...] = ("csv", "json")
+
+
 _PROBLEMS = {"coverage": (CoverageProblem, make_coverage_oracle),
              "finite_max": (FiniteMaxProblem, finite_max_oracle),
              "cantor": (CantorStressProblem, cantor_stress_oracle)}
+_SHAPES = {float: ("a number", "numbers"), int: ("an integer", "integers"),
+           bool: ("true or false", "booleans"), str: ("a string", "strings"),
+           dict: ("an object", "objects")}
+_MISFIT = object()
+_hints = functools.cache(get_type_hints)  # a dataclass's resolved field annotations
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing field '{key}' in {where}")
-    return d[key]
+def _shape(tp, many: bool = False) -> str:
+    """Annotation tp's JSON value in words, from _SHAPES; KeyError if _typed has none."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union and args[1:] == (type(None),):
+        return _shape(args[0], many) + " or null"
+    if origin is tuple and args[1:] == (Ellipsis,):
+        return ("lists of " if many else "a list of ") + _shape(args[0], True)
+    return _SHAPES[dict if dataclasses.is_dataclass(tp) else tp][many]
 
 
-def _check_keys(obj, names, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object of named fields: {obj!r}")
-    for key in obj:
-        if key not in names:
-            raise ConfigError(f"unknown {where} field '{key}'")
-
-
-# The float-typed fields of the dataclasses a config builds: how deep
-# their numbers lie in JSON lists, and what the field must be.
-_NUMERIC = {"float": (0, "a number"),
-            "Tuple[float, ...]": (1, "a list of numbers"),
-            "Optional[Tuple[Tuple[float, ...], ...]]": (2, "a list of lists of numbers")}
-
-
-def _numbers(val, depth: int) -> bool:
-    # A JSON number at depth 0 (not true or false), else a list of depth - 1 values.
-    if depth == 0:
-        return type(val) in (int, float)
-    return type(val) is list and all(_numbers(v, depth - 1) for v in val)
+def _typed(tp, val, where: str):
+    """val, its dataclasses built at where, if of tp's JSON value; else _MISFIT."""
+    if tp is float:  # first, as the most frequent: a list of numbers checks each
+        return val if type(val) in (int, float) else _MISFIT
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, val, where)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple and type(val) is list:
+        items = [_typed(args[0], v, where) for v in val]
+        return _MISFIT if any(v is _MISFIT for v in items) else items
+    if origin is Union:  # Optional[T]
+        return None if val is None else _typed(args[0], val, where)
+    return val if type(val) is tp else _MISFIT  # and so a tuple's non-list fails
 
 
 def _build(cls, obj, where: str):
-    """cls(**obj), for a JSON object that names only fields of the dataclass
-    cls, every one without a default, and JSON numbers in each float-typed
-    one, or null where its default is None."""
-    fields = dataclasses.fields(cls)
-    _check_keys(obj, [f.name for f in fields], where)
-    for f in fields:
-        if f.name not in obj:
-            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-                raise ConfigError(f"missing field '{f.name}' in {where}")
-        elif f.type in _NUMERIC:
-            val, (depth, kind) = obj[f.name], _NUMERIC[f.type]
-            if not (_numbers(val, depth) or (val is None and f.default is None)):
-                raise ConfigError(f"{where} field '{f.name}' must be {kind}: {val!r}")
-    return cls(**obj)
+    """cls(**obj), for a JSON object at where that names only fields of the
+    dataclass cls, every one without a default, each of its JSON value."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{where} must be an object of named fields: {obj!r}")
+    hints = _hints(cls)
+    for key in obj:
+        if key not in hints:
+            raise ConfigError(f"unknown {where} field '{key}'")
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in obj:  # a top-level key is its own place, a deeper one a path
+            kwargs[f.name] = _typed(hints[f.name], obj[f.name],
+                                    f.name if where == "config" else f"{where}.{f.name}")
+            if kwargs[f.name] is _MISFIT:
+                raise ConfigError(f"{where} field '{f.name}' must be "
+                                  f"{_shape(hints[f.name])}: {obj[f.name]!r}")
+        elif f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing field '{f.name}' in {where}")
+    return cls(**kwargs)
 
 
 def build_problem_oracle(problem: dict):
-    kind = _require(problem, "type", "problem")
-    if kind not in _PROBLEMS:
-        raise ConfigError(f"unknown problem type: {kind!r}")
+    """The oracle of a config's problem: "type" names its dataclass, and
+    every other key is a field of that dataclass."""
+    kind = problem.get("type")
+    if type(kind) is not str or kind not in _PROBLEMS:
+        raise ConfigError(f"problem field 'type' must be one of {sorted(_PROBLEMS)}: {kind!r}")
     cls, make_oracle = _PROBLEMS[kind]
     fields = {key: val for key, val in problem.items() if key != "type"}
-    if cls is FiniteMaxProblem and "pieces" in fields:
-        fields["pieces"] = [_build(MaxPiece, p, "problem.pieces") for p in fields["pieces"]]
     return make_oracle(_build(cls, fields, "problem"))
 
 
@@ -149,42 +166,29 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
     written either way), 1 on any config error or an output directory that
     cannot be created (diagnostics on stderr)."""
     try:
-        raw = Path(config_path).read_text()
+        cfg = json.loads(Path(config_path).read_text())
     except OSError as e:
         print(f"config error: cannot read {config_path}: {e}", file=sys.stderr)
         return 1
-    try:
-        cfg = json.loads(raw)
     except json.JSONDecodeError as e:
-        print(f"config error: {config_path}:{e.lineno}:{e.colno}: {e.msg}",
-              file=sys.stderr)
+        print(f"config error: {config_path}:{e.lineno}:{e.colno}: {e.msg}", file=sys.stderr)
         return 1
     try:
-        _check_keys(cfg, _CONFIG_KEYS, "config")
-        oracle = build_problem_oracle(_require(cfg, "problem", "config"))
-        params = _build(GsParams, cfg.get("params", {}), "params")
+        if out_dir is not None and type(cfg) is dict:
+            cfg["output_dir"] = out_dir
+        config = _build(_Config, cfg, "config")
+        oracle = build_problem_oracle(config.problem)
         if max_iters is not None:
-            params.max_iters = max_iters
-        x1 = _require(cfg, "x1", "config")
-        if not _numbers(x1, 1):
-            raise ConfigError(f"x1 must be a list of numbers: {x1!r}")
-        x1 = _start_point(oracle, x1)
-        rng = Rng(cfg.get("seed", 0) if seed is None else seed)
-        validate_params(params, oracle.dim)
-        out = Path(out_dir if out_dir is not None
-                   else _require(cfg, "output_dir", "config"))
-        run_gd = cfg.get("run_baseline_gd", False)
-        if not isinstance(run_gd, bool):
-            raise ConfigError(f"run_baseline_gd must be a bool: {run_gd!r}")
-        if run_gd and len(oracle.sample_gradients(x1[None])) == 0:
-            raise ConfigError("x1 must lie in the smooth set D when "
-                              "run_baseline_gd is true")
-        formats = cfg.get("formats", ["csv", "json"])
-        if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)):
-            raise ConfigError(f"formats must be a list of strings: {formats!r}")
-        formats = set(formats)
+            config.params.max_iters = max_iters
+        x1 = _start_point(oracle, config.x1)
+        rng = Rng(config.seed if seed is None else seed)
+        validate_params(config.params, oracle.dim)
+        if config.run_baseline_gd and len(oracle.sample_gradients(x1[None])) == 0:
+            raise ConfigError("x1 must lie in the smooth set D when run_baseline_gd is true")
+        formats = set(config.formats)
         if not formats <= {"csv", "json"}:
             raise ConfigError(f"unknown formats: {sorted(formats - {'csv', 'json'})}")
+        out = Path(config.output_dir)
     except (ConfigError, ParamError, ValueError, TypeError, OverflowError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -195,7 +199,7 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         print(f"error: cannot create output directory {out}: {e}", file=sys.stderr)
         return 1
     t0 = time.perf_counter()
-    trace = run(oracle, params, x1, rng)
+    trace = run(oracle, config.params, x1, rng)
     wall = time.perf_counter() - t0
     if "csv" in formats:
         write_trace_csv(trace, out / "trace.csv")
@@ -203,9 +207,9 @@ def run_experiment(config_path, out_dir: Optional[str] = None,
         write_trace_json(trace, out / "trace.json")
 
     summary = {"seed": rng.seed, "sampling": _summary_block(trace, wall)}
-    if run_gd:
+    if config.run_baseline_gd:
         t0 = time.perf_counter()
-        gd = gradient_descent_baseline(oracle, params, x1)
+        gd = gradient_descent_baseline(oracle, config.params, x1)
         wall_gd = time.perf_counter() - t0
         write_trace_csv(gd, out / "baseline_trace.csv")
         summary["baseline_gd"] = _summary_block(gd, wall_gd)
@@ -235,27 +239,19 @@ def emit_plot_data(trace_path, out_path) -> int:
         print(f"error: empty trace file {trace_path}", file=sys.stderr)
         return 1
     header = lines[0].split(",")
+    coords = [i for i, h in enumerate(header) if h.startswith("x_")]
     try:
-        coord_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
-        k_col = header.index("k")
-        f_col = header.index("f")
-        g_col = header.index("g_norm")
-        e_col = header.index("eps")
-        n_col = header.index("nu")
+        cols = [header.index("k"), *coords, *map(header.index, ("f", "g_norm", "eps", "nu"))]
     except ValueError:
         print(f"error: malformed trace header in {trace_path}", file=sys.stderr)
         return 1
-    out_lines = ["# iter " + " ".join(header[i] for i in coord_cols)
-                 + " f g_norm eps nu"]
+    out_lines = ["# iter " + " ".join(header[i] for i in coords) + " f g_norm eps nu"]
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(header):
             print(f"error: malformed trace row in {trace_path}", file=sys.stderr)
             return 1
-        out_lines.append(" ".join([parts[k_col]]
-                                  + [parts[i] for i in coord_cols]
-                                  + [parts[f_col], parts[g_col],
-                                     parts[e_col], parts[n_col]]))
+        out_lines.append(" ".join(parts[i] for i in cols))
     try:
         Path(out_path).write_text("\n".join(out_lines) + "\n")
     except OSError as e:

@@ -44,10 +44,12 @@ class FiniteMaxProblem:
         for p in self.pieces:
             if len(p.a) != n:
                 raise ValueError("pieces must share a dimension")
+            if p.Q is not None and {len(p.Q), *map(len, p.Q)} != {n}:  # before NumPy reads it
+                raise ValueError("Q must be exactly symmetric n x n")
             Q = np.zeros((n, n)) if p.Q is None else np.asarray(p.Q)
             if not (np.all(np.isfinite(p.a)) and np.isfinite(p.b) and np.all(np.isfinite(Q))):
                 raise ValueError("piece coefficients must be finite")
-            if Q.shape != (n, n) or not np.array_equal(Q, Q.T):
+            if not np.array_equal(Q, Q.T):
                 raise ValueError("Q must be exactly symmetric n x n")
 
     @property

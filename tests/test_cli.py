@@ -5,6 +5,7 @@ import json
 import logging
 import math
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gradsamp.testfns import (CantorStressProblem, FiniteMaxProblem, MaxPiece,
                               finite_max_oracle)
 
 from oracles import abs_value_problem, reference_trace_csv, reference_trace_json
+from trajectory import check_trace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -117,13 +119,25 @@ def test_malformed_json_exits_1_with_location(tmp_path, capsys):
 
 
 def test_every_float_field_is_checked_as_numbers():
-    """The config builder finds a field's JSON numbers by its annotation's
-    text, so a float field whose annotation it does not know, such as a
-    re-spelt tuple[float, ...], would go unchecked."""
-    for cls in (GsParams, CoverageProblem, FiniteMaxProblem, MaxPiece, CantorStressProblem):
-        for f in dataclasses.fields(cls):
-            if "float" in str(f.type):
-                assert f.type in cli._NUMERIC, (cls.__name__, f.name, f.type)
+    """``cli._build`` checks each config field against its resolved annotation.
+    Every field of each dataclass a config builds resolves to an annotation
+    that it checks (``_shape`` raises KeyError on any other), and a float
+    field re-spelt tuple[float, ...] rejects a string entry as
+    Tuple[float, ...] does."""
+    for cls in (cli._Config, GsParams, CoverageProblem, FiniteMaxProblem, MaxPiece,
+                CantorStressProblem):
+        hints = get_type_hints(cls)
+        assert set(hints) == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        for name, tp in hints.items():
+            assert cli._shape(tp), (cls.__name__, name, tp)
+
+    @dataclasses.dataclass
+    class Respelt:
+        a: tuple[float, ...]
+
+    with pytest.raises(cli.ConfigError, match=r"piece field 'a' must be a list of numbers"):
+        cli._build(Respelt, {"a": ["1"]}, "piece")
+    assert cli._build(Respelt, {"a": [1, 2.5]}, "piece").a == [1, 2.5]
 
 
 def test_bad_params_exit_1(tmp_path, capsys):
@@ -140,7 +154,7 @@ def test_bad_params_exit_1(tmp_path, capsys):
     cases.append((_minimal_config(out, run_baseline_gd="false"), "run_baseline_gd"))
     # The GD baseline's start is tested for D before any output is written.
     cases.append((_minimal_config(out, run_baseline_gd=True, x1=[0.0]), "smooth set D"))
-    cases.append((_minimal_config(out, formats="csv"), "formats must be a list"))
+    cases.append((_minimal_config(out, formats="csv"), "'formats' must be a list"))
     for seed in (inf, 1.9, -1):
         cases.append((_minimal_config(out, seed=seed), "seed"))
     for depth in (inf, 3.7):
@@ -178,7 +192,7 @@ def test_bad_params_exit_1(tmp_path, capsys):
         cfg["problem"][field] = value
         cases.append((cfg, f"'{field}'"))
     for x1 in (["1.0"], [True]):
-        cases.append((_minimal_config(out, x1=x1), "x1 must be a list of numbers"))
+        cases.append((_minimal_config(out, x1=x1), "'x1' must be a list of numbers"))
     for params in ([], "abc", 5, None):
         cases.append((_minimal_config(out, params=params), "params must be an object"))
     for field in ("problem", "x1", "output_dir"):
@@ -193,6 +207,23 @@ def test_bad_params_exit_1(tmp_path, capsys):
     cfg = _shipped("two_agent.json", out)
     cfg["problem"]["theta_lower"] = cfg["problem"]["theta_lower"][:-1]
     cases.append((cfg, "theta bounds must have one entry per bin"))
+    # A value of the wrong JSON type at any level names its key and where
+    # it sits, never a Python message of the value's type alone.
+    for value in (5, None):
+        cases.append((_minimal_config(out, output_dir=value),
+                      "config field 'output_dir' must be a string"))
+    for value in ("type", None, []):
+        cases.append((_minimal_config(out, problem=value),
+                      "config field 'problem' must be an object"))
+    cases.append((_minimal_config(out, problem={"type": ["cantor"]}), "problem field 'type'"))
+    for value in (5, {"a": [1.0]}):
+        cfg = _minimal_config(out)
+        cfg["problem"]["pieces"] = value
+        cases.append((cfg, "problem field 'pieces' must be a list of objects"))
+    # A ragged Q fails the shape check before NumPy reads it.
+    cfg = _minimal_config(out, x1=[1.0, 2.0])
+    cfg["problem"]["pieces"] = [{"a": [1.0, 2.0], "Q": [[1.0], [1.0, 2.0]]}]
+    cases.append((cfg, "Q must be exactly symmetric n x n"))
     for cfg, expected in cases:
         assert run_experiment(str(_write(tmp_path, cfg))) == 1
         assert expected in capsys.readouterr().err
@@ -589,7 +620,8 @@ def _fuzz_valid(cfg):
 def test_random_configs_of_every_family_exit_with_their_code(tmp_path, capsys):
     """Seeded configs of the coverage, finite-max and Cantor families:
     every valid one exits 0, 2 or 3 with summary.json and its traces
-    written, and every invalid one exits 1 and writes nothing."""
+    written, and a trace that keeps the rules of tests/trajectory.py, and
+    every invalid one exits 1 and writes nothing."""
     gen = np.random.Generator(np.random.Philox(41))
     outcomes = set()
     for i in range(90):
@@ -608,6 +640,7 @@ def test_random_configs_of_every_family_exit_with_their_code(tmp_path, capsys):
             assert ("baseline_gd" in summary) == cfg["run_baseline_gd"]
             for name in ("trace.csv", "trace.json") + ("baseline_trace.csv",) * cfg["run_baseline_gd"]:
                 assert (out / name).exists(), (i, name)
+            assert check_trace(out / "trace.json", out / "summary.json") == [], i
         else:
             assert code == 1, i
             assert not out.exists(), i

@@ -40,8 +40,10 @@ from gradsamp import (
     run,
 )
 import gradsamp.driver
-from gradsamp.cli import run_experiment
+from gradsamp.cli import _summary_block, run_experiment, write_trace_json
 from gradsamp.minnorm import _TOL, min_norm_point
+
+from trajectory import check_trace
 
 REPO = Path(__file__).resolve().parents[1]
 LETTER = {"Descent": "D", "NullLineSearch": "L", "NullTolerance": "T"}
@@ -57,8 +59,13 @@ def _kinds(trace_csv: Path) -> str:
 
 
 def _config_case(name, out):
-    """One shipped config through the CLI at the config's own seed."""
-    assert run_experiment(str(REPO / "configs" / f"{name}.json"), out_dir=str(out)) == 0
+    """One shipped config through the CLI at the config's own seed, with
+    both trace formats."""
+    cfg = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    cfg.update(output_dir=str(out), formats=["csv", "json"])
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(cfg))
+    assert run_experiment(str(out / "config.json")) == 0
     summary = json.loads((out / "summary.json").read_text())
     samp = summary["sampling"]
     got = {"iterations": samp["iterations"], "termination": samp["termination"],
@@ -72,8 +79,15 @@ def _config_case(name, out):
     return got
 
 
-def _trace_case(oracle, p, x1, seed):
+def _trace_case(oracle, p, x1, seed, out):
+    """One run, and, unless out is None, the trace.json and summary.json
+    that the CLI would write for it, in out."""
     trace = run(oracle, p, x1, Rng(seed))
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        write_trace_json(trace, out / "trace.json")
+        summary = {"seed": seed, "sampling": _summary_block(trace, 0.0)}
+        (out / "summary.json").write_text(json.dumps(summary))
     return {"iterations": len(trace.records), "termination": trace.termination.value,
             "kinds": "".join(LETTER[r.step_kind.value] for r in trace.records),
             "final_x": [_fmt(v) for v in trace.final_x],
@@ -90,7 +104,7 @@ def _coverage_n20_case(out):
         theta_upper=tuple(gen.uniform(1.5, 3.0, K) / K),
         penalty_enabled=True)
     x1 = np.sort(gen.uniform(-2.0, 42.0, 20))
-    return _trace_case(make_coverage_oracle(prob), GsParams(m=22, max_iters=20), x1, 11)
+    return _trace_case(make_coverage_oracle(prob), GsParams(m=22, max_iters=20), x1, 11, out)
 
 
 def _quad_max_case(out):
@@ -104,7 +118,7 @@ def _quad_max_case(out):
                                Q=tuple(tuple(row) for row in Q)))
     prob = FiniteMaxProblem(pieces=tuple(pieces))
     p = GsParams(max_iters=2000, eps_min=1e-3, nu_min=1e-3)
-    return _trace_case(finite_max_oracle(prob), p, gen.uniform(-2.0, 2.0, 3), 13)
+    return _trace_case(finite_max_oracle(prob), p, gen.uniform(-2.0, 2.0, 3), 13, out)
 
 
 def _maxquad_case(out):
@@ -126,13 +140,13 @@ def _maxquad_case(out):
     prob = FiniteMaxProblem(pieces=tuple(pieces))
     gen = np.random.Generator(np.random.Philox(1978))
     p = GsParams(m=12, nu1=10.0, eps_min=1e-3, nu_min=1e-3, max_iters=1000)
-    return _trace_case(finite_max_oracle(prob), p, gen.uniform(-1.0, 1.0, n), 19)
+    return _trace_case(finite_max_oracle(prob), p, gen.uniform(-1.0, 1.0, n), 19, out)
 
 
 def _cantor_case(out):
     """The Cantor stress objective at depth 4, capped at 300 iterations."""
     oracle = cantor_stress_oracle(CantorStressProblem(depth=4))
-    return _trace_case(oracle, GsParams(max_iters=300), np.array([0.3]), 17)
+    return _trace_case(oracle, GsParams(max_iters=300), np.array([0.3]), 17, out)
 
 
 CASES = {
@@ -240,7 +254,10 @@ def test_builtin_sum_adds_left_to_right():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_trajectory(name, tmp_path):
+    """Each case keeps its golden record, and its trace keeps the rules of
+    tests/trajectory.py."""
     assert CASES[name](tmp_path) == GOLDEN[name]
+    assert check_trace(tmp_path / "trace.json", tmp_path / "summary.json") == []
 
 
 def test_maxquad_min_norm_points_are_certified(monkeypatch):

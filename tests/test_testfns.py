@@ -348,12 +348,16 @@ def test_problem_validation():
         FiniteMaxProblem(pieces=(MaxPiece(a=(1.0,)), MaxPiece(a=(1.0, 2.0))))
     # Q within allclose of symmetric: at x = (300, -200), a + Qx reads
     # (400, -99.997) against the central difference (399.999, -99.9985).
-    for Q in (((1.0, 2.0), (3.0, 4.0)), ((2.0, 1.0), (1.00001, 2.0))):
-        with pytest.raises(ValueError, match="symmetric"):
+    # A ragged or non-square Q is checked before NumPy reads it, which
+    # would reject a ragged one with a message that names no key.
+    for Q in (((1.0, 2.0), (3.0, 4.0)), ((2.0, 1.0), (1.00001, 2.0)),
+              ((1.0,), (1.0, 2.0)), ((1.0, 2.0),), ((1.0, 2.0, 3.0), (2.0, 1.0, 0.0))):
+        with pytest.raises(ValueError, match="Q must be exactly symmetric n x n"):
             FiniteMaxProblem(pieces=(MaxPiece(a=(1.0, 0.0), Q=Q),))
     nan, inf = math.nan, math.inf
     for piece in (MaxPiece(a=(nan,)), MaxPiece(a=(1.0,), b=nan),
-                  MaxPiece(a=(1.0,), b=-inf), MaxPiece(a=(0.0,), Q=((inf,),))):
+                  MaxPiece(a=(1.0,), b=-inf), MaxPiece(a=(0.0,), Q=((inf,),)),
+                  MaxPiece(a=(0.0,), Q=((nan,),))):
         with pytest.raises(ValueError, match="finite"):
             FiniteMaxProblem(pieces=(MaxPiece(a=(1.0,)), piece))
 
